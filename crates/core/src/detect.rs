@@ -116,8 +116,10 @@ pub fn detect_interventions(
     let mut windows: Vec<InterventionWindow> = Vec::new();
     let mut detected: Vec<DetectedWindow> = Vec::new();
 
+    // Each round's baseline is the previous round's accepted fit: it was
+    // fitted on exactly the windows the round starts from.
+    let mut base = fit_series(series, &windows, cfg)?;
     for round in 0..opts.max_windows {
-        let base = fit_series(series, &windows, cfg)?;
         let runs = candidate_runs(series, &base.fit.fit.mu, base.fit.alpha, opts);
         // Skip runs overlapping an already-accepted window.
         let fresh = runs.into_iter().find(|&(start, len, _)| {
@@ -154,6 +156,7 @@ pub fn detect_interventions(
             matched_event: None,
         });
         windows = trial;
+        base = with;
     }
 
     Ok(detected)

@@ -22,6 +22,7 @@ use booters_netsim::{Country, UdpProtocol};
 use booters_timeseries::correlate::{correlate_series, CorrelationTable};
 use booters_timeseries::index::{linear_slope, rebase};
 use booters_timeseries::Date;
+use std::fmt::Write as _;
 
 /// Table 1: the global NB regression summary.
 pub fn table1(result: &GlobalModelResult) -> String {
@@ -218,9 +219,9 @@ pub fn fig3_csv(ds: &HoneypotDataset) -> String {
     }
     out.push('\n');
     for i in 0..ds.global.len() {
-        out.push_str(&format!("{}", ds.global.week_date(i)));
+        let _ = write!(out, "{}", ds.global.week_date(i));
         for c in countries {
-            out.push_str(&format!(",{:.0}", ds.country(c).get(i)));
+            let _ = write!(out, ",{:.0}", ds.country(c).get(i));
         }
         out.push('\n');
     }
@@ -337,9 +338,9 @@ pub fn fig6_csv(ds: &HoneypotDataset) -> String {
     }
     out.push('\n');
     for i in 0..ds.global.len() {
-        out.push_str(&format!("{}", ds.global.week_date(i)));
+        let _ = write!(out, "{}", ds.global.week_date(i));
         for p in UdpProtocol::ALL {
-            out.push_str(&format!(",{:.0}", ds.protocol(p).get(i)));
+            let _ = write!(out, ",{:.0}", ds.protocol(p).get(i));
         }
         out.push('\n');
     }
@@ -413,9 +414,9 @@ pub fn fig7_csv(sr: &SelfReportDataset, n_weeks: usize) -> String {
         .map(|&id| sr.weekly_increments(id).into_iter().collect())
         .collect();
     for w in 0..n_weeks {
-        out.push_str(&format!("{}", sr.start.add_days(7 * w as i64)));
+        let _ = write!(out, "{}", sr.start.add_days(7 * w as i64));
         for inc in &increments {
-            out.push_str(&format!(",{}", inc.get(&w).copied().unwrap_or(0)));
+            let _ = write!(out, ",{}", inc.get(&w).copied().unwrap_or(0));
         }
         out.push('\n');
     }

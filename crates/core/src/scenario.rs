@@ -20,6 +20,7 @@
 use crate::datasets::{CounterHistory, HoneypotDataset, SelfReportDataset};
 use booters_market::commands::commands_for_week;
 use booters_market::market::{sample_binomial, MarketConfig, MarketSim, WeekOutput};
+use booters_market::Booter;
 use booters_netsim::flow::{FlowClass, VictimKey};
 use booters_netsim::{
     group_flows_par, AttackCommand, Country, Engine, EngineConfig, UdpProtocol, VictimAddr,
@@ -190,10 +191,8 @@ impl Scenario {
         let cal_start = config.market.calibration.scenario_start;
         let cal_end = config.market.calibration.scenario_end;
         let mut sim = MarketSim::new(config.market.clone());
-        let mut engine = Engine::new(config.engine);
-        let mut rng = StdRng::seed_from_u64(config.observe_seed);
+        let mut observer = Observer::new(&config);
 
-        let mut honeypot = HoneypotDataset::new(cal_start, cal_end);
         let mut ground_truth = HoneypotDataset::new(cal_start, cal_end);
         let sr_start = config.selfreport_start.week_start();
         let mut counters: BTreeMap<u32, CounterHistory> = BTreeMap::new();
@@ -204,92 +203,12 @@ impl Scenario {
         let mut births = booters_timeseries::WeeklySeries::zeros(sr_start, sr_weeks);
 
         let mut weeks = Vec::with_capacity(n_weeks_total);
-        let mut store_stats: Option<SpillStats> = None;
-        let mut query_stats: Option<QueryStats> = None;
-        // One long-running streaming node for the whole scenario: flows
-        // and weekly refits accumulate across weeks, exactly as a live
-        // deployment would see them. The store backend wins if both are
-        // configured (they are alternative full-packet sinks).
-        let mut serve_node: Option<ServeNode> = match (&config.store, &config.serve) {
-            (None, Some(sc)) => Some(ServeNode::new(ServeConfig {
-                // Stream time 0 is the scenario start; anchor the
-                // rolling weekly model there.
-                epoch_start: cal_start,
-                ..sc.clone()
-            })),
-            _ => None,
-        };
         while let Some(out) = sim.step() {
-            let monday = out.monday;
-
-            // --- honeypot observation -----------------------------------
-            let rate = match config.fidelity {
-                Fidelity::Aggregate => {
-                    coverage_rate_aggregate(&mut engine, &out, sim.population().booters())
-                }
-                Fidelity::PacketSampled { per_week } => {
-                    let booters_now = sim.population().booters();
-                    let cmds = commands_for_week(&out, booters_now, &mut rng, per_week);
-                    if cmds.is_empty() {
-                        1.0
-                    } else {
-                        let seen = cmds.iter().filter(|c| engine.would_observe(c)).count();
-                        seen as f64 / cmds.len() as f64
-                    }
-                }
-                Fidelity::FullPackets { per_week } => {
-                    let booters_now = sim.population().booters();
-                    let cmds = commands_for_week(&out, booters_now, &mut rng, per_week);
-                    match (&config.store, &mut serve_node, &config.query) {
-                        (Some(spill), _, _) => {
-                            let (rate, stats) =
-                                full_packet_rate_store(&mut engine, &cmds, spill.clone())?;
-                            store_stats.get_or_insert_with(SpillStats::default).absorb(&stats);
-                            rate
-                        }
-                        (None, Some(node), _) => {
-                            let week_end = (out.week as u64 + 1) * 7 * 86_400;
-                            full_packet_rate_serve(&mut engine, &cmds, node, week_end)?
-                        }
-                        (None, None, Some(qcfg)) => {
-                            let (rate, stats) = full_packet_rate_query(&mut engine, &cmds, qcfg)?;
-                            query_stats.get_or_insert_with(QueryStats::default).absorb(&stats);
-                            rate
-                        }
-                        (None, None, None) => full_packet_rate(&mut engine, &cmds),
-                    }
-                }
-            };
-
-            // Thin every cell at the measured weekly coverage rate and
-            // rebuild the aggregates from the thinned cells so all views
-            // stay consistent.
-            let mut observed_global = 0u64;
-            let n_protocols = UdpProtocol::ALL.len();
-            for country in Country::ALL {
-                let ci = country.index();
-                let mut country_total = 0u64;
-                for (pi, _) in UdpProtocol::ALL.iter().enumerate() {
-                    let cell = out.country_protocol[ci][pi];
-                    let seen = sample_binomial(&mut rng, cell, rate);
-                    country_total += seen;
-                    let s = &mut honeypot.by_protocol[pi];
-                    s.add_event(monday, seen as f64);
-                    let g = &mut ground_truth.by_protocol[pi];
-                    g.add_event(monday, cell as f64);
-                    honeypot.country_protocol[ci * n_protocols + pi]
-                        .add_event(monday, seen as f64);
-                    ground_truth.country_protocol[ci * n_protocols + pi]
-                        .add_event(monday, cell as f64);
-                }
-                honeypot.by_country[ci].add_event(monday, country_total as f64);
-                ground_truth.by_country[ci].add_event(monday, out.country_counts[ci] as f64);
-                observed_global += country_total;
-            }
-            honeypot.global.add_event(monday, observed_global as f64);
-            ground_truth.global.add_event(monday, out.total as f64);
+            observer.observe_week(&out, sim.population().booters())?;
+            record_ground_truth(&mut ground_truth, &out);
 
             // --- self-report scrape -------------------------------------
+            let monday = out.monday;
             if monday >= sr_start {
                 let sr_week = (monday.days_since(sr_start) / 7) as usize;
                 for (id, c) in &out.displayed_counters {
@@ -302,13 +221,12 @@ impl Scenario {
                 }
             }
 
-            engine.maintain(out.week as u64 * 7 * 86_400);
             weeks.push(out);
             booters_obs::counter_add("core.weeks_simulated", 1);
         }
 
         Ok(Scenario {
-            honeypot,
+            honeypot: observer.honeypot,
             ground_truth,
             selfreport: SelfReportDataset {
                 start: sr_start,
@@ -318,11 +236,164 @@ impl Scenario {
                 births,
             },
             weeks,
-            store_stats,
-            serve_stats: serve_node.map(|n| n.stats()),
-            query_stats,
+            store_stats: observer.store_stats,
+            serve_stats: observer.serve_node.map(|n| n.stats()),
+            query_stats: observer.query_stats,
         })
     }
+}
+
+/// Run `config`'s market through the honeypot and return only what the
+/// honeypot observed — no ground truth, no self-report scrape, no raw
+/// weeks. Each market week is dropped as soon as it is observed, so the
+/// heap holds one [`HoneypotDataset`] rather than a whole [`Scenario`].
+///
+/// The observation is [`Scenario::try_run`]'s own (both drive the same
+/// observer), so the result equals `Scenario::try_run(config)?.honeypot`
+/// bit for bit at every fidelity, thread count and kernel selection.
+///
+/// Opens no `simulate` span of its own: the scenario suite observes
+/// several markets at once and times that whole phase as one span.
+pub fn observe_honeypot(config: ScenarioConfig) -> Result<HoneypotDataset, ScenarioError> {
+    let mut sim = MarketSim::new(config.market.clone());
+    let mut observer = Observer::new(&config);
+    while let Some(out) = sim.step() {
+        observer.observe_week(&out, sim.population().booters())?;
+        booters_obs::counter_add("core.weeks_simulated", 1);
+    }
+    Ok(observer.honeypot)
+}
+
+/// The observation half of a scenario run: the honeypot engine, the
+/// observation RNG, the full-packet backend state and the observed
+/// dataset. Both drivers ([`Scenario::try_run`] and
+/// [`observe_honeypot`]) feed it the same market weeks, so they share
+/// the coverage measurement, the binomial thinning and the
+/// observation-RNG draw order by construction.
+struct Observer<'c> {
+    config: &'c ScenarioConfig,
+    engine: Engine,
+    rng: StdRng,
+    honeypot: HoneypotDataset,
+    /// One long-running streaming node for the whole scenario: flows and
+    /// weekly refits accumulate across weeks, exactly as a live
+    /// deployment would see them. The store backend wins if both are
+    /// configured (they are alternative full-packet sinks).
+    serve_node: Option<ServeNode>,
+    store_stats: Option<SpillStats>,
+    query_stats: Option<QueryStats>,
+}
+
+impl<'c> Observer<'c> {
+    fn new(config: &'c ScenarioConfig) -> Observer<'c> {
+        let cal = &config.market.calibration;
+        Observer {
+            config,
+            engine: Engine::new(config.engine),
+            rng: StdRng::seed_from_u64(config.observe_seed),
+            honeypot: HoneypotDataset::new(cal.scenario_start, cal.scenario_end),
+            serve_node: match (&config.store, &config.serve) {
+                (None, Some(sc)) => Some(ServeNode::new(ServeConfig {
+                    // Stream time 0 is the scenario start; anchor the
+                    // rolling weekly model there.
+                    epoch_start: cal.scenario_start,
+                    ..sc.clone()
+                })),
+                _ => None,
+            },
+            store_stats: None,
+            query_stats: None,
+        }
+    }
+
+    /// Observe one market week: measure the week's coverage rate at the
+    /// configured fidelity, thin every country×protocol cell at that
+    /// rate into the honeypot dataset, then age the engine's state.
+    fn observe_week(&mut self, out: &WeekOutput, booters: &[Booter]) -> Result<(), ScenarioError> {
+        let rate = self.coverage_rate(out, booters)?;
+        self.thin_week(out, rate);
+        self.engine.maintain(out.week as u64 * 7 * 86_400);
+        Ok(())
+    }
+
+    fn coverage_rate(
+        &mut self,
+        out: &WeekOutput,
+        booters: &[Booter],
+    ) -> Result<f64, ScenarioError> {
+        let engine = &mut self.engine;
+        Ok(match self.config.fidelity {
+            Fidelity::Aggregate => coverage_rate_aggregate(engine, out, booters),
+            Fidelity::PacketSampled { per_week } => {
+                let cmds = commands_for_week(out, booters, &mut self.rng, per_week);
+                if cmds.is_empty() {
+                    1.0
+                } else {
+                    let seen = cmds.iter().filter(|c| engine.would_observe(c)).count();
+                    seen as f64 / cmds.len() as f64
+                }
+            }
+            Fidelity::FullPackets { per_week } => {
+                let cmds = commands_for_week(out, booters, &mut self.rng, per_week);
+                match (&self.config.store, &mut self.serve_node, &self.config.query) {
+                    (Some(spill), _, _) => {
+                        let (rate, stats) = full_packet_rate_store(engine, &cmds, spill.clone())?;
+                        self.store_stats.get_or_insert_with(SpillStats::default).absorb(&stats);
+                        rate
+                    }
+                    (None, Some(node), _) => {
+                        let week_end = (out.week as u64 + 1) * 7 * 86_400;
+                        full_packet_rate_serve(engine, &cmds, node, week_end)?
+                    }
+                    (None, None, Some(qcfg)) => {
+                        let (rate, stats) = full_packet_rate_query(engine, &cmds, qcfg)?;
+                        self.query_stats.get_or_insert_with(QueryStats::default).absorb(&stats);
+                        rate
+                    }
+                    (None, None, None) => full_packet_rate(engine, &cmds),
+                }
+            }
+        })
+    }
+
+    /// Thin every cell at the measured weekly coverage rate and rebuild
+    /// the aggregates from the thinned cells so all views stay
+    /// consistent.
+    fn thin_week(&mut self, out: &WeekOutput, rate: f64) {
+        let honeypot = &mut self.honeypot;
+        let n_protocols = UdpProtocol::ALL.len();
+        let mut observed_global = 0u64;
+        for country in Country::ALL {
+            let ci = country.index();
+            let mut country_total = 0u64;
+            for pi in 0..n_protocols {
+                let seen = sample_binomial(&mut self.rng, out.country_protocol[ci][pi], rate);
+                country_total += seen;
+                honeypot.by_protocol[pi].add_event(out.monday, seen as f64);
+                honeypot.country_protocol[ci * n_protocols + pi]
+                    .add_event(out.monday, seen as f64);
+            }
+            honeypot.by_country[ci].add_event(out.monday, country_total as f64);
+            observed_global += country_total;
+        }
+        honeypot.global.add_event(out.monday, observed_global as f64);
+    }
+}
+
+/// Record one week's commanded volumes, unthinned, into the ground-truth
+/// dataset.
+fn record_ground_truth(truth: &mut HoneypotDataset, out: &WeekOutput) {
+    let n_protocols = UdpProtocol::ALL.len();
+    for country in Country::ALL {
+        let ci = country.index();
+        for pi in 0..n_protocols {
+            let cell = out.country_protocol[ci][pi] as f64;
+            truth.by_protocol[pi].add_event(out.monday, cell);
+            truth.country_protocol[ci * n_protocols + pi].add_event(out.monday, cell);
+        }
+        truth.by_country[ci].add_event(out.monday, out.country_counts[ci] as f64);
+    }
+    truth.global.add_event(out.monday, out.total as f64);
 }
 
 /// Aggregate fidelity: probe the engine once per (booter, week) with a
@@ -330,7 +401,7 @@ impl Scenario {
 fn coverage_rate_aggregate(
     engine: &mut Engine,
     out: &WeekOutput,
-    booters: &[booters_market::Booter],
+    booters: &[Booter],
 ) -> f64 {
     let week_time = out.week as u64 * 7 * 86_400;
     let mut commanded = 0u64;

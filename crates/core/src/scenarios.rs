@@ -17,7 +17,7 @@
 //! pinned in `tests/scenario_suite.rs` and by `scripts/verify.sh`.
 
 use crate::pipeline::{fit_series, EffectSize, PipelineConfig};
-use crate::scenario::{Fidelity, Scenario, ScenarioConfig};
+use crate::scenario::{observe_honeypot, Fidelity, ScenarioConfig};
 use booters_glm::GlmError;
 use booters_market::calibration::Calibration;
 use booters_market::market::MarketConfig;
@@ -77,51 +77,8 @@ pub fn run_scenario(
     spec: &ScenarioSpec,
     cfg: &ScenarioRunConfig,
 ) -> Result<ScenarioOutcome, GlmError> {
-    let scenario = Scenario::run(ScenarioConfig {
-        market: MarketConfig {
-            scale: cfg.scale,
-            seed: cfg.seed,
-            scenario: Some(spec.clone()),
-            ..MarketConfig::default()
-        },
-        fidelity: Fidelity::Aggregate,
-        ..ScenarioConfig::default()
-    });
-    let windows = spec.windows();
-    let series = scenario
-        .honeypot
-        .global
-        .window(cfg.pipeline.window_start, cfg.pipeline.window_end)
-        .expect("modelling window inside dataset");
-    let global = fit_series(&series, &windows, &cfg.pipeline)?;
-    let trend = global
-        .fit
-        .inference
-        .coef("time")
-        .map(|c| c.coef)
-        .unwrap_or(f64::NAN);
-    // Per-country refits fan out over the booters-par executor; results
-    // come back in input order, bit-identical at every thread count.
-    let countries = Calibration::table2_countries();
-    let country_effects = booters_par::par_map_collect(&countries, |&country| {
-        let cs = scenario
-            .honeypot
-            .country(country)
-            .window(cfg.pipeline.window_start, cfg.pipeline.window_end)
-            .expect("modelling window inside dataset");
-        fit_series(&cs, &windows, &cfg.pipeline)
-            .map(|m| (country, m.intervention_effects()))
-    })?;
-    Ok(ScenarioOutcome {
-        spec: spec.clone(),
-        windows,
-        total_attacks: series.values().iter().sum(),
-        weekly: series,
-        trend,
-        alpha: global.fit.alpha,
-        effects: global.intervention_effects(),
-        country_effects,
-    })
+    let mut outcomes = run_specs(&[spec], cfg)?;
+    Ok(outcomes.remove(0))
 }
 
 /// A baseline run plus one outcome per scenario.
@@ -139,12 +96,110 @@ pub fn run_suite(
     specs: &[ScenarioSpec],
     cfg: &ScenarioRunConfig,
 ) -> Result<ScenarioSuite, GlmError> {
-    let baseline = run_scenario(&ScenarioSpec::baseline(), cfg)?;
-    let mut outcomes = Vec::with_capacity(specs.len());
-    for spec in specs {
-        outcomes.push(run_scenario(spec, cfg)?);
-    }
+    let baseline = ScenarioSpec::baseline();
+    let all: Vec<&ScenarioSpec> = std::iter::once(&baseline).chain(specs).collect();
+    let mut outcomes = run_specs(&all, cfg)?;
+    let baseline = outcomes.remove(0);
     Ok(ScenarioSuite { baseline, outcomes })
+}
+
+/// The series one scenario's fits read: the modelling-window global
+/// series, then one per Table 2 country.
+struct Observed {
+    windows: Vec<InterventionWindow>,
+    series: Vec<WeeklySeries>,
+}
+
+/// What one fit contributes to an outcome.
+struct FitSummary {
+    trend: f64,
+    alpha: f64,
+    effects: Vec<EffectSize>,
+}
+
+/// Simulate, observe and refit every spec. The specs are independent,
+/// so both phases fan out over the booters-par executor:
+///
+/// 1. one market per scheduling unit, observed through the honeypot-only
+///    driver ([`observe_honeypot`]), which keeps just the series the
+///    fits read — several markets in flight never hold their ground
+///    truth, self-report data or raw weeks;
+/// 2. one NB2 fit per scheduling unit (global and per country), so the
+///    wait for the slowest unit is one fit, not one scenario.
+///
+/// Outcomes come back in submission order, and a failure reports the
+/// earliest spec's error, never whichever fit failed first on the
+/// clock: the outcomes are bit-identical at every thread count
+/// (DESIGN.md §5b).
+fn run_specs(
+    specs: &[&ScenarioSpec],
+    cfg: &ScenarioRunConfig,
+) -> Result<Vec<ScenarioOutcome>, GlmError> {
+    let (from, to) = (cfg.pipeline.window_start, cfg.pipeline.window_end);
+    let countries = Calibration::table2_countries();
+    let observed = {
+        booters_obs::span!("simulate");
+        booters_par::par_map_coarse(specs, |spec| {
+            let honeypot = observe_honeypot(ScenarioConfig {
+                market: MarketConfig {
+                    scale: cfg.scale,
+                    seed: cfg.seed,
+                    scenario: Some((*spec).clone()),
+                    ..MarketConfig::default()
+                },
+                fidelity: Fidelity::Aggregate,
+                ..ScenarioConfig::default()
+            })
+            .expect("Aggregate observation has no fallible backend");
+            let series = std::iter::once(&honeypot.global)
+                .chain(countries.iter().map(|&c| honeypot.country(c)))
+                .map(|s| s.window(from, to).expect("modelling window inside dataset"))
+                .collect();
+            Observed {
+                windows: spec.windows(),
+                series,
+            }
+        })
+    };
+
+    let jobs: Vec<(&Observed, &WeeklySeries)> = observed
+        .iter()
+        .flat_map(|o| o.series.iter().map(move |s| (o, s)))
+        .collect();
+    let mut fits = booters_par::par_map_coarse(&jobs, |&(o, series)| {
+        let m = fit_series(series, &o.windows, &cfg.pipeline)?;
+        Ok(FitSummary {
+            trend: m.fit.inference.coef("time").map_or(f64::NAN, |c| c.coef),
+            alpha: m.fit.alpha,
+            effects: m.intervention_effects(),
+        })
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, GlmError>>()?
+    .into_iter();
+
+    Ok(specs
+        .iter()
+        .zip(observed)
+        .map(|(spec, o)| {
+            let global = fits.next().expect("one fit per series");
+            let country_effects = countries
+                .iter()
+                .map(|&c| (c, fits.next().expect("one fit per series").effects))
+                .collect();
+            let weekly = o.series.into_iter().next().expect("global series");
+            ScenarioOutcome {
+                spec: (*spec).clone(),
+                windows: o.windows,
+                total_attacks: weekly.values().iter().sum(),
+                weekly,
+                trend: global.trend,
+                alpha: global.alpha,
+                effects: global.effects,
+                country_effects,
+            }
+        })
+        .collect())
 }
 
 /// Run the eight built-in scenarios (see `SCENARIOS.md`).

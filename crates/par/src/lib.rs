@@ -136,13 +136,26 @@ pub fn threads() -> usize {
         .unwrap_or_else(configured_threads)
 }
 
-/// True on a pool worker thread (where [`threads`] reports 1).
+/// True while the current thread runs pool tasks (where [`threads`]
+/// reports 1): on a spawned worker, or on the calling thread while it
+/// works its share of a batch.
 pub fn in_pool() -> bool {
     IN_POOL.with(|c| c.get())
 }
 
-pub(crate) fn enter_pool() {
-    IN_POOL.with(|c| c.set(true));
+/// Mark the current thread as a pool worker until the guard drops, so
+/// `par_*` calls made by the tasks it runs take the sequential path.
+pub(crate) fn enter_pool() -> PoolGuard {
+    PoolGuard(IN_POOL.with(|c| c.replace(true)))
+}
+
+/// Restores the previous pool-worker flag on drop (also on panic).
+pub(crate) struct PoolGuard(bool);
+
+impl Drop for PoolGuard {
+    fn drop(&mut self) {
+        IN_POOL.with(|c| c.set(self.0));
+    }
 }
 
 /// Parse a `BOOTERS_PAR_MIN_ITEMS` value; non-numeric input is ignored

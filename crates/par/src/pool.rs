@@ -5,6 +5,11 @@
 //! static: every result carries its submission index and the pool sorts by
 //! that index before returning. The output is therefore a pure function of
 //! the input — never of the schedule.
+//!
+//! The calling thread is one of the workers: it spawns the others, then
+//! pulls chunks alongside them instead of idling until they join. That
+//! saves one thread spawn per dispatch, and the spans a task opens on
+//! the caller stay inside the caller's `booters-obs` span tree.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -127,8 +132,9 @@ where
         .collect()
 }
 
-/// The scoped pool: spawn `workers` threads, hand out chunks off an atomic
-/// cursor, join everything, then merge results by submission index.
+/// The scoped pool: spawn `workers - 1` threads, work alongside them on
+/// the calling thread, hand out chunks off an atomic cursor, join
+/// everything, then merge results by submission index.
 ///
 /// A panicking task sets the abort flag (other workers stop at their next
 /// chunk boundary — no hang, no orphan threads: `thread::scope` joins them
@@ -148,36 +154,43 @@ where
     // inside fanned-out closures — chunk decode, flow grouping).
     let scalar_kernels = crate::scalar_kernels();
 
+    // One worker's loop: pull chunks until the cursor runs out or a task
+    // panics. Runs with the pool flag set, so nested calls are sequential.
+    let work = || {
+        let _in_pool = crate::enter_pool();
+        let mut local: Vec<(usize, U)> = Vec::new();
+        while !abort.load(Ordering::Relaxed) {
+            let c = cursor.fetch_add(1, Ordering::Relaxed);
+            if c >= n_chunks {
+                break;
+            }
+            let start = c * chunk;
+            let end = (start + chunk).min(items.len());
+            for i in start..end {
+                match catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))) {
+                    Ok(v) => local.push((i, v)),
+                    Err(payload) => {
+                        abort.store(true, Ordering::Relaxed);
+                        panics.lock().expect("panic log poisoned").push((i, payload));
+                        return local;
+                    }
+                }
+            }
+        }
+        local
+    };
+
     let mut tagged: Vec<(usize, U)> = Vec::with_capacity(items.len());
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
+        let handles: Vec<_> = (1..workers)
             .map(|_| {
                 scope.spawn(|| {
-                    crate::enter_pool();
                     crate::kernels::inherit_kernels(scalar_kernels);
-                    let mut local: Vec<(usize, U)> = Vec::new();
-                    while !abort.load(Ordering::Relaxed) {
-                        let c = cursor.fetch_add(1, Ordering::Relaxed);
-                        if c >= n_chunks {
-                            break;
-                        }
-                        let start = c * chunk;
-                        let end = (start + chunk).min(items.len());
-                        for i in start..end {
-                            match catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))) {
-                                Ok(v) => local.push((i, v)),
-                                Err(payload) => {
-                                    abort.store(true, Ordering::Relaxed);
-                                    panics.lock().expect("panic log poisoned").push((i, payload));
-                                    return local;
-                                }
-                            }
-                        }
-                    }
-                    local
+                    work()
                 })
             })
             .collect();
+        tagged.extend(work());
         for h in handles {
             // Worker bodies catch task panics, so join itself cannot fail.
             tagged.extend(h.join().expect("pool worker crashed outside a task"));

@@ -117,10 +117,11 @@ pub struct ServeStats {
     /// Epochs closed via [`ServeNode::close_epoch`].
     pub epochs: u64,
     /// Peak simultaneously-open flows across all shards, sampled at
-    /// each advance (the steady-state memory bound).
+    /// each advance once its packets are grouped and before expired
+    /// flows are closed (the steady-state memory bound).
     pub peak_open_flows: usize,
-    /// Peak packets buffered (pending + queued), sampled at each
-    /// advance.
+    /// Peak packets buffered (pending + queued), sampled at the start
+    /// of each advance, before it groups anything.
     pub peak_pending: usize,
     /// Warm-started rolling refits.
     pub refits_warm: u64,
@@ -517,6 +518,22 @@ mod tests {
         assert_eq!(node.suggested_watermark(), 0);
         node.ingest(&pkt(10_000, 1, 0)).unwrap();
         assert_eq!(node.suggested_watermark(), 9_400);
+    }
+
+    #[test]
+    fn gauges_sample_shards_before_they_drain() {
+        // A week of packets closed by one epoch close: the shards drain
+        // to zero, but the peaks must still see what they held.
+        let mut node = ServeNode::new(cfg());
+        for i in 0..100u64 {
+            node.ingest(&pkt(i * 6_000, (i % 5) as u32, 0)).unwrap();
+        }
+        let flows = node.close_epoch_at(WEEK_SECS).unwrap();
+        assert!(!flows.is_empty());
+        let stats = node.stats();
+        assert!(stats.peak_open_flows >= 1, "peak_open_flows={}", stats.peak_open_flows);
+        assert!(stats.peak_pending >= 1, "peak_pending={}", stats.peak_pending);
+        assert!(stats.peak_pending <= 100);
     }
 
     #[test]

@@ -31,9 +31,11 @@ pub(crate) struct ShardProgress {
     pub grouped: u64,
     /// Flows expired by this advance.
     pub closed: usize,
-    /// Open flows remaining after expiry.
+    /// Open flows once the ripe packets are grouped, before the expiry
+    /// sweep: the advance's peak (a push never lowers the count).
     pub open: usize,
-    /// Packets still pending (time ≥ watermark).
+    /// Packets buffered (queued + pending) when the advance began,
+    /// before the ripe prefix was taken.
     pub pending: usize,
 }
 
@@ -78,6 +80,7 @@ impl Shard {
             panic!("injected shard fault");
         }
         self.drain_ring();
+        let buffered = self.pending.len();
         let mut ripe: Vec<SensorPacket> = Vec::new();
         self.pending.retain(|p| {
             if p.time < w {
@@ -94,6 +97,7 @@ impl Shard {
         for p in &ripe {
             self.grouper.push(p);
         }
+        let open = self.grouper.open_flows();
         self.grouper.flush_before(w);
         // Count what the grouper actually handed over: pushes close flows
         // too (gap exceeded on the same key), not just the expiry sweep.
@@ -103,8 +107,8 @@ impl Shard {
         ShardProgress {
             grouped: ripe.len() as u64,
             closed,
-            open: self.grouper.open_flows(),
-            pending: self.pending.len(),
+            open,
+            pending: buffered,
         }
     }
 

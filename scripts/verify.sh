@@ -185,4 +185,13 @@ for combo in "BOOTERS_THREADS=4" "BOOTERS_SCALAR_KERNELS=1" "BOOTERS_THREADS=4 B
 done
 rm -f out/scenario_summary.ref.csv out/scenario_coefficients.ref.csv
 
+# Eleventh pass: the end-to-end benchmark's own checks. bench_e2e/ is a
+# separate Cargo workspace built from these crates by path; its self-tests
+# cover the metric readers and the layer accounting, and run the binary's
+# `paper` workload at both trace levels, whose warm-up must reproduce the
+# Table 1/2 goldens in bench_e2e/golden/ — so a program change that breaks
+# the benchmark fails here, not only when the benchmark is next run.
+echo "==> bench_e2e self-tests (offline)"
+cargo test --release --offline --manifest-path bench_e2e/Cargo.toml
+
 echo "==> verify: OK"

@@ -12,15 +12,18 @@
 use booting_the_booters::core::pipeline::{
     build_dataset_query, build_dataset_serve, fit_global, PipelineConfig,
 };
+use booting_the_booters::core::detect::{detect_interventions, DetectOptions};
 use booting_the_booters::core::report::{table1, table2};
+use booting_the_booters::core::scenarios::{run_suite, ScenarioRunConfig};
 use booting_the_booters::core::scenario::{Fidelity, Scenario, ScenarioConfig};
 use booting_the_booters::market::calibration::Calibration;
 use booting_the_booters::market::market::MarketConfig;
+use booting_the_booters::market::scn::builtin_scenarios;
 use booting_the_booters::obs;
 use booting_the_booters::par::{with_min_items, with_threads};
 use booting_the_booters::query::QueryConfig;
 use booting_the_booters::serve::ServeConfig;
-use booting_the_booters::timeseries::Date;
+use booting_the_booters::timeseries::{Date, WeeklySeries};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -450,4 +453,86 @@ fn disabled_runs_leave_registry_empty() {
     let snap = obs::snapshot();
     assert!(snap.counters.is_empty(), "disabled run must record nothing");
     assert!(snap.spans.is_empty(), "disabled run must record no spans");
+}
+
+/// `fit` spans recorded anywhere (pool workers included).
+fn fit_spans(snap: &obs::Snapshot) -> u64 {
+    snap.spans
+        .iter()
+        .filter(|(path, _)| path.rsplit('/').next() == Some("fit"))
+        .map(|(_, s)| s.count)
+        .sum()
+}
+
+#[test]
+fn detection_fits_once_per_round_plus_the_baseline() {
+    let _g = OBS_LOCK.lock().unwrap();
+    // A smooth series with two planted drops, so detection accepts more
+    // than one window.
+    let mut series = WeeklySeries::zeros(Date::new(2016, 6, 6), 140);
+    for i in 0..140 {
+        let drop = match i {
+            40..=47 => -0.6,
+            95..=104 => -0.4,
+            _ => 0.0,
+        };
+        let wiggle = 0.03 * ((i * 7919 % 13) as f64 - 6.0) / 6.0;
+        series.set(i, (9.0 + 0.01 * i as f64 + drop + wiggle).exp().round());
+    }
+    let cfg = PipelineConfig::default();
+    let all = detect_interventions(&series, &cfg, &DetectOptions::default()).unwrap();
+    let rounds = all.len();
+    assert!(rounds >= 2, "expected at least two detections, got {rounds}");
+
+    // With the window budget set to exactly the accepted count, every
+    // round accepts its candidate: one baseline fit, then one fit per
+    // round, because each accepted fit is the next round's baseline.
+    obs::set_enabled(true);
+    obs::reset();
+    let budgeted = detect_interventions(
+        &series,
+        &cfg,
+        &DetectOptions {
+            max_windows: rounds,
+            ..DetectOptions::default()
+        },
+    )
+    .unwrap();
+    let snap = obs::snapshot();
+    obs::set_enabled(false);
+    obs::reset();
+
+    assert_eq!(fit_spans(&snap), rounds as u64 + 1);
+    assert_eq!(budgeted.len(), rounds);
+    for (a, b) in budgeted.iter().zip(&all) {
+        assert_eq!(a.start, b.start);
+        assert_eq!(a.duration_weeks, b.duration_weeks);
+        assert_eq!(a.coef.to_bits(), b.coef.to_bits());
+        assert_eq!(a.p_value.to_bits(), b.p_value.to_bits());
+    }
+}
+
+#[test]
+fn scenario_suite_dispatches_to_the_pool() {
+    let _g = OBS_LOCK.lock().unwrap();
+    let specs = &builtin_scenarios()[..1];
+    let cfg = ScenarioRunConfig {
+        scale: 0.02,
+        ..ScenarioRunConfig::default()
+    };
+    obs::set_enabled(true);
+    obs::reset();
+    let suite = with_threads(2, || run_suite(specs, &cfg)).expect("suite");
+    let snap = obs::snapshot();
+    obs::set_enabled(false);
+    obs::reset();
+
+    assert_eq!(suite.outcomes.len(), 1);
+    assert!(
+        snap.counter("par.pool_dispatches") >= 1,
+        "the suite must fan out at two threads: {:?}",
+        snap.counters
+    );
+    // Every fit of both scenarios ran, on whichever thread.
+    assert_eq!(fit_spans(&snap), 2 * 8);
 }

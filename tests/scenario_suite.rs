@@ -9,9 +9,14 @@
 //! story (EXPERIMENTS.md): rebranding claws back most of a takedown's
 //! suppression, payment friction sustains it.
 
+use booting_the_booters::core::datasets::HoneypotDataset;
+use booting_the_booters::core::scenario::{observe_honeypot, Fidelity, Scenario, ScenarioConfig};
 use booting_the_booters::core::scenarios::{
     run_builtin_suite, ScenarioOutcome, ScenarioRunConfig, ScenarioSuite,
 };
+use booting_the_booters::market::market::MarketConfig;
+use booting_the_booters::market::scn::builtin_scenarios;
+use booting_the_booters::market::shocks::ScenarioSpec;
 use booting_the_booters::par::{with_scalar_kernels, with_threads};
 use booting_the_booters::timeseries::Date;
 
@@ -157,4 +162,47 @@ fn builtin_suite_is_byte_identical_across_threads_and_kernels() {
         "xmas dip {}%",
         xe.mean_pct
     );
+}
+
+/// Every series of a dataset as raw `f64` bits, so the comparison is
+/// bit-exact (no float tolerance, NaN-safe).
+fn bits(ds: &HoneypotDataset) -> Vec<Vec<u64>> {
+    std::iter::once(&ds.global)
+        .chain(&ds.by_country)
+        .chain(&ds.by_protocol)
+        .chain(&ds.country_protocol)
+        .map(|s| s.values().iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+#[test]
+fn honeypot_only_driver_matches_the_full_scenario_bit_for_bit() {
+    // The suite observes through the honeypot-only driver; the full
+    // scenario path must have seen exactly the same honeypot.
+    let specs: Vec<ScenarioSpec> = std::iter::once(ScenarioSpec::baseline())
+        .chain(builtin_scenarios())
+        .collect();
+    assert_eq!(specs.len(), 9);
+    for seed in [1u64, 7, 0xB00735, 0xDEAD_BEEF] {
+        for spec in &specs {
+            let config = ScenarioConfig {
+                market: MarketConfig {
+                    scale: 0.02,
+                    seed,
+                    scenario: Some(spec.clone()),
+                    ..MarketConfig::default()
+                },
+                fidelity: Fidelity::Aggregate,
+                ..ScenarioConfig::default()
+            };
+            let full = Scenario::try_run(config.clone()).expect("scenario");
+            let only = observe_honeypot(config).expect("honeypot-only driver");
+            assert!(full.honeypot.global.total() > 0.0, "seed={seed} {}", spec.name);
+            assert!(
+                bits(&only) == bits(&full.honeypot),
+                "seed={seed} scenario={}: honeypot-only driver diverged",
+                spec.name
+            );
+        }
+    }
 }
