@@ -59,7 +59,7 @@ fn bench_negbin_fit(c: &mut Criterion) {
             black_box(fit.alpha)
         })
     });
-    // Cold-started profile: every golden-section point refits from
+    // Cold-started profile: every profile-score point refits from
     // scratch. The gap to the case above is what warm starting buys.
     c.bench_function("negbin_fit_paper_size_cold_start", |b| {
         let opts = NegBinOptions {

@@ -34,15 +34,9 @@ fn bench_country_fits(c: &mut Criterion) {
     for threads in THREADS {
         group.bench_function(&format!("threads_{threads}"), |b| {
             b.iter(|| {
-                // Disable the small-work cutoff: eight countries would
-                // otherwise stay sequential and the scaling comparison
-                // would measure nothing.
-                booters_par::with_min_items(1, || {
-                    booters_par::with_threads(threads, || {
-                        let fits =
-                            fit_countries(&scenario.honeypot, &cal, &countries, &cfg).unwrap();
-                        black_box(fits.len())
-                    })
+                booters_par::with_threads(threads, || {
+                    let fits = fit_countries(&scenario.honeypot, &cal, &countries, &cfg).unwrap();
+                    black_box(fits.len())
                 })
             })
         });

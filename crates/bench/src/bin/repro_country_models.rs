@@ -14,10 +14,11 @@ fn main() {
     let cal = Calibration::default();
     let cfg = pipeline_config();
 
-    // Fit every country in parallel; blocks are joined in table order, so
-    // the artifact is identical at every BOOTERS_THREADS setting.
+    // Fit every country in parallel, one fit per scheduling unit; blocks
+    // are joined in table order, so the artifact is identical at every
+    // BOOTERS_THREADS setting.
     let countries = Calibration::table2_countries();
-    let blocks = booters_par::par_map(&countries, |&country| {
+    let blocks = booters_par::par_map_coarse(&countries, |&country| {
         match country_model_detail(&scenario.honeypot, &cal, country, &cfg) {
             Ok(text) => format!("{text}\n----------------------------------------\n\n"),
             Err(e) => format!("{country}: model failed: {e}\n"),

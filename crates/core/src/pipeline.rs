@@ -288,17 +288,21 @@ pub fn fit_country(
 }
 
 /// Fit every listed country's Table 2 model, fanning the independent fits
-/// out over the `booters-par` executor. Results come back in input order
-/// and — because each fit is a deterministic function of its own series —
-/// are bit-identical at every `BOOTERS_THREADS` setting; with one thread
-/// this is the plain sequential loop the renderer used to run.
+/// out over the `booters-par` executor one fit per scheduling unit (a fit
+/// is heavy enough that even a handful are worth a pool). Results come
+/// back in input order with the earliest country's error, and — because
+/// each fit is a deterministic function of its own series — are
+/// bit-identical at every `BOOTERS_THREADS` setting; with one thread this
+/// is the plain sequential loop the renderer used to run.
 pub fn fit_countries(
     ds: &HoneypotDataset,
     cal: &Calibration,
     countries: &[Country],
     cfg: &PipelineConfig,
 ) -> Result<Vec<CountryResult>, GlmError> {
-    booters_par::par_map_collect(countries, |&country| fit_country(ds, cal, country, cfg))
+    booters_par::par_map_coarse(countries, |&country| fit_country(ds, cal, country, cfg))
+        .into_iter()
+        .collect()
 }
 
 /// Model diagnostics for a fitted ITS model.
@@ -436,9 +440,10 @@ pub fn trend_break_test(
 /// ... which drop significantly below the modelled series" window tuning.
 ///
 /// The candidate refits are independent, so they fan out over the
-/// `booters-par` executor; the reduction walks the profile in submission
-/// order with a strictly-greater comparison, so ties resolve to the
-/// earliest candidate exactly as the sequential loop always did.
+/// `booters-par` executor one refit per scheduling unit; the reduction
+/// walks the profile in submission order with a strictly-greater
+/// comparison, so ties resolve to the earliest candidate exactly as the
+/// sequential loop always did.
 pub fn scan_duration(
     series: &WeeklySeries,
     windows: &[InterventionWindow],
@@ -448,11 +453,13 @@ pub fn scan_duration(
 ) -> Result<(usize, f64), GlmError> {
     assert!(target < windows.len(), "target window index out of range");
     assert!(!candidates.is_empty(), "need at least one candidate duration");
-    let profile = booters_par::par_map_collect(candidates, |&d| {
+    let profile = booters_par::par_map_coarse(candidates, |&d| {
         let mut ws = windows.to_vec();
         ws[target] = ws[target].with_duration(d);
         fit_series(series, &ws, cfg).map(|r| (d, r.fit.log_likelihood))
-    })?;
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
     let mut best: Option<(usize, f64)> = None;
     for (d, ll) in profile {
         if best.is_none_or(|(_, b)| ll > b) {

@@ -14,7 +14,7 @@ use crate::datasets::{HoneypotDataset, SelfReportDataset};
 use crate::pipeline::{
     fit_countries, fit_country, fit_global, GlobalModelResult, PipelineConfig,
 };
-use booters_glm::summary::negbin_summary;
+use booters_glm::summary::{negbin_summary, push_fixed};
 use booters_glm::GlmError;
 use booters_market::calibration::Calibration;
 use booters_market::events;
@@ -67,8 +67,10 @@ pub fn table2(
                 .into_iter()
                 .find(|e| e.name == ev.name)
                 .expect("intervention present");
-            out.push_str(&format!("{:>15.0}%", eff.mean_pct));
-            cis.push_str(&format!("{:>8.0}/{:<6.0}%", eff.lo_pct, eff.hi_pct));
+            push_fixed(out, eff.mean_pct, 15, 0);
+            out.push('%');
+            push_fixed(cis, eff.lo_pct, 8, 0);
+            let _ = write!(cis, "/{:<6.0}%", eff.hi_pct);
             if eff.significant() {
                 durs.push_str(&format!("{:>14}wk", eff.duration_weeks));
             } else {
@@ -81,7 +83,8 @@ pub fn table2(
             } else {
                 ""
             };
-            sigs.push_str(&format!("{:>14.3}{:<2}", eff.p_value, stars));
+            push_fixed(sigs, eff.p_value, 14, 3);
+            let _ = write!(sigs, "{stars:<2}");
         };
         for f in &fits {
             append(&f.model, &mut cis, &mut durs, &mut sigs, &mut out);
@@ -177,7 +180,9 @@ pub fn fig1_csv(ds: &HoneypotDataset) -> String {
             .find(|(d, _)| *d == date)
             .map(|(_, n)| *n)
             .unwrap_or("");
-        out.push_str(&format!("{date},{v:.0},{label}\n"));
+        let _ = write!(out, "{date},");
+        push_fixed(&mut out, v, 0, 0);
+        let _ = writeln!(out, ",{label}");
     }
     out
 }
@@ -186,17 +191,19 @@ pub fn fig1_csv(ds: &HoneypotDataset) -> String {
 /// over the modelling window.
 pub fn fig2_csv(result: &GlobalModelResult) -> String {
     let fitted = result.fitted();
+    let dummies: Vec<Vec<f64>> = result
+        .windows
+        .iter()
+        .map(|w| w.dummy_column(&result.series))
+        .collect();
     let mut out = String::from("week,observed,fitted,intervention_active\n");
     for (i, (date, v)) in result.series.iter().enumerate() {
-        let active = result
-            .windows
-            .iter()
-            .any(|w| w.active_in_week(date));
-        out.push_str(&format!(
-            "{date},{v:.0},{:.0},{}\n",
-            fitted[i],
-            if active { 1 } else { 0 }
-        ));
+        let active = dummies.iter().any(|d| d[i] == 1.0);
+        let _ = write!(out, "{date},");
+        push_fixed(&mut out, v, 0, 0);
+        out.push(',');
+        push_fixed(&mut out, fitted[i], 0, 0);
+        let _ = writeln!(out, ",{}", if active { 1 } else { 0 });
     }
     out
 }
@@ -221,7 +228,8 @@ pub fn fig3_csv(ds: &HoneypotDataset) -> String {
     for i in 0..ds.global.len() {
         let _ = write!(out, "{}", ds.global.week_date(i));
         for c in countries {
-            let _ = write!(out, ",{:.0}", ds.country(c).get(i));
+            out.push(',');
+            push_fixed(&mut out, ds.country(c).get(i), 0, 0);
         }
         out.push('\n');
     }
@@ -263,12 +271,11 @@ pub fn fig5_csv(ds: &HoneypotDataset) -> (String, Fig5Slopes) {
     for i in 0..uk.len() {
         let date = uk.week_date(i);
         let active = date >= nca.date.week_start() && date < nca_end;
-        out.push_str(&format!(
-            "{date},{:.1},{:.1},{}\n",
-            us.get(i),
-            uk.get(i),
-            if active { 1 } else { 0 }
-        ));
+        let _ = write!(out, "{date},");
+        push_fixed(&mut out, us.get(i), 0, 1);
+        out.push(',');
+        push_fixed(&mut out, uk.get(i), 0, 1);
+        let _ = writeln!(out, ",{}", if active { 1 } else { 0 });
     }
     // UK/US index ratio drift over the campaign: the seasonally robust
     // form of the paper's slope contrast (seasonals and most intervention
@@ -340,7 +347,8 @@ pub fn fig6_csv(ds: &HoneypotDataset) -> String {
     for i in 0..ds.global.len() {
         let _ = write!(out, "{}", ds.global.week_date(i));
         for p in UdpProtocol::ALL {
-            let _ = write!(out, ",{:.0}", ds.protocol(p).get(i));
+            out.push(',');
+            push_fixed(&mut out, ds.protocol(p).get(i), 0, 0);
         }
         out.push('\n');
     }
@@ -408,15 +416,29 @@ pub fn fig7_csv(sr: &SelfReportDataset, n_weeks: usize) -> String {
         out.push_str(&format!(",booter_{id}"));
     }
     out.push('\n');
-    // Pre-compute increments.
-    let increments: Vec<std::collections::BTreeMap<usize, u64>> = ids
+    // Pre-compute increments, one dense column per booter.
+    let increments: Vec<Vec<u64>> = ids
         .iter()
-        .map(|&id| sr.weekly_increments(id).into_iter().collect())
+        .map(|&id| {
+            let mut column = vec![0; n_weeks];
+            for (w, inc) in sr.weekly_increments(id) {
+                if w < n_weeks {
+                    column[w] = inc;
+                }
+            }
+            column
+        })
         .collect();
     for w in 0..n_weeks {
         let _ = write!(out, "{}", sr.start.add_days(7 * w as i64));
-        for inc in &increments {
-            let _ = write!(out, ",{}", inc.get(&w).copied().unwrap_or(0));
+        for column in &increments {
+            match column[w] {
+                // Most booters report nothing in most weeks.
+                0 => out.push_str(",0"),
+                inc => {
+                    let _ = write!(out, ",{inc}");
+                }
+            }
         }
         out.push('\n');
     }

@@ -4,8 +4,9 @@
 //! dummies, seasonal dummies, Easter and a linear trend under a log link,
 //! "fitting for optimum log-pseudolikelihood". We estimate β by IRLS for
 //! fixed α and maximise the profile log-likelihood ℓ(α) = max_β ℓ(β, α)
-//! over ln α by golden-section search; the method-of-moments estimate from
-//! a Poisson pre-fit seeds the bracket.
+//! by finding the root of its analytic score in ln α: the method-of-moments
+//! estimate from a Poisson pre-fit starts a unit-step bracket search, and
+//! Brent's zero-finder polishes the root inside the bracket.
 
 use crate::family::{NegBin2, PoissonFamily};
 use crate::inference::{wald_inference, CovarianceKind, FitInference};
@@ -13,6 +14,7 @@ use crate::irls::{GlmError, GlmFit, IrlsOptions};
 use crate::link::LogLink;
 use crate::workspace::{fit_irls_into, IrlsWorkspace, WarmStart};
 use booters_linalg::Matrix;
+use booters_stats::special::digamma;
 
 /// Options for [`fit_negbin`].
 #[derive(Debug, Clone, Copy)]
@@ -23,7 +25,9 @@ pub struct NegBinOptions {
     pub alpha_min: f64,
     /// Upper bound of the α search.
     pub alpha_max: f64,
-    /// Relative tolerance of the golden-section search in ln α.
+    /// Width in ln α of the bracket around the profile-score root at
+    /// which the α search stops (so α̂ is the root to within this
+    /// relative tolerance).
     pub alpha_tolerance: f64,
     /// Confidence level for the Wald intervals.
     pub level: f64,
@@ -32,8 +36,9 @@ pub struct NegBinOptions {
     /// Seed each profile-α IRLS solve with the previous α's converged β
     /// (continuation). The optimum is unchanged to well within the IRLS
     /// tolerance — only the iteration path differs — and any warm solve
-    /// that fails is retried cold. Disable to reproduce the historic
-    /// cold-start trajectory bit for bit.
+    /// that fails is retried cold. Disable to start every solve from the
+    /// response instead; estimates then agree with the warm path to
+    /// tolerance, not bit for bit.
     pub warm_start: bool,
 }
 
@@ -91,18 +96,18 @@ impl NegBinFit {
     }
 }
 
-/// Profile log-likelihood at a fixed α: max_β ℓ(β, α), solved into the
-/// workspace. With `warm_start`, IRLS is seeded from `warm` (the previous
-/// profile point's β — continuation) and retried cold on any failure; on
-/// success `warm` is refreshed with the new optimum for the next point.
-fn profile_loglik_into(
+/// Solve for β̂(α) into the workspace. With `warm_start`, IRLS is seeded
+/// from `warm` (the previous profile point's β — continuation) and
+/// retried cold on any failure; on success `warm` is refreshed with the
+/// new optimum for the next point.
+fn profile_solve_into(
     ws: &mut IrlsWorkspace,
     warm: &mut [f64],
     x: &Matrix,
     y: &[f64],
     alpha: f64,
     options: &NegBinOptions,
-) -> Result<f64, GlmError> {
+) -> Result<(), GlmError> {
     let family = NegBin2::new(alpha);
     if options.warm_start {
         let attempt = fit_irls_into(
@@ -125,7 +130,28 @@ fn profile_loglik_into(
     } else {
         fit_irls_into(ws, x, y, None, &family, &LogLink, &options.irls, WarmStart::Cold)?;
     }
-    Ok(ws.log_likelihood())
+    Ok(())
+}
+
+/// Profile score in ln α: dℓ(β̂(α), α)/d ln α = Σᵢ α·∂ℓᵢ/∂α at the
+/// fitted means. By the envelope theorem β̂'s own dependence on α drops
+/// out, so this is the exact derivative of the profile log-likelihood:
+///
+/// ∂ℓᵢ/∂α = α⁻²·[ln(1+αμᵢ) − ψ(yᵢ+α⁻¹) + ψ(α⁻¹)] + (yᵢ−μᵢ)/(α(1+αμᵢ)).
+fn profile_score(y: &[f64], mu: &[f64], alpha: f64) -> f64 {
+    let inv_a = 1.0 / alpha;
+    let psi_inv_a = digamma(inv_a);
+    let sum: f64 = y
+        .iter()
+        .zip(mu)
+        .map(|(&yi, &mi)| {
+            let mi = mi.max(f64::MIN_POSITIVE);
+            let am = alpha * mi;
+            inv_a * inv_a * (am.ln_1p() - digamma(yi + inv_a) + psi_inv_a)
+                + (yi - mi) / (alpha * (1.0 + am))
+        })
+        .sum();
+    alpha * sum
 }
 
 /// Method-of-moments starting α from a Poisson fit:
@@ -159,12 +185,16 @@ pub fn fit_negbin(
 /// Fit an NB2 regression into a caller-owned workspace.
 ///
 /// All per-iteration IRLS buffers live in `ws`, so the entire profile-α
-/// search — typically 40–60 inner IRLS solves — allocates only at the
-/// final [`GlmFit`]/inference materialisation. With
-/// [`NegBinOptions::warm_start`] each profile point seeds IRLS from its
-/// neighbour's β, which cuts inner iterations severalfold; the
-/// golden-section trajectory (the α sequence evaluated) is identical
-/// either way.
+/// search — typically 8–10 IRLS solves counting the Poisson pre-fit and
+/// the final solve at α̂ — allocates only at the final
+/// [`GlmFit`]/inference materialisation. With
+/// [`NegBinOptions::warm_start`] each profile point seeds IRLS from the
+/// previous point's β, so most solves after the first take one or two
+/// iterations.
+///
+/// α̂ is the root of the profile score within `alpha_tolerance` in ln α,
+/// or `alpha_min`/`alpha_max` itself when the score still points out of
+/// the search range at that bound.
 pub fn fit_negbin_with(
     ws: &mut IrlsWorkspace,
     x: &Matrix,
@@ -189,43 +219,48 @@ pub fn fit_negbin_with(
     let alpha0 = moment_alpha(y, ws.mu()).clamp(options.alpha_min, options.alpha_max);
     let mut warm = ws.beta().to_vec();
 
-    // Golden-section maximisation of the profile log-likelihood in ln α.
-    // The profile is unimodal for NB2 (log-concave in ln α in practice).
-    let phi = (5.0_f64.sqrt() - 1.0) / 2.0;
-    let mut lo = options.alpha_min.ln();
-    let mut hi = options.alpha_max.ln();
-    // Shrink the bracket around the moment estimate to speed convergence,
-    // keeping at least two decades each side.
-    let centre = alpha0.ln();
-    lo = lo.max(centre - 6.0);
-    hi = hi.min(centre + 6.0).max(lo + 1.0);
-
-    let mut a = hi - phi * (hi - lo);
-    let mut b = lo + phi * (hi - lo);
-    let mut fa = profile_loglik_into(ws, &mut warm, x, y, a.exp(), options)?;
-    let mut fb = profile_loglik_into(ws, &mut warm, x, y, b.exp(), options)?;
-    let mut evals = 2;
-    while (hi - lo) > options.alpha_tolerance.max(1e-10) && evals < 200 {
-        if fa < fb {
-            lo = a;
-            a = b;
-            fa = fb;
-            b = lo + phi * (hi - lo);
-            fb = profile_loglik_into(ws, &mut warm, x, y, b.exp(), options)?;
+    // Root-find the profile score g(ln α) = dℓ/d ln α. The bounds map back
+    // to the exact option values, so a boundary estimate is reported as
+    // `alpha_min`/`alpha_max` itself.
+    let (lo, hi) = (options.alpha_min.ln(), options.alpha_max.ln());
+    let alpha_at = |t: f64| {
+        if t <= lo {
+            options.alpha_min
+        } else if t >= hi {
+            options.alpha_max
         } else {
-            hi = b;
-            b = a;
-            fb = fa;
-            a = hi - phi * (hi - lo);
-            fa = profile_loglik_into(ws, &mut warm, x, y, a.exp(), options)?;
+            t.exp()
         }
-        evals += 1;
-        if (hi - lo) < 1e-8 {
-            break;
+    };
+    let mut score = |t: f64| -> Result<f64, GlmError> {
+        let alpha = alpha_at(t);
+        profile_solve_into(ws, &mut warm, x, y, alpha, options)?;
+        Ok(profile_score(y, ws.mu(), alpha))
+    };
+
+    // Bracket: from the moment estimate, step 1 in ln α the way the score
+    // points (uphill in ℓ) until it changes sign. A score that still points
+    // out of the search range at a bound puts the estimate on that bound.
+    let mut a = alpha0.ln().clamp(lo, hi);
+    let mut fa = score(a)?;
+    let t_hat = loop {
+        if fa == 0.0 {
+            break a;
         }
-    }
-    let alpha = (0.5 * (lo + hi)).exp();
-    let log_likelihood = profile_loglik_into(ws, &mut warm, x, y, alpha, options)?;
+        let b = if fa > 0.0 { (a + 1.0).min(hi) } else { (a - 1.0).max(lo) };
+        if b == a {
+            break a;
+        }
+        let fb = score(b)?;
+        if fb == 0.0 || (fa > 0.0) != (fb > 0.0) {
+            break zeroin(a, fa, b, fb, options.alpha_tolerance, &mut score)?;
+        }
+        a = b;
+        fa = fb;
+    };
+    let alpha = alpha_at(t_hat);
+    profile_solve_into(ws, &mut warm, x, y, alpha, options)?;
+    let log_likelihood = ws.log_likelihood();
     let fit = ws.to_glm_fit();
     let inference = wald_inference(x, y, &fit, names, options.covariance, options.level)?;
 
@@ -236,6 +271,94 @@ pub fn fit_negbin_with(
         log_likelihood,
         poisson_log_likelihood,
     })
+}
+
+/// Brent's zero-finder (`zeroin`, Brent 1973 ch. 4): the root of `f` in
+/// the bracket `[a, b]`, where `fa = f(a)` and `fb = f(b)` have opposite
+/// signs. Each step takes an inverse-quadratic or secant step when it
+/// stays safely inside the bracket and bisects otherwise, so convergence
+/// is superlinear on smooth `f` and never slower than bisection. Stops
+/// once the bracket is `tol` wide (plus a machine-epsilon term) and
+/// returns the secant point between its ends, or earlier, without
+/// evaluating it, at an accepted interpolation step shorter than `tol/2`.
+fn zeroin(
+    mut a: f64,
+    mut fa: f64,
+    mut b: f64,
+    mut fb: f64,
+    tol: f64,
+    f: &mut impl FnMut(f64) -> Result<f64, GlmError>,
+) -> Result<f64, GlmError> {
+    let mut c = a;
+    let mut fc = fa;
+    let mut d = b - a;
+    let mut e = d;
+    loop {
+        if (fb > 0.0) == (fc > 0.0) {
+            c = a;
+            fc = fa;
+            d = b - a;
+            e = d;
+        }
+        if fc.abs() < fb.abs() {
+            a = b;
+            b = c;
+            c = a;
+            fa = fb;
+            fb = fc;
+            fc = fa;
+        }
+        let tol1 = 2.0 * f64::EPSILON * b.abs() + 0.5 * tol;
+        let xm = 0.5 * (c - b);
+        if fb == 0.0 {
+            return Ok(b);
+        }
+        if xm.abs() <= tol1 {
+            // `b` and `c` bracket the root: finish with the secant point
+            // between them, which costs no evaluation and stays inside.
+            return Ok(b - fb * (c - b) / (fc - fb));
+        }
+        if e.abs() >= tol1 && fa.abs() > fb.abs() {
+            let s = fb / fa;
+            let (mut p, mut q) = if a == c {
+                // Secant step.
+                (2.0 * xm * s, 1.0 - s)
+            } else {
+                // Inverse quadratic interpolation.
+                let q = fa / fc;
+                let r = fb / fc;
+                (
+                    s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0)),
+                    (q - 1.0) * (r - 1.0) * (s - 1.0),
+                )
+            };
+            if p > 0.0 {
+                q = -q;
+            } else {
+                p = -p;
+            }
+            if 2.0 * p < (3.0 * xm * q - (tol1 * q).abs()).min((e * q).abs()) {
+                e = d;
+                d = p / q;
+                if d.abs() <= tol1 {
+                    // The interpolant puts the root within half the
+                    // tolerance of `b`: take that point rather than pay
+                    // an evaluation only to confirm the bracket.
+                    return Ok(b + d);
+                }
+            } else {
+                d = xm;
+                e = d;
+            }
+        } else {
+            d = xm;
+            e = d;
+        }
+        a = b;
+        fa = fb;
+        b += if d.abs() > tol1 { d } else { tol1.copysign(xm) };
+        fb = f(b)?;
+    }
 }
 
 #[cfg(test)]
@@ -324,10 +447,63 @@ mod tests {
     }
 
     #[test]
+    fn profile_score_is_the_ln_alpha_derivative_of_the_loglik() {
+        // At fixed means, g(ln α) must equal dℓ/d ln α; check it against a
+        // central difference of the NB2 log-likelihood.
+        use crate::family::Family;
+        let y = [0.0, 1.0, 3.0, 7.0, 12.0, 40.0, 150.0, 900.0];
+        let mu = [0.5, 2.0, 2.5, 9.0, 10.0, 55.0, 120.0, 1000.0];
+        let loglik = |t: f64| -> f64 {
+            let f = NegBin2::new(t.exp());
+            y.iter().zip(&mu).map(|(&yi, &mi)| f.log_likelihood(yi, mi)).sum()
+        };
+        for alpha in [1e-3, 0.05, 0.4, 3.0] {
+            let (t, h) = (f64::ln(alpha), 1e-5);
+            let fd = (loglik(t + h) - loglik(t - h)) / (2.0 * h);
+            let g = profile_score(&y, &mu, alpha);
+            assert!((g - fd).abs() < 1e-5 * g.abs().max(1.0), "alpha {alpha}: g {g} fd {fd}");
+        }
+    }
+
+    #[test]
+    fn underdispersed_data_puts_alpha_on_the_lower_bound() {
+        // Counts at their rounded means are less dispersed than Poisson:
+        // the profile score is negative down to the bound, so α̂ is
+        // `alpha_min` itself and the fit still succeeds.
+        let n = 120;
+        let mut x = Matrix::zeros(n, 2);
+        let mut y = vec![0.0; n];
+        for i in 0..n {
+            let xi = (i % 12) as f64 / 4.0;
+            x[(i, 0)] = 1.0;
+            x[(i, 1)] = xi;
+            y[i] = (2.0 + 0.3 * xi).exp().round();
+        }
+        let options = NegBinOptions::default();
+        let fit = fit_negbin(&x, &y, &["_cons".into(), "x".into()], &options).unwrap();
+        assert_eq!(fit.alpha, options.alpha_min);
+        assert!(fit.fit.beta.iter().all(|b| b.is_finite()));
+    }
+
+    #[test]
+    fn extreme_overdispersion_clamps_at_alpha_max() {
+        // Nine zeros in ten with the rest at 30: the moment estimate (≈ 8.7)
+        // starts inside the range, but the likelihood keeps rising past
+        // `alpha_max`, so the search stops on that bound.
+        let n = 100;
+        let x = Matrix::from_vec(n, 1, vec![1.0; n]);
+        let y: Vec<f64> = (0..n).map(|i| if i % 10 == 0 { 30.0 } else { 0.0 }).collect();
+        let options = NegBinOptions::default();
+        let fit = fit_negbin(&x, &y, &["_cons".into()], &options).unwrap();
+        assert_eq!(fit.alpha, options.alpha_max);
+        assert!((fit.fit.mu[0] - 3.0).abs() < 1e-6, "mu = {}", fit.fit.mu[0]);
+    }
+
+    #[test]
     fn warm_start_matches_cold_start_to_tolerance() {
-        // Continuation changes the IRLS trajectory, not the optimum: the
-        // α sequence evaluated is identical, and each converged β agrees
-        // to well within the deviance tolerance.
+        // Continuation changes the IRLS trajectory, not the optimum: both
+        // paths find the same profile-score root, and each converged β
+        // agrees to well within the deviance tolerance.
         let (x, y, names) = simulate_nb(400, 2.0, 0.3, 0.5, 55);
         let warm = fit_negbin(&x, &y, &names, &NegBinOptions::default()).unwrap();
         let cold = fit_negbin(
@@ -340,10 +516,10 @@ mod tests {
             },
         )
         .unwrap();
-        // α agrees to the golden-section noise floor: near the (flat)
-        // optimum the two trajectories' log-likelihoods differ by IRLS
-        // stopping noise (~1e-10), so bracket comparisons may flip once
-        // the bracket is ~1e-7 wide in ln α. β and ℓ are far tighter.
+        // α agrees to the search tolerance: the two paths evaluate the
+        // score at slightly different β (IRLS stopping noise), so their
+        // root-finder steps differ below ~1e-7 in ln α. β and ℓ are far
+        // tighter.
         assert!(
             (warm.alpha - cold.alpha).abs() < 1e-6 * warm.alpha.max(1.0),
             "alpha warm={} cold={}",

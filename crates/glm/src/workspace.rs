@@ -2,14 +2,15 @@
 //! `fit_irls_into` entry point that performs **zero heap allocations per
 //! iteration** once the workspace is warmed to the problem shape.
 //!
-//! Why this exists: `fit_negbin` evaluates the profile log-likelihood up
-//! to ~200 times per model, and each evaluation is a full IRLS solve. The
-//! classic implementation allocates ~6 vectors and 2 matrices *per
-//! iteration*; at Table-1 scale (148×19 designs refit per country, per
-//! candidate window, per ablation) the allocator traffic rivals the
-//! floating-point work. [`IrlsWorkspace`] owns every per-iteration buffer
-//! (z, w, η, μ, XᵀWX, XᵀWz, the Cholesky factor and its scratch) and the
-//! fused `booters-linalg` `_into` kernels write straight into them.
+//! Why this exists: `fit_negbin` makes several IRLS solves per model — a
+//! Poisson pre-fit, one per profile-score evaluation of its α search,
+//! and a final solve at α̂ — and the pipeline fits dozens of models per
+//! run (148×19 designs refit per country, per candidate window, per
+//! ablation). Allocating ~6 vectors and 2 matrices *per iteration* would
+//! make allocator traffic rival the floating-point work.
+//! [`IrlsWorkspace`] owns every per-iteration buffer (z, w, η, μ, XᵀWX,
+//! XᵀWz, the Cholesky factor and its scratch) and the fused
+//! `booters-linalg` `_into` kernels write straight into them.
 //!
 //! ## Determinism contract
 //!

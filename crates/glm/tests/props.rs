@@ -4,10 +4,12 @@
 use booters_glm::irls::{fit_irls, IrlsOptions};
 use booters_glm::negbin::{fit_negbin, NegBinOptions};
 use booters_glm::ols::fit_simple;
-use booters_glm::{LogLink, PoissonFamily};
+use booters_glm::summary::push_fixed;
+use booters_glm::{LogLink, NegBin2, PoissonFamily};
 use booters_linalg::Matrix;
+use booters_stats::special::digamma;
 use booters_testkit::strategy::prop;
-use booters_testkit::{forall, prop_assert, Strategy};
+use booters_testkit::{any, forall, prop_assert, prop_assert_eq, Strategy};
 
 /// Strategy: a small regression problem with positive counts.
 fn count_problem() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
@@ -61,6 +63,21 @@ fn table1_names() -> Vec<String> {
         .iter()
         .map(|s| s.to_string())
         .collect()
+}
+
+/// The NB2 profile score dℓ/d ln α = Σᵢ α·∂ℓᵢ/∂α at fitted means `mu`,
+/// written out from the NB2 log-likelihood
+/// ℓᵢ = lnΓ(y+1/α) − lnΓ(1/α) − lnΓ(y+1) + y ln(αμ) − (y+1/α) ln(1+αμ).
+fn score_ln_alpha(y: &[f64], mu: &[f64], alpha: f64) -> f64 {
+    let k = 1.0 / alpha;
+    y.iter()
+        .zip(mu)
+        .map(|(&yi, &mi)| {
+            let d_alpha = k * k * ((1.0 + alpha * mi).ln() - digamma(yi + k) + digamma(k))
+                + (yi - mi) / (alpha * (1.0 + alpha * mi));
+            alpha * d_alpha
+        })
+        .sum()
 }
 
 fn design(xs: &[f64]) -> Matrix {
@@ -131,13 +148,12 @@ forall! {
     }
 
     fn warm_start_negbin_matches_cold_start((x, y) in table1_problem()) {
-        // The warm-started profile search evaluates the identical α
-        // sequence but seeds each inner IRLS from the previous β. The
-        // converged answers are tolerance-equal, not bit-equal: β and the
-        // log-likelihood agree to ~1e-8 (scale-relative), while α carries
-        // the golden-section noise floor (~1e-7 in ln α) — once the
-        // bracket is that narrow, ~1e-10 stopping noise in the profile
-        // log-likelihood can flip a comparison and shift the midpoint.
+        // The warm-started profile search seeds each inner IRLS from the
+        // previous β. The converged answers are tolerance-equal, not
+        // bit-equal: β and the log-likelihood agree to ~1e-8
+        // (scale-relative), and α to the root-finder's tolerance (~1e-7
+        // in ln α) — IRLS stopping noise in the score moves the two
+        // paths' root-finder steps apart below that.
         let names = table1_names();
         let warm = fit_negbin(&x, &y, &names, &NegBinOptions::default());
         let cold = fit_negbin(
@@ -170,6 +186,24 @@ forall! {
         }
     }
 
+    fn negbin_alpha_is_a_root_of_the_profile_score((x, y) in table1_problem()) {
+        // α̂ maximises the profile log-likelihood, so the profile score
+        // vanishes there — or α̂ sits on a bound with the score pointing
+        // out of the search range. β̂(α̂) is refitted with a tight IRLS
+        // tolerance so the check sees the score, not IRLS stopping noise.
+        let options = NegBinOptions::default();
+        let fit = fit_negbin(&x, &y, &table1_names(), &options);
+        prop_assert!(fit.is_ok(), "fit failed: {:?}", fit.err());
+        let alpha = fit.unwrap().alpha;
+        let tight = IrlsOptions { max_iterations: 200, tolerance: 1e-13 };
+        let refit = fit_irls(&x, &y, &NegBin2::new(alpha), &LogLink, &tight);
+        prop_assert!(refit.is_ok(), "tight refit at alpha {alpha} failed");
+        let g = score_ln_alpha(&y, &refit.unwrap().mu, alpha);
+        let outward = (alpha == options.alpha_min && g < 0.0)
+            || (alpha == options.alpha_max && g > 0.0);
+        prop_assert!(outward || g.abs() <= 1e-6, "score {g:e} at alpha {alpha}");
+    }
+
     fn negbin_loglik_at_least_poisson((xs, ys) in count_problem()) {
         // The NB2 profile likelihood dominates the Poisson boundary value
         // (up to search tolerance).
@@ -188,6 +222,29 @@ forall! {
             prop_assert!(fit.alpha > 0.0);
             // Fitted means are positive and finite.
             prop_assert!(fit.fit.mu.iter().all(|m| m.is_finite() && *m > 0.0));
+        }
+    }
+}
+
+forall! {
+    #![cases(4096)]
+
+    fn push_fixed_matches_the_standard_formatter(
+        bits in any::<u64>(),
+        unit in -1.0..1.0f64,
+        magnitude in -12i32..16,
+        prec in 0usize..7,
+        width in 0usize..14,
+    ) {
+        // Any bit pattern (NaN, infinities, subnormals, huge values), a
+        // table-range number, and exact binary ties k/2^j, which the
+        // standard formatter rounds to even.
+        let table_range = unit * 10f64.powi(magnitude);
+        let tie = (unit * 4096.0).round() / 2f64.powi(magnitude.rem_euclid(8));
+        for v in [f64::from_bits(bits), table_range, tie, -tie] {
+            let mut fast = String::new();
+            push_fixed(&mut fast, v, width, prec);
+            prop_assert_eq!(fast, format!("{v:>width$.prec$}"));
         }
     }
 }

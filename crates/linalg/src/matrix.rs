@@ -271,7 +271,9 @@ impl Matrix {
     /// The accumulation is the same row-outer rank-1 update in the same
     /// row order with the same zero-weight/zero-entry skips, so every
     /// entry's f64 summation order — and therefore every output bit — is
-    /// identical to the allocating kernel.
+    /// identical to the allocating kernel. It walks row slices rather than
+    /// indexing entry by entry, which lets the inner loop run without
+    /// bounds checks.
     pub fn xtwx_into(&self, w: &[f64], out: &mut Matrix) -> Result<()> {
         if self.rows != w.len() {
             return Err(LinalgError::ShapeMismatch {
@@ -289,27 +291,15 @@ impl Matrix {
             });
         }
         out.data.fill(0.0);
-        for i in 0..self.rows {
-            let r = self.row(i);
-            let wi = w[i];
-            if wi == 0.0 {
-                continue;
-            }
-            for a in 0..p {
-                let ra = r[a] * wi;
-                if ra == 0.0 {
-                    continue;
-                }
-                for b in a..p {
-                    out[(a, b)] += ra * r[b];
-                }
+        if p == 0 {
+            return Ok(());
+        }
+        for (r, &wi) in self.data.chunks_exact(p).zip(w) {
+            if wi != 0.0 {
+                add_weighted_outer_upper(&mut out.data, r, wi);
             }
         }
-        for a in 0..p {
-            for b in 0..a {
-                out[(a, b)] = out[(b, a)];
-            }
-        }
+        out.mirror_upper();
         Ok(())
     }
 
@@ -383,34 +373,32 @@ impl Matrix {
         }
         out_xtwx.data.fill(0.0);
         out_xtwz.fill(0.0);
-        for i in 0..self.rows {
-            let r = self.row(i);
-            let wi = w[i];
+        if p == 0 {
+            return Ok(());
+        }
+        for ((r, &wi), &zi) in self.data.chunks_exact(p).zip(w).zip(z) {
             // XᵀWz leg: always runs (xtwy has no zero skip).
-            let s = wi * z[i];
+            let s = wi * zi;
             for (o, &a) in out_xtwz.iter_mut().zip(r) {
                 *o += a * s;
             }
             // XᵀWX leg: rank-1 update with xtwx's skip conditions.
-            if wi == 0.0 {
-                continue;
-            }
-            for a in 0..p {
-                let ra = r[a] * wi;
-                if ra == 0.0 {
-                    continue;
-                }
-                for b in a..p {
-                    out_xtwx[(a, b)] += ra * r[b];
-                }
+            if wi != 0.0 {
+                add_weighted_outer_upper(&mut out_xtwx.data, r, wi);
             }
         }
+        out_xtwx.mirror_upper();
+        Ok(())
+    }
+
+    /// Copy the upper triangle of a square matrix onto its lower triangle.
+    fn mirror_upper(&mut self) {
+        let p = self.cols;
         for a in 0..p {
             for b in 0..a {
-                out_xtwx[(a, b)] = out_xtwx[(b, a)];
+                self.data[a * p + b] = self.data[b * p + a];
             }
         }
-        Ok(())
     }
 
     /// Scale every element by `s` in place.
@@ -538,6 +526,23 @@ impl fmt::Display for Matrix {
             writeln!(f)?;
         }
         Ok(())
+    }
+}
+
+/// Add `wi · r rᵀ` to the upper triangle (diagonal included) of the
+/// row-major `p×p` buffer `out`, where `p = r.len()`, skipping the
+/// products [`Matrix::xtwx`] skips (`r[a]·wi == 0`). Entry `(a, b)` gets
+/// exactly the one `+= (r[a]·wi)·r[b]` the naive kernel adds for this row.
+#[inline]
+fn add_weighted_outer_upper(out: &mut [f64], r: &[f64], wi: f64) {
+    for (a, out_row) in out.chunks_exact_mut(r.len()).enumerate() {
+        let ra = r[a] * wi;
+        if ra == 0.0 {
+            continue;
+        }
+        for (o, &rb) in out_row[a..].iter_mut().zip(&r[a..]) {
+            *o += ra * rb;
+        }
     }
 }
 

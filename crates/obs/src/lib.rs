@@ -464,11 +464,20 @@ mod tests {
     fn worker_threads_flush_on_exit_and_merge_commutes() {
         let _g = locked_enabled();
         std::thread::scope(|s| {
-            for i in 0..4u64 {
-                s.spawn(move || {
-                    counter_add("w.items", i + 1);
-                    gauge_max("w.peak", i);
-                });
+            let workers: Vec<_> = (0..4u64)
+                .map(|i| {
+                    s.spawn(move || {
+                        counter_add("w.items", i + 1);
+                        gauge_max("w.peak", i);
+                    })
+                })
+                .collect();
+            // Join each worker explicitly: that waits for the thread to
+            // exit, TLS flush included. The scope's implicit join only
+            // waits for the closures to return, so a worker's flush could
+            // still be in flight when the snapshot below is taken.
+            for w in workers {
+                w.join().unwrap();
             }
         });
         let snap = snapshot();

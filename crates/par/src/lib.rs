@@ -33,9 +33,10 @@
 //!
 //! ## Small-work cutoff and size-aware scheduling
 //!
-//! Spawning the pool costs tens of microseconds; a Table 2 fan-out has
-//! eight items. Every `par_*` entry point therefore runs sequentially
-//! when the batch has fewer than [`min_items`] items (default 16),
+//! Spawning the pool costs tens of microseconds, more than a batch of a
+//! few cheap items is worth. Every `par_*` entry point except
+//! [`par_map_coarse`] therefore runs sequentially when the batch has
+//! fewer than [`min_items`] items (default 16),
 //! resolved as: a scoped [`with_min_items`] override → the
 //! `BOOTERS_PAR_MIN_ITEMS` environment variable (read once per process)
 //! → 16. Above the cutoff, worker count is *size-aware*: at most one
@@ -48,9 +49,10 @@
 //! `BOOTERS_PAR_MIN_ITEMS=1` to disable both.
 //!
 //! Batches of *few but individually heavy* items (decoding store chunks,
-//! grouping per-shard packet buckets) are the one shape the item-count
-//! cutoff misjudges; [`par_map_coarse`] is the entry point for them — no
-//! item-count cutoff, one item per scheduling unit.
+//! grouping per-shard packet buckets, the Table 2 country fits and the
+//! duration-scan refits at about 0.7 ms each) are the one shape the
+//! item-count cutoff misjudges; [`par_map_coarse`] is the entry point for
+//! them — no item-count cutoff, one item per scheduling unit.
 //!
 //! ## Kernel selection
 //!
@@ -81,9 +83,10 @@ thread_local! {
 }
 
 /// Default sequential cutoff: batches smaller than this never spawn the
-/// pool. Chosen so the pipeline's eight-country and six-candidate
-/// fan-outs (whose per-item work is dwarfed by pool spawn cost at small
-/// n) stay sequential while real data-parallel sweeps are unaffected.
+/// pool. Sized for batches of cheap items, whose per-item work a pool
+/// spawn would dwarf; heavy items such as NB2 fits go through
+/// [`par_map_coarse`], which has no cutoff, so real data-parallel sweeps
+/// and few-but-heavy fan-outs both get the pool.
 const DEFAULT_MIN_ITEMS: usize = 16;
 
 /// Parse a `BOOTERS_THREADS` value; non-numeric input is ignored and 0 is

@@ -211,9 +211,6 @@ pub fn publish(store: StoreId, chunk: usize, cols: &Arc<ChunkColumns>) {
     }
     let shard_cap = cap / SHARD_COUNT;
     let cost = entry_cost(cols);
-    if cost > shard_cap {
-        return;
-    }
     let key = (store.0, chunk as u64);
     let mut evicted = 0u64;
     let total_after;
@@ -226,6 +223,9 @@ pub fn publish(store: StoreId, chunk: usize, cols: &Arc<ChunkColumns>) {
             s.order.remove(&e.tick);
             e.tick = fresh;
             s.order.insert(fresh, key);
+            return;
+        }
+        if cost > shard_cap {
             return;
         }
         while s.bytes + cost > shard_cap {
@@ -425,6 +425,29 @@ mod tests {
             assert!(contains(id, a), "recently used entry must survive");
             assert!(!contains(id, b), "least recently used entry must go");
             assert!(contains(id, c), "fresh insert must be resident");
+        });
+    }
+
+    #[test]
+    fn republishing_a_resident_key_refreshes_it_whatever_its_size() {
+        // A resident key's re-publish only refreshes recency, as the docs
+        // say, even when the columns passed would be too big to insert:
+        // with A refreshed, B is the LRU entry that C evicts.
+        let rows = 100;
+        let cost = entry_cost(&cols(rows, 0));
+        with_budget(cost * 2 * SHARD_COUNT, || {
+            let id = StoreId::mint();
+            let target = shard_of(id, 0);
+            let same: Vec<usize> =
+                (0..10_000).filter(|&c| shard_of(id, c) == target).take(3).collect();
+            let (a, b, c) = (same[0], same[1], same[2]);
+            publish(id, a, &cols(rows, 1));
+            publish(id, b, &cols(rows, 2));
+            publish(id, a, &cols(rows * 3, 1));
+            publish(id, c, &cols(rows, 3));
+            assert!(contains(id, a), "refreshed entry must survive");
+            assert!(!contains(id, b), "least recently used entry must go");
+            assert_eq!(total_cached_bytes(), 2 * cost);
         });
     }
 

@@ -168,6 +168,51 @@ mod tests {
     }
 
     #[test]
+    fn design_matches_the_per_week_calendar_definitions() {
+        // The column builders compute effect bounds and Easter once; every
+        // entry must still equal the per-week definitions. The series span
+        // year boundaries (weeks split across two years) and Easters from
+        // 22 March (2285) to 25 April (2038), and the windows include a
+        // delayed one and ones running off either end of the series. The
+        // last two Easter windows make the week of 30 December 2019 hinge
+        // on which year's Easter each of its days uses: with (100, 0) only
+        // its January days are in the 2020 window; with (−255, 270) the
+        // 2019 window starts on 1 January 2020, a day that belongs to 2020.
+        use crate::seasonal::{easter_dummy, seasonal_row};
+        let cases = [
+            (Date::new(2015, 12, 28), 230, (7, 7)),
+            (Date::new(2037, 11, 30), 80, (7, 7)),
+            (Date::new(2284, 12, 31), 70, (7, 7)),
+            (Date::new(2016, 6, 6), 148, (0, 0)),
+            (Date::new(2019, 6, 3), 60, (100, 0)),
+            (Date::new(2019, 6, 3), 60, (-255, 270)),
+        ];
+        for (start, weeks, easter_window) in cases {
+            let s = WeeklySeries::zeros(start, weeks);
+            let windows = vec![
+                InterventionWindow::immediate("early", start.add_days(-30), 8),
+                InterventionWindow::delayed("mid", start.add_days(7 * 20 + 3), 2, 5),
+                InterventionWindow::immediate("late", start.add_days(7 * (weeks as i64 - 3)), 10),
+            ];
+            let config = DesignConfig { easter_window, ..DesignConfig::default() };
+            let d = its_design(&s, &windows, &config);
+            let easter = d.column_index("Easter").unwrap();
+            for i in 0..s.len() {
+                let monday = s.week_date(i);
+                for (j, w) in windows.iter().enumerate() {
+                    let expected = if w.active_in_week(monday) { 1.0 } else { 0.0 };
+                    assert_eq!(d.x[(i, j)], expected, "{} week {monday}", w.name);
+                }
+                let expected = easter_dummy(monday, easter_window.0, easter_window.1);
+                assert_eq!(d.x[(i, easter)], expected, "Easter week {monday}");
+                for (m, &v) in seasonal_row(monday).iter().enumerate() {
+                    assert_eq!(d.x[(i, easter + 1 + m)], v, "seasonal_{} week {monday}", m + 2);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn column_index_missing_is_none() {
         let s = series();
         let d = its_design(&s, &[], &DesignConfig::default());

@@ -58,11 +58,15 @@ impl InterventionWindow {
         m >= self.effect_start() && m < self.effect_end()
     }
 
-    /// Dummy column (0/1) aligned to `series`.
+    /// Dummy column (0/1) aligned to `series`: [`Self::active_in_week`]
+    /// for each week, with the effect bounds computed once and compared
+    /// as day numbers (series weeks are Mondays).
     pub fn dummy_column(&self, series: &WeeklySeries) -> Vec<f64> {
+        let effect = self.effect_start().to_days()..self.effect_end().to_days();
+        let first = series.start().to_days();
         (0..series.len())
             .map(|i| {
-                if self.active_in_week(series.week_date(i)) {
+                if effect.contains(&(first + 7 * i as i64)) {
                     1.0
                 } else {
                     0.0

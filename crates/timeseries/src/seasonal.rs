@@ -6,7 +6,7 @@
 //! captures the moving school-holiday effect.
 
 use crate::date::Date;
-use crate::easter::in_easter_window;
+use crate::easter::{easter_sunday, in_easter_window};
 use crate::series::WeeklySeries;
 
 /// Month (2..=12) dummy value for the week starting at `monday`:
@@ -44,16 +44,38 @@ pub fn easter_dummy(monday: Date, days_before: i64, days_after: i64) -> f64 {
 /// All seasonal columns for a weekly series: 11 month dummies then Easter.
 ///
 /// Returns columns in model order `seasonal_2 ... seasonal_12, easter`.
+/// Each row equals [`seasonal_row`] and [`easter_dummy`] for its week, but
+/// Easter is computed once per calendar year: a day is in the holiday
+/// window of its own year, so a week is flagged when its days in year Y
+/// meet Y's window.
 pub fn seasonal_columns(series: &WeeklySeries, easter_window: (i64, i64)) -> Vec<Vec<f64>> {
     let n = series.len();
     let mut cols: Vec<Vec<f64>> = vec![vec![0.0; n]; 12];
+    let first = series.start().to_days();
+    let year0 = series.start().year();
+    let (before, after) = easter_window;
+    // Per year from `year0`: the holiday window's days inside that year.
+    let windows: Vec<(i64, i64)> = (year0..=Date::from_days(first + 7 * n as i64).year())
+        .map(|year| {
+            let easter = easter_sunday(year).to_days();
+            let lo = (easter - before).max(Date::new(year, 1, 1).to_days());
+            let hi = (easter + after).min(Date::new(year, 12, 31).to_days());
+            (lo, hi)
+        })
+        .collect();
     for i in 0..n {
-        let monday = series.week_date(i);
-        let row = seasonal_row(monday);
-        for (j, &v) in row.iter().enumerate() {
+        let mon = first + 7 * i as i64;
+        let monday = Date::from_days(mon);
+        for (j, &v) in seasonal_row(monday).iter().enumerate() {
             cols[j][i] = v;
         }
-        cols[11][i] = easter_dummy(monday, easter_window.0, easter_window.1);
+        let years = monday.year()..=Date::from_days(mon + 6).year();
+        if years.into_iter().any(|year| {
+            let (lo, hi) = windows[(year - year0) as usize];
+            lo.max(mon) <= hi.min(mon + 6)
+        }) {
+            cols[11][i] = 1.0;
+        }
     }
     cols
 }

@@ -33,10 +33,12 @@ echo "==> cargo test (offline, BOOTERS_STORE_BUDGET=65536)"
 BOOTERS_STORE_BUDGET=65536 cargo test -q --workspace --offline
 
 # Fourth pass: BOOTERS_PAR_MIN_ITEMS=1 disables the small-work sequential
-# cutoff, so even tiny fan-outs (eight Table-2 countries, short window
-# scans) go through the worker pool. Combined with BOOTERS_THREADS=4 this
-# runs the seeded golden suite on the pool branch that the cutoff would
-# normally skip — the goldens must stay byte-identical either way.
+# cutoff, so even small batches of cheap items go through the worker
+# pool. (The country fits and window scans always do at more than one
+# thread: as heavy items they use par_map_coarse, which has no cutoff.)
+# Combined with BOOTERS_THREADS=4 this runs the seeded golden suite on the
+# pool branch that the cutoff would normally skip — the goldens must stay
+# byte-identical either way.
 echo "==> seeded goldens (offline, BOOTERS_PAR_MIN_ITEMS=1, BOOTERS_THREADS=4)"
 BOOTERS_PAR_MIN_ITEMS=1 BOOTERS_THREADS=4 \
     cargo test -q --offline --test smoke_seeded --test par_invariance
@@ -65,6 +67,19 @@ cmp out/table1.fast.txt out/table1.txt || {
     exit 1
 }
 rm -f out/table1.fast.txt
+
+# Golden pass: repro_all's Table 1/2 at the default seed and scale must
+# match bench_e2e/golden/ (read only here), the goldens the end-to-end
+# benchmark's `paper` warm-up checks. An output change that moves Table 1
+# or 2 fails CI here, not first when the benchmark next runs.
+echo "==> repro_all Table 1/2 vs bench_e2e/golden (offline)"
+cargo run --release --offline -p booters-bench --bin repro_all >/dev/null
+for table in table1 table2; do
+    cmp "out/$table.txt" "bench_e2e/golden/$table.txt" || {
+        echo "verify: out/$table.txt differs from bench_e2e/golden/$table.txt" >&2
+        exit 1
+    }
+done
 
 # Sixth pass with metrics recording on: the observability contract
 # (DESIGN.md §5e) says BOOTERS_OBS=1 may never change an output byte, so
