@@ -1,8 +1,11 @@
 //! Market simulation benchmarks: the weekly step, a full five-year run,
-//! and the end-to-end observed scenario.
+//! the scenario suite's nine markets, and the end-to-end observed
+//! scenario.
 
 use booters_core::scenario::{Fidelity, Scenario, ScenarioConfig};
 use booters_market::market::{MarketConfig, MarketSim};
+use booters_market::scn::builtin_scenarios;
+use booters_market::shocks::ScenarioSpec;
 use booters_testkit::bench::Criterion;
 use booters_testkit::{bench_group, bench_main};
 use std::hint::black_box;
@@ -39,6 +42,32 @@ fn bench_full_run(c: &mut Criterion) {
     });
 }
 
+/// The scenario suite's market layer: the shockless baseline plus the
+/// eight built-in specs, each run to completion at the suite's default
+/// scale and seed.
+fn bench_suite_markets(c: &mut Criterion) {
+    let mut specs = vec![ScenarioSpec::baseline()];
+    specs.extend(builtin_scenarios());
+    c.bench_function("market_suite_9_runs_scale_0.05", |b| {
+        b.iter(|| {
+            let weeks: usize = specs
+                .iter()
+                .map(|spec| {
+                    MarketSim::new(MarketConfig {
+                        scale: 0.05,
+                        seed: 0xB00735,
+                        scenario: Some(spec.clone()),
+                        ..MarketConfig::default()
+                    })
+                    .run()
+                    .len()
+                })
+                .sum();
+            black_box(weeks)
+        })
+    });
+}
+
 fn bench_observed_scenario(c: &mut Criterion) {
     c.bench_function("scenario_aggregate_scale_0.02", |b| {
         b.iter(|| {
@@ -59,6 +88,6 @@ fn bench_observed_scenario(c: &mut Criterion) {
 bench_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_weekly_step, bench_full_run, bench_observed_scenario
+    targets = bench_weekly_step, bench_full_run, bench_suite_markets, bench_observed_scenario
 }
 bench_main!(benches);

@@ -134,28 +134,26 @@ impl SelfReportDataset {
     /// Weekly *new attacks* implied by one booter's counter: successive
     /// differences, clamped at zero across database wipes.
     pub fn weekly_increments(&self, booter: u32) -> Vec<(usize, u64)> {
-        let Some(h) = self.counters.get(&booter) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        let mut prev: Option<(usize, u64)> = None;
-        for (&week, &count) in h {
-            if let Some((pw, pc)) = prev {
-                if week == pw + 1 {
-                    out.push((week, count.saturating_sub(pc)));
-                }
-            }
-            prev = Some((week, count));
-        }
-        out
+        self.counters
+            .get(&booter)
+            .map(|h| increments(h).collect())
+            .unwrap_or_default()
+    }
+
+    /// Every booter's [`Self::weekly_increments`], by ascending id,
+    /// without collecting them.
+    pub(crate) fn all_increments(
+        &self,
+    ) -> impl Iterator<Item = impl Iterator<Item = (usize, u64)> + '_> + '_ {
+        self.counters.values().map(increments)
     }
 
     /// Total self-reported weekly attack series, summed over booters with
     /// a defined increment that week (the Figure 7 stack height).
     pub fn total_weekly(&self, n_weeks: usize) -> WeeklySeries {
         let mut s = WeeklySeries::zeros(self.start, n_weeks);
-        for &id in self.counters.keys() {
-            for (week, inc) in self.weekly_increments(id) {
+        for h in self.counters.values() {
+            for (week, inc) in increments(h) {
                 if week < n_weeks {
                     s.set(week, s.get(week) + inc as f64);
                 }
@@ -173,11 +171,8 @@ impl SelfReportDataset {
     pub fn top_booters(&self, top: usize) -> Vec<u32> {
         let mut totals: Vec<(u32, u64)> = self
             .counters
-            .keys()
-            .map(|&id| {
-                let total: u64 = self.weekly_increments(id).iter().map(|(_, v)| v).sum();
-                (id, total)
-            })
+            .iter()
+            .map(|(&id, h)| (id, increments(h).map(|(_, v)| v).sum()))
             .collect();
         totals.sort_by_key(|&(_, t)| std::cmp::Reverse(t));
         totals.into_iter().take(top).map(|(id, _)| id).collect()
@@ -188,8 +183,8 @@ impl SelfReportDataset {
     /// 60%)".
     pub fn top_share(&self, from_week: usize, to_week: usize) -> Option<f64> {
         let mut per_booter: BTreeMap<u32, u64> = BTreeMap::new();
-        for &id in self.counters.keys() {
-            for (week, inc) in self.weekly_increments(id) {
+        for (&id, h) in &self.counters {
+            for (week, inc) in increments(h) {
                 if week >= from_week && week < to_week {
                     *per_booter.entry(id).or_insert(0) += inc;
                 }
@@ -204,6 +199,19 @@ impl SelfReportDataset {
             .max()
             .map(|&m| m as f64 / total as f64)
     }
+}
+
+/// Successive differences of one counter history over consecutive scrape
+/// weeks, clamped at zero across database wipes.
+fn increments(h: &CounterHistory) -> impl Iterator<Item = (usize, u64)> + '_ {
+    let mut prev: Option<(usize, u64)> = None;
+    h.iter().filter_map(move |(&week, &count)| {
+        let inc = prev
+            .filter(|&(pw, _)| week == pw + 1)
+            .map(|(_, pc)| (week, count.saturating_sub(pc)));
+        prev = Some((week, count));
+        inc
+    })
 }
 
 #[cfg(test)]

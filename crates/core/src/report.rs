@@ -12,9 +12,9 @@
 
 use crate::datasets::{HoneypotDataset, SelfReportDataset};
 use crate::pipeline::{
-    fit_countries, fit_country, fit_global, GlobalModelResult, PipelineConfig,
+    fit_countries, fit_country, fit_global, EffectSize, GlobalModelResult, PipelineConfig,
 };
-use booters_glm::summary::{negbin_summary, push_fixed};
+use booters_glm::summary::{negbin_summary, push_fixed, push_left};
 use booters_glm::GlmError;
 use booters_market::calibration::Calibration;
 use booters_market::events;
@@ -44,37 +44,47 @@ pub fn table2(
     let fits = fit_countries(ds, cal, &countries, cfg)?;
     let overall = fit_global(ds, cal, cfg)?;
 
+    // Each model's effects once, Table 2 columns then Overall.
+    let effects: Vec<Vec<EffectSize>> = fits
+        .iter()
+        .map(|f| &f.model)
+        .chain([&overall])
+        .map(GlobalModelResult::intervention_effects)
+        .collect();
+
     let mut out = String::from("Table 2: intervention effects by country of victim\n\n");
-    out.push_str(&format!("{:<26}", "Intervention"));
+    let _ = write!(out, "{:<26}", "Intervention");
     for c in &countries {
-        out.push_str(&format!("{:>16}", c.label()));
+        let _ = write!(out, "{:>16}", c.label());
     }
-    out.push_str(&format!("{:>16}\n", "Overall"));
+    let _ = writeln!(out, "{:>16}", "Overall");
 
     for ic in &cal.interventions {
         let ev = events::event(ic.id);
         // Means row.
-        out.push_str(&format!("{:<26}", ev.name.chars().take(25).collect::<String>()));
-        let mut cis = String::new();
-        let mut durs = String::new();
-        let mut sigs = String::new();
-        cis.push_str(&format!("{:<26}", "  L95/U95"));
-        durs.push_str(&format!("{:<26}", "  Duration"));
-        sigs.push_str(&format!("{:<26}", "  Signif."));
-        let append = |model: &GlobalModelResult, cis: &mut String, durs: &mut String, sigs: &mut String, out: &mut String| {
-            let eff = model
-                .intervention_effects()
-                .into_iter()
+        let _ = write!(out, "{:<26}", ev.name.chars().take(25).collect::<String>());
+        let mut cis = format!("{:<26}", "  L95/U95");
+        let mut durs = format!("{:<26}", "  Duration");
+        let mut sigs = format!("{:<26}", "  Signif.");
+        for model_effects in &effects {
+            let eff = model_effects
+                .iter()
                 .find(|e| e.name == ev.name)
                 .expect("intervention present");
-            push_fixed(out, eff.mean_pct, 15, 0);
+            push_fixed(&mut out, eff.mean_pct, 15, 0);
             out.push('%');
-            push_fixed(cis, eff.lo_pct, 8, 0);
-            let _ = write!(cis, "/{:<6.0}%", eff.hi_pct);
+            push_fixed(&mut cis, eff.lo_pct, 8, 0);
+            cis.push('/');
+            let hi_start = cis.len();
+            push_fixed(&mut cis, eff.hi_pct, 0, 0);
+            for _ in cis.len() - hi_start..6 {
+                cis.push(' ');
+            }
+            cis.push('%');
             if eff.significant() {
-                durs.push_str(&format!("{:>14}wk", eff.duration_weeks));
+                let _ = write!(durs, "{:>14}wk", eff.duration_weeks);
             } else {
-                durs.push_str(&format!("{:>16}", "N/A"));
+                let _ = write!(durs, "{:>16}", "N/A");
             }
             let stars = if eff.p_value < 0.01 {
                 "**"
@@ -83,13 +93,9 @@ pub fn table2(
             } else {
                 ""
             };
-            push_fixed(sigs, eff.p_value, 14, 3);
+            push_fixed(&mut sigs, eff.p_value, 14, 3);
             let _ = write!(sigs, "{stars:<2}");
-        };
-        for f in &fits {
-            append(&f.model, &mut cis, &mut durs, &mut sigs, &mut out);
         }
-        append(&overall, &mut cis, &mut durs, &mut sigs, &mut out);
         out.push('\n');
         out.push_str(&cis);
         out.push('\n');
@@ -113,14 +119,21 @@ pub fn country_model_detail(
     let result = fit_country(ds, cal, country, cfg)?;
     let d = result.model.diagnostics();
     let mut out = format!(
-        "Per-country model: {} (victim country)\n\n{}",
-        country.label(),
-        negbin_summary(&result.model.fit)
+        "Per-country model: {} (victim country)\n\n",
+        country.label()
     );
-    out.push_str(&format!(
-        "\ndiagnostics: AIC {:.0}  BIC {:.0}  Ljung-Box(10) p={:.3}  joint-interventions p={:.2e}\n",
-        d.aic, d.bic, d.ljung_box_p, d.interventions_joint_p
-    ));
+    out.push_str(&negbin_summary(&result.model.fit));
+    out.push_str("\ndiagnostics: AIC ");
+    push_fixed(&mut out, d.aic, 0, 0);
+    out.push_str("  BIC ");
+    push_fixed(&mut out, d.bic, 0, 0);
+    out.push_str("  Ljung-Box(10) p=");
+    push_fixed(&mut out, d.ljung_box_p, 0, 3);
+    let _ = writeln!(
+        out,
+        "  joint-interventions p={:.2e}",
+        d.interventions_joint_p
+    );
     Ok(out)
 }
 
@@ -144,24 +157,26 @@ pub fn table3(ds: &HoneypotDataset) -> String {
         ("Feb-19", Date::new(2019, 2, 4), Date::new(2019, 3, 4)),
     ];
     let mut out = String::from("Table 3: share of attacks by country of victim over time\n\n");
-    out.push_str(&format!("{:<6}", ""));
+    push_left(&mut out, "", 6);
     for (label, _, _) in &snapshots {
-        out.push_str(&format!("{label:>9}"));
+        let _ = write!(out, "{label:>9}");
     }
     out.push('\n');
     let mut totals = vec![0.0; snapshots.len()];
     for c in countries {
-        out.push_str(&format!("{:<6}", c.label()));
+        push_left(&mut out, c.label(), 6);
         for (i, (_, from, to)) in snapshots.iter().enumerate() {
             let share = ds.country_share(c, *from, *to).unwrap_or(f64::NAN);
             totals[i] += share;
-            out.push_str(&format!("{:>8.0}%", share * 100.0));
+            push_fixed(&mut out, share * 100.0, 8, 0);
+            out.push('%');
         }
         out.push('\n');
     }
-    out.push_str(&format!("{:<6}", "Total"));
+    push_left(&mut out, "Total", 6);
     for t in totals {
-        out.push_str(&format!("{:>8.0}%", t * 100.0));
+        push_fixed(&mut out, t * 100.0, 8, 0);
+        out.push('%');
     }
     out.push('\n');
     out
@@ -171,7 +186,7 @@ pub fn table3(ds: &HoneypotDataset) -> String {
 pub fn fig1_csv(ds: &HoneypotDataset) -> String {
     let mut out = String::from("week,attacks,event\n");
     let markers: Vec<(Date, &str)> = events::timeline()
-        .into_iter()
+        .iter()
         .map(|e| (e.date.week_start(), e.name))
         .collect();
     for (date, v) in ds.global.iter() {
@@ -182,7 +197,9 @@ pub fn fig1_csv(ds: &HoneypotDataset) -> String {
             .unwrap_or("");
         let _ = write!(out, "{date},");
         push_fixed(&mut out, v, 0, 0);
-        let _ = writeln!(out, ",{label}");
+        out.push(',');
+        out.push_str(label);
+        out.push('\n');
     }
     out
 }
@@ -203,7 +220,7 @@ pub fn fig2_csv(result: &GlobalModelResult) -> String {
         push_fixed(&mut out, v, 0, 0);
         out.push(',');
         push_fixed(&mut out, fitted[i], 0, 0);
-        let _ = writeln!(out, ",{}", if active { 1 } else { 0 });
+        out.push_str(if active { ",1\n" } else { ",0\n" });
     }
     out
 }
@@ -222,14 +239,16 @@ pub fn fig3_csv(ds: &HoneypotDataset) -> String {
     ];
     let mut out = String::from("week");
     for c in countries {
-        out.push_str(&format!(",{}", c.label()));
+        out.push(',');
+        out.push_str(c.label());
     }
     out.push('\n');
-    for i in 0..ds.global.len() {
-        let _ = write!(out, "{}", ds.global.week_date(i));
-        for c in countries {
+    let columns = countries.map(|c| ds.country(c).values());
+    for (i, (date, _)) in ds.global.iter().enumerate() {
+        let _ = write!(out, "{date}");
+        for column in &columns {
             out.push(',');
-            push_fixed(&mut out, ds.country(c).get(i), 0, 0);
+            push_fixed(&mut out, column[i], 0, 0);
         }
         out.push('\n');
     }
@@ -275,7 +294,7 @@ pub fn fig5_csv(ds: &HoneypotDataset) -> (String, Fig5Slopes) {
         push_fixed(&mut out, us.get(i), 0, 1);
         out.push(',');
         push_fixed(&mut out, uk.get(i), 0, 1);
-        let _ = writeln!(out, ",{}", if active { 1 } else { 0 });
+        out.push_str(if active { ",1\n" } else { ",0\n" });
     }
     // UK/US index ratio drift over the campaign: the seasonally robust
     // form of the paper's slope contrast (seasonals and most intervention
@@ -341,14 +360,16 @@ impl Fig5Slopes {
 pub fn fig6_csv(ds: &HoneypotDataset) -> String {
     let mut out = String::from("week");
     for p in UdpProtocol::ALL {
-        out.push_str(&format!(",{}", p.label()));
+        out.push(',');
+        out.push_str(p.label());
     }
     out.push('\n');
-    for i in 0..ds.global.len() {
-        let _ = write!(out, "{}", ds.global.week_date(i));
-        for p in UdpProtocol::ALL {
+    let columns = UdpProtocol::ALL.map(|p| ds.protocol(p).values());
+    for (i, (date, _)) in ds.global.iter().enumerate() {
+        let _ = write!(out, "{date}");
+        for column in &columns {
             out.push(',');
-            push_fixed(&mut out, ds.protocol(p).get(i), 0, 0);
+            push_fixed(&mut out, column[i], 0, 0);
         }
         out.push('\n');
     }
@@ -412,35 +433,32 @@ pub fn effective_protocols(ds: &HoneypotDataset, c: Country, from: Date, to: Dat
 pub fn fig7_csv(sr: &SelfReportDataset, n_weeks: usize) -> String {
     let ids = sr.booter_ids();
     let mut out = String::from("week");
-    for id in &ids {
-        out.push_str(&format!(",booter_{id}"));
+    for &id in &ids {
+        out.push_str(",booter_");
+        push_fixed(&mut out, id.into(), 0, 0);
     }
     out.push('\n');
-    // Pre-compute increments, one dense column per booter.
-    let increments: Vec<Vec<u64>> = ids
-        .iter()
-        .map(|&id| {
-            let mut column = vec![0; n_weeks];
-            for (w, inc) in sr.weekly_increments(id) {
-                if w < n_weeks {
-                    column[w] = inc;
-                }
-            }
-            column
-        })
+    // One cursor per booter over its increments, in week order.
+    let mut columns: Vec<_> = sr
+        .all_increments()
+        .map(Iterator::peekable)
         .collect();
+    out.reserve(n_weeks * (11 + 2 * ids.len()));
+    let mut monday = sr.start;
     for w in 0..n_weeks {
-        let _ = write!(out, "{}", sr.start.add_days(7 * w as i64));
-        for column in &increments {
-            match column[w] {
-                // Most booters report nothing in most weeks.
-                0 => out.push_str(",0"),
-                inc => {
-                    let _ = write!(out, ",{inc}");
+        let _ = write!(out, "{monday}");
+        for column in &mut columns {
+            match column.next_if(|&(week, _)| week == w) {
+                Some((_, inc)) if inc != 0 => {
+                    out.push(',');
+                    push_fixed(&mut out, inc as f64, 0, 0);
                 }
+                // Most booters report nothing in most weeks.
+                _ => out.push_str(",0"),
             }
         }
         out.push('\n');
+        monday = monday.add_days(7);
     }
     out
 }
@@ -448,14 +466,14 @@ pub fn fig7_csv(sr: &SelfReportDataset, n_weeks: usize) -> String {
 /// Figure 8 CSV: deaths (negative), resurrections and births per week.
 pub fn fig8_csv(sr: &SelfReportDataset) -> String {
     let mut out = String::from("week,deaths,resurrections,births\n");
-    for i in 0..sr.deaths.len() {
-        out.push_str(&format!(
-            "{},{},{},{}\n",
-            sr.deaths.week_date(i),
-            -(sr.deaths.get(i) as i64),
+    for (i, (date, deaths)) in sr.deaths.iter().enumerate() {
+        let _ = writeln!(
+            out,
+            "{date},{},{},{}",
+            -(deaths as i64),
             sr.resurrections.get(i) as i64,
             sr.births.get(i) as i64,
-        ));
+        );
     }
     out
 }

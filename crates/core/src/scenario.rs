@@ -18,7 +18,7 @@
 //!   classification. Use on short windows.
 
 use crate::datasets::{CounterHistory, HoneypotDataset, SelfReportDataset};
-use booters_market::commands::commands_for_week;
+use booters_market::commands::{booter_by_id, commands_for_week};
 use booters_market::market::{sample_binomial, MarketConfig, MarketSim, WeekOutput};
 use booters_market::Booter;
 use booters_netsim::flow::{FlowClass, VictimKey};
@@ -410,7 +410,7 @@ fn coverage_rate_aggregate(
         if *attacks == 0 {
             continue;
         }
-        let Some(b) = booters.iter().find(|b| b.id == *id) else {
+        let Some(b) = booter_by_id(booters, *id) else {
             commanded += attacks;
             observed += attacks; // new entrant this week: honest default
             continue;

@@ -9,10 +9,12 @@
 //! checks on a simulated [`SelfReportDataset`].
 
 use crate::datasets::{HoneypotDataset, SelfReportDataset};
+use booters_glm::summary::push_fixed;
 use booters_stats::describe::pearson;
 use booters_stats::tests::{
     dagostino_k2, jarque_bera, prime_multiplier_check, white_test, MultiplierCheck, TestResult,
 };
+use std::fmt::Write as _;
 
 /// Validation verdict for one booter's counter series.
 #[derive(Debug, Clone)]
@@ -116,30 +118,32 @@ pub fn render_validation(validations: &[BooterValidation], correlation: Option<f
          booter      n   White p   K2 p      JB p      multiplier  verdict\n",
     );
     for v in validations {
-        let fmt_p = |t: &Option<TestResult>| {
-            t.map(|r| format!("{:>8.4}", r.p_value))
-                .unwrap_or_else(|| "     n/a".to_string())
-        };
         let worst = v
             .multiplier
             .worst()
             .map(|(p, run)| format!("p{p}xrun{run}"))
             .unwrap_or_else(|| "none".to_string());
-        out.push_str(&format!(
-            "{:<9} {:>4} {} {} {}  {:>10}  {}\n",
-            v.booter,
-            v.n,
-            fmt_p(&v.white),
-            fmt_p(&v.k2),
-            fmt_p(&v.jarque_bera),
-            worst,
-            if v.looks_faked() { "SUSPECT" } else { "genuine" }
-        ));
+        let _ = write!(out, "{:<9} {:>4}", v.booter, v.n);
+        for test in [&v.white, &v.k2, &v.jarque_bera] {
+            out.push(' ');
+            match test {
+                Some(r) => push_fixed(&mut out, r.p_value, 8, 4),
+                None => out.push_str("     n/a"),
+            }
+        }
+        let verdict = if v.looks_faked() {
+            "SUSPECT"
+        } else {
+            "genuine"
+        };
+        let _ = writeln!(out, "  {worst:>10}  {verdict}");
     }
     match correlation {
-        Some(r) => out.push_str(&format!(
-            "\ncross-dataset correlation (self-report vs honeypot): {r:.2} (paper: 0.47)\n"
-        )),
+        Some(r) => {
+            out.push_str("\ncross-dataset correlation (self-report vs honeypot): ");
+            push_fixed(&mut out, r, 0, 2);
+            out.push_str(" (paper: 0.47)\n");
+        }
         None => out.push_str("\ncross-dataset correlation: insufficient overlap\n"),
     }
     out

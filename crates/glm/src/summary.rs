@@ -37,21 +37,29 @@ pub fn push_fixed(out: &mut String, v: f64, width: usize, prec: usize) {
     } else {
         (frac | 1 << 52, exp_bits - 1075)
     };
-    let scaled = (prec < POW10.len()).then(|| m as u128 * POW10[prec]);
-    let rounded = match scaled {
-        _ if exp_bits == 0x7ff || e > 40 => None,
-        Some(scaled) if e >= 0 => Some(scaled << e),
-        // Below 2^-128 the value is under half a unit of any precision.
-        Some(_) if e <= -128 => Some(0),
-        Some(scaled) => {
-            let shift = -e as u32;
-            let (q, r) = (scaled >> shift, scaled & ((1 << shift) - 1));
-            let half = 1 << (shift - 1);
-            Some(q + u128::from(r > half || (r == half && q & 1 == 1)))
+    // Whole numbers below 2^53 at precision 0 (the figures' counts) are
+    // their own rounding.
+    let whole = v.abs() as u64;
+    let rounded = if prec == 0 && whole < 1 << 53 && whole as f64 == v.abs() {
+        Some(whole)
+    } else {
+        let scaled = (prec < POW10.len()).then(|| m as u128 * POW10[prec]);
+        match scaled {
+            _ if exp_bits == 0x7ff || e > 40 => None,
+            Some(scaled) if e >= 0 => Some(scaled << e),
+            // Below 2^-128 the value is under half a unit of any precision.
+            Some(_) if e <= -128 => Some(0),
+            Some(scaled) => {
+                let shift = -e as u32;
+                let (q, r) = (scaled >> shift, scaled & ((1 << shift) - 1));
+                let half = 1 << (shift - 1);
+                Some(q + u128::from(r > half || (r == half && q & 1 == 1)))
+            }
+            None => None,
         }
-        None => None,
+        .and_then(|n| u64::try_from(n).ok())
     };
-    let Some(mut n) = rounded.and_then(|n| u64::try_from(n).ok()) else {
+    let Some(mut n) = rounded else {
         let _ = write!(out, "{v:>width$.prec$}");
         return;
     };
@@ -74,57 +82,77 @@ pub fn push_fixed(out: &mut String, v: f64, width: usize, prec: usize) {
         at -= 1;
         buf[at] = b'-';
     }
+    // Left padding comes from the buffer's leading spaces.
+    let at = at.min(buf.len().saturating_sub(width));
     for _ in buf.len() - at..width {
         out.push(' ');
     }
     out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
 }
 
+/// Append `text` left-aligned in `width` characters, as
+/// `format!("{text:<width$}")` renders it.
+pub fn push_left(out: &mut String, text: &str, width: usize) {
+    out.push_str(text);
+    for _ in text.chars().count()..width {
+        out.push(' ');
+    }
+}
+
 /// Render a coefficient table in the paper's Table 1 layout.
 pub fn coefficient_table(inference: &FitInference) -> String {
     let mut out = String::new();
-    out.push_str(&format!(
-        "{:<28} {:>10} {:>10} {:>8} {:>8}  {:>9} {:>9}\n",
+    push_coefficient_table(&mut out, inference);
+    out
+}
+
+fn push_coefficient_table(out: &mut String, inference: &FitInference) {
+    let _ = writeln!(
+        out,
+        "{:<28} {:>10} {:>10} {:>8} {:>8}  {:>9} {:>9}",
         "", "Coef.", "Std.err.", "z", "P>|z|", "L95", "U95"
-    ));
+    );
     for c in &inference.coefficients {
-        let _ = write!(out, "{:<28} ", c.name);
-        push_fixed(&mut out, c.coef, 10, 3);
+        push_left(out, &c.name, 28);
         out.push(' ');
-        push_fixed(&mut out, c.std_error, 10, 4);
+        push_fixed(out, c.coef, 10, 3);
         out.push(' ');
-        push_fixed(&mut out, c.z, 8, 2);
+        push_fixed(out, c.std_error, 10, 4);
         out.push(' ');
-        push_fixed(&mut out, c.p_value, 6, 3);
-        let _ = write!(out, "{:<2} ", c.stars());
-        push_fixed(&mut out, c.ci_lower, 9, 3);
+        push_fixed(out, c.z, 8, 2);
         out.push(' ');
-        push_fixed(&mut out, c.ci_upper, 9, 3);
+        push_fixed(out, c.p_value, 6, 3);
+        push_left(out, c.stars(), 2);
+        out.push(' ');
+        push_fixed(out, c.ci_lower, 9, 3);
+        out.push(' ');
+        push_fixed(out, c.ci_upper, 9, 3);
         out.push('\n');
     }
-    out
 }
 
 /// Render a full NB2 model summary: header with α, log-likelihood and the
 /// overdispersion LR test, then the coefficient table.
 pub fn negbin_summary(fit: &NegBinFit) -> String {
     let (lr, lr_p) = fit.overdispersion_lr();
-    let mut out = String::new();
-    out.push_str("Negative binomial regression (NB2, log link)\n");
-    out.push_str(&format!(
-        "  n = {}    parameters = {}    alpha = {:.5}\n",
-        fit.fit.n, fit.fit.p, fit.alpha
-    ));
-    out.push_str(&format!(
-        "  log-likelihood = {:.2}    Poisson LL = {:.2}    LR(alpha=0) = {:.1} (p = {:.2e})\n",
-        fit.log_likelihood, fit.poisson_log_likelihood, lr, lr_p
-    ));
-    out.push_str(&format!(
-        "  covariance: {:?}, {:.0}% CI\n\n",
-        fit.inference.kind,
-        fit.inference.level * 100.0
-    ));
-    out.push_str(&coefficient_table(&fit.inference));
+    let mut out = String::from("Negative binomial regression (NB2, log link)\n");
+    let _ = write!(
+        out,
+        "  n = {}    parameters = {}    alpha = ",
+        fit.fit.n, fit.fit.p
+    );
+    push_fixed(&mut out, fit.alpha, 0, 5);
+    out.push_str("\n  log-likelihood = ");
+    push_fixed(&mut out, fit.log_likelihood, 0, 2);
+    out.push_str("    Poisson LL = ");
+    push_fixed(&mut out, fit.poisson_log_likelihood, 0, 2);
+    out.push_str("    LR(alpha=0) = ");
+    push_fixed(&mut out, lr, 0, 1);
+    let _ = writeln!(out, " (p = {lr_p:.2e})");
+    let _ = write!(out, "  covariance: {:?}, ", fit.inference.kind);
+    push_fixed(&mut out, fit.inference.level * 100.0, 0, 0);
+    out.push_str("% CI\n\n");
+    push_coefficient_table(&mut out, &fit.inference);
     out
 }
 

@@ -237,11 +237,14 @@ forall! {
         width in 0usize..14,
     ) {
         // Any bit pattern (NaN, infinities, subnormals, huge values), a
-        // table-range number, and exact binary ties k/2^j, which the
-        // standard formatter rounds to even.
+        // table-range number, exact binary ties k/2^j, which the
+        // standard formatter rounds to even, and whole numbers on both
+        // sides of 2^53 (the figures' counts take a shortcut below it).
         let table_range = unit * 10f64.powi(magnitude);
         let tie = (unit * 4096.0).round() / 2f64.powi(magnitude.rem_euclid(8));
-        for v in [f64::from_bits(bits), table_range, tie, -tie] {
+        let whole = table_range.round();
+        let near_2_53 = 2f64.powi(53) + (unit * 8.0).round();
+        for v in [f64::from_bits(bits), table_range, tie, -tie, whole, near_2_53, -near_2_53] {
             let mut fast = String::new();
             push_fixed(&mut fast, v, width, prec);
             prop_assert_eq!(fast, format!("{v:>width$.prec$}"));

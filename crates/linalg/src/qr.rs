@@ -72,9 +72,10 @@ impl Qr {
         })
     }
 
-    /// Apply `Qᵀ` to a vector of length m, in place.
-    fn apply_qt(&self, b: &mut [f64]) {
-        for k in 0..self.cols {
+    /// Apply the first `cols` reflectors of `Qᵀ` to a vector of length m,
+    /// in place.
+    fn apply_qt(&self, b: &mut [f64], cols: usize) {
+        for k in 0..cols {
             let mut s = b[k];
             for i in (k + 1)..self.rows {
                 s += self.qr[(i, k)] * b[i];
@@ -89,6 +90,21 @@ impl Qr {
 
     /// Solve the least squares problem `min ||A x - b||₂`.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
+        self.solve_leading(b, self.cols)
+    }
+
+    /// Solve the least squares problem on the first `k` columns of `A`
+    /// only. Householder QR factors the columns left to right, so the
+    /// first `k` reflectors and the leading k×k block of R are exactly the
+    /// factorisation of those columns: the result equals
+    /// `Qr::new(&a_k)?.solve(b)` for the m×k leading block `a_k`, bit for
+    /// bit, whenever this factorisation exists.
+    pub fn solve_leading(&self, b: &[f64], k: usize) -> Result<Vec<f64>> {
+        assert!(
+            k <= self.cols,
+            "qr solve_leading: {k} > {} columns",
+            self.cols
+        );
         if b.len() != self.rows {
             return Err(LinalgError::ShapeMismatch {
                 op: "qr solve",
@@ -97,14 +113,14 @@ impl Qr {
             });
         }
         let mut y = b.to_vec();
-        self.apply_qt(&mut y);
-        // Back substitution on the leading n×n of R.
-        let n = self.cols;
+        self.apply_qt(&mut y, k);
+        // Back substitution on the leading k×k of R.
+        let n = k;
         let mut x = vec![0.0; n];
         for i in (0..n).rev() {
             let mut sum = y[i];
-            for k in (i + 1)..n {
-                sum -= self.qr[(i, k)] * x[k];
+            for j in (i + 1)..n {
+                sum -= self.qr[(i, j)] * x[j];
             }
             let rii = self.qr[(i, i)];
             if rii.abs() <= self.tol {
@@ -163,7 +179,7 @@ impl Qr {
             });
         }
         let mut y = b.to_vec();
-        self.apply_qt(&mut y);
+        self.apply_qt(&mut y, self.cols);
         Ok(y[self.cols..].iter().map(|v| v * v).sum())
     }
 }

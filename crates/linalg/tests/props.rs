@@ -95,6 +95,23 @@ forall! {
         prop_assert!(norm2(&xtr) / scale < 1e-7, "Xᵀr = {xtr:?}");
     }
 
+    fn qr_leading_solve_is_the_leading_columns_factorisation(
+        x in matrix(10, 3),
+        y in prop::collection::vec(-5.0..5.0f64, 10),
+    ) {
+        let Ok(qr) = Qr::new(&x) else { return };
+        for k in 1..=3 {
+            let mut leading = Matrix::zeros(10, k);
+            for i in 0..10 {
+                for j in 0..k {
+                    leading[(i, j)] = x[(i, j)];
+                }
+            }
+            let own = Qr::new(&leading).and_then(|q| q.solve(&y)).ok();
+            prop_assert_eq!(qr.solve_leading(&y, k).ok(), own, "k={}", k);
+        }
+    }
+
     fn into_kernels_bit_identical_to_naive(
         x in matrix(10, 3),
         w in weights(10),

@@ -18,10 +18,23 @@ use booters_testkit::Rng;
 /// Seconds in a week.
 const WEEK_SECS: u64 = 7 * 86_400;
 
+/// The booter with `id` in `booters`, or `None`. A population's booter
+/// slice holds each booter at the index equal to its id (see
+/// [`crate::lifecycle::Population`]), which is checked first; any other
+/// slice is searched.
+pub fn booter_by_id(booters: &[Booter], id: u32) -> Option<&Booter> {
+    booters
+        .get(id as usize)
+        .filter(|b| b.id == id)
+        .or_else(|| booters.iter().find(|b| b.id == id))
+}
+
 /// Expand one week into attack commands.
 ///
-/// `booters` supplies per-booter avoidance flags; `week_index_origin` sets
-/// the absolute time base (seconds since scenario start for week 0).
+/// `booters` is the population's booter slice
+/// ([`crate::lifecycle::Population::booters`]) and supplies per-booter
+/// avoidance flags; the week's index sets the absolute time base
+/// (seconds since scenario start for week 0).
 /// `limit` caps the number of commands (sampling uniformly across the
 /// week's volume) so packet-level runs stay tractable; pass `usize::MAX`
 /// for everything.
@@ -40,16 +53,11 @@ pub fn commands_for_week(
     // represented proportionally.
     let keep = n as f64 / total as f64;
 
-    // Booter lookup: id → (avoids, weight) for attribution draws.
+    // Booter lookup for attribution draws: ids are indices.
     let alive: Vec<(&Booter, f64)> = out
         .booter_attacks
         .iter()
-        .filter_map(|(id, cnt)| {
-            booters
-                .iter()
-                .find(|b| b.id == *id)
-                .map(|b| (b, *cnt as f64))
-        })
+        .filter_map(|&(id, cnt)| booter_by_id(booters, id).map(|b| (b, cnt as f64)))
         .collect();
     let booter_total: f64 = alive.iter().map(|(_, c)| c).sum();
 
@@ -116,6 +124,19 @@ mod tests {
         });
         let w = sim.step().unwrap();
         (w, sim.population().booters().to_vec())
+    }
+
+    #[test]
+    fn booter_by_id_finds_booters_in_any_slice() {
+        let (_, booters) = one_week();
+        assert!(booters.len() > 3);
+        for b in &booters {
+            assert_eq!(booter_by_id(&booters, b.id).map(|f| f.id), Some(b.id));
+        }
+        let tail = &booters[2..];
+        assert_eq!(booter_by_id(tail, 3).map(|b| b.id), Some(3));
+        assert!(booter_by_id(tail, 1).is_none());
+        assert!(booter_by_id(&booters, booters.len() as u32).is_none());
     }
 
     #[test]

@@ -8,87 +8,234 @@
 
 use crate::calibration::Calibration;
 use crate::events::{self, EventId, EventKind};
-use crate::shocks::ScenarioSpec;
+use crate::protocol_mix::{ProtocolDips, ProtocolWeek};
+use crate::shocks::{ScenarioSpec, ShockPlan};
 use booters_netsim::Country;
-use booters_timeseries::seasonal::{easter_dummy, seasonal_row};
+use booters_timeseries::seasonal::easter_dummy;
 use booters_timeseries::Date;
 
-/// The intervention-free structure every demand variant shares: country
-/// share, seasonality, Easter, era level + trend, and the CN hump. With
-/// `nca` the UK trend flattens during the NCA ad campaign (the paper's
-/// fitted history); without it the trend is purely linear (the
-/// counterfactual scenario baseline — the NCA campaign is itself an
-/// intervention, so scenario runs must not inherit it).
-fn base_structure(cal: &Calibration, country: Country, monday: Date, nca: bool) -> f64 {
-    let profile = cal.country(country);
-    let mut log_mu = profile.share.ln();
+/// A run's demand model compiled once: every calendar quantity that does
+/// not depend on the week — window bounds as Monday day numbers
+/// ([`Date::to_days`]), their coefficients, the UK trend breakpoints and
+/// the scenario shocks' onset weeks — so that stepping a week evaluates
+/// arithmetic only. [`DemandPlan::week`] computes the terms every country
+/// shares; [`DemandPlan::log_intensity`] adds a country's own, with the
+/// same floating-point operations in the same order as the model's
+/// definition.
+#[derive(Debug, Clone)]
+pub struct DemandPlan {
+    /// Per country, by [`Country::index`].
+    countries: Vec<CountryPlan>,
+    seasonal: [f64; 11],
+    easter: f64,
+    window_start: i64,
+    pre_window_log_level: f64,
+    log_level: f64,
+    /// The UK's NCA-campaign trend breaks; `None` in scenario runs.
+    nca: Option<NcaTrend>,
+    /// The scenario's compiled shocks; `None` reproduces the paper.
+    shocks: Option<ShockPlan>,
+    protocol: ProtocolDips,
+}
 
-    // Seasonal structure applies across the whole series.
-    let row = seasonal_row(monday);
-    for (j, &v) in row.iter().enumerate() {
-        log_mu += v * cal.global.seasonal[j];
+#[derive(Debug, Clone)]
+struct CountryPlan {
+    log_share: f64,
+    weekly_trend: f64,
+    hump_amplitude: f64,
+    /// `[start, end)` Monday day numbers and the log coefficient added
+    /// inside: the significant Table 2 windows in calibration order, then
+    /// the minor-event dips. Empty in scenario runs.
+    windows: Vec<(i64, i64, f64)>,
+}
+
+/// The UK trend's breakpoints in weeks since the modelling window opened:
+/// flattening at the NCA campaign, recovery afterwards (§4.1/Figure 5).
+#[derive(Debug, Clone, Copy)]
+struct NcaTrend {
+    start_w: f64,
+    recovery_w: f64,
+    trend: f64,
+}
+
+/// The seed-independent terms of one week, shared by every country.
+#[derive(Debug, Clone)]
+pub struct WeekTerms {
+    monday: i64,
+    season: f64,
+    easter: f64,
+    weeks_since_window: f64,
+    hump: f64,
+    protocol: ProtocolWeek,
+}
+
+impl WeekTerms {
+    /// Normalised protocol weights for attacks on `country` this week
+    /// (`UdpProtocol::index` order). Sums to 1.
+    pub fn protocol_weights(&self, country: Country) -> &[f64; 10] {
+        self.protocol.weights(country)
     }
-    log_mu += easter_dummy(monday, 7, 7) * cal.global.easter;
+}
 
-    let weeks_since_window = monday.days_since(cal.window_start) as f64 / 7.0;
-    if weeks_since_window < 0.0 {
-        // Pre-window era: flat level, no trend (Figure 1's 2014–2016 look).
-        log_mu += cal.pre_window_log_level;
-    } else {
-        log_mu += cal.global.log_level;
-        log_mu += trend_contribution(cal, country, weeks_since_window, nca);
+impl DemandPlan {
+    /// Compile `cal`, and `spec` when the run is a scenario. Without a
+    /// spec the plan is the paper's fitted history (Table 2 windows,
+    /// minor-event dips, NCA trend break); with one it is the
+    /// intervention-free base structure plus the spec's demand shocks.
+    /// The protocol mix carries the paper's dips either way.
+    pub fn new(cal: &Calibration, spec: Option<&ScenarioSpec>) -> DemandPlan {
+        let window_start = cal.window_start.to_days();
+        let weeks_since_window = |d: Date| (d.week_start().to_days() - window_start) as f64 / 7.0;
+        let nca = spec.is_none().then(|| NcaTrend {
+            start_w: weeks_since_window(events::event(EventId::NcaAds).date),
+            recovery_w: weeks_since_window(cal.nca_recovery),
+            trend: cal.nca_uk_trend,
+        });
+        let minor: Vec<(i64, i64, f64)> = events::timeline()
+            .iter()
+            .filter(|ev| cal.intervention(ev.id).is_none() && ev.kind != EventKind::Messaging)
+            .map(|ev| {
+                let start = ev.date.week_start();
+                let end = start.add_days(7 * cal.minor_event_weeks as i64);
+                (start.to_days(), end.to_days(), cal.minor_event_dip)
+            })
+            .collect();
+        let countries = Country::ALL
+            .iter()
+            .map(|&country| {
+                let profile = cal.country(country);
+                let mut windows = Vec::new();
+                if spec.is_none() {
+                    // The five significant interventions, per-country
+                    // (Table 2).
+                    for ic in &cal.interventions {
+                        let effect = ic.effect_in(country);
+                        if !effect.significant {
+                            continue;
+                        }
+                        let start = events::event(ic.id)
+                            .date
+                            .week_start()
+                            .add_days(7 * effect.delay_weeks as i64);
+                        let end = start.add_days(7 * effect.duration_weeks as i64);
+                        windows.push((start.to_days(), end.to_days(), effect.coef()));
+                    }
+                    // Minor events leave a small one-week mark (China
+                    // excepted).
+                    if country != Country::Cn {
+                        windows.extend_from_slice(&minor);
+                    }
+                }
+                CountryPlan {
+                    log_share: profile.share.ln(),
+                    weekly_trend: profile.weekly_trend,
+                    hump_amplitude: profile.hump_amplitude,
+                    windows,
+                }
+            })
+            .collect();
+        DemandPlan {
+            countries,
+            seasonal: cal.global.seasonal,
+            easter: cal.global.easter,
+            window_start,
+            pre_window_log_level: cal.pre_window_log_level,
+            log_level: cal.global.log_level,
+            nca,
+            shocks: spec.map(ShockPlan::new),
+            protocol: ProtocolDips::new(cal),
+        }
     }
 
-    // China's NTP-era hump (Table 3: CN at over half of world attacks in
-    // Feb-17). Modelled as a sharp-onset plateau (difference of
-    // logistics): the rise starts after the HackForums window closes so
-    // that the global intervention effect is not masked — in the paper's
-    // data the CN wave likewise postdates the HackForums drop.
-    if profile.hump_amplitude != 0.0 {
-        let w = monday.days_since(Date::new(2017, 2, 13)) as f64 / 7.0;
+    /// The scenario's compiled shocks, `None` for the paper's history.
+    pub(crate) fn shocks(&self) -> Option<&ShockPlan> {
+        self.shocks.as_ref()
+    }
+
+    /// The terms of the week starting at `monday` (which must be a
+    /// Monday) that every country shares: seasonality, Easter, the
+    /// modelling-window clock, the CN hump's shape and the protocol mix.
+    pub fn week(&self, monday: Date) -> WeekTerms {
+        let day = monday.to_days();
+        // Seasonal structure applies across the whole series: the one
+        // month dummy that is set (none in January, the reference month).
+        let season = match monday.month() {
+            1 => 0.0,
+            m => self.seasonal[(m - 2) as usize],
+        };
+        // China's NTP-era hump (Table 3: CN at over half of world attacks
+        // in Feb-17). Modelled as a sharp-onset plateau (difference of
+        // logistics): the rise starts after the HackForums window closes
+        // so that the global intervention effect is not masked — in the
+        // paper's data the CN wave likewise postdates the HackForums drop.
+        let w = (day - Date::new(2017, 2, 13).to_days()) as f64 / 7.0;
         let rise = 1.0 / (1.0 + (-w / 1.5).exp());
-        let w_end = monday.days_since(Date::new(2017, 6, 5)) as f64 / 7.0;
+        let w_end = (day - Date::new(2017, 6, 5).to_days()) as f64 / 7.0;
         let fall = 1.0 / (1.0 + (-w_end / 6.0).exp());
-        log_mu += profile.hump_amplitude * (rise - fall).max(0.0);
+        WeekTerms {
+            monday: day,
+            season,
+            easter: easter_dummy(monday, 7, 7) * self.easter,
+            weeks_since_window: (day - self.window_start) as f64 / 7.0,
+            hump: (rise - fall).max(0.0),
+            protocol: self.protocol.week(day),
+        }
     }
 
-    log_mu
+    /// Expected log intensity of attacks on `country` in `week`.
+    pub fn log_intensity(&self, country: Country, week: &WeekTerms) -> f64 {
+        let plan = &self.countries[country.index()];
+        let mut log_mu = plan.log_share;
+        log_mu += week.season;
+        log_mu += week.easter;
+        let weeks = week.weeks_since_window;
+        if weeks < 0.0 {
+            // Pre-window era: flat level, no trend (Figure 1's 2014–2016
+            // look).
+            log_mu += self.pre_window_log_level;
+        } else {
+            log_mu += self.log_level;
+            log_mu += match self.nca {
+                Some(nca) if country == Country::Uk => nca.contribution(plan.weekly_trend, weeks),
+                _ => plan.weekly_trend * weeks,
+            };
+        }
+        if plan.hump_amplitude != 0.0 {
+            log_mu += plan.hump_amplitude * week.hump;
+        }
+        for &(start, end, coef) in &plan.windows {
+            if week.monday >= start && week.monday < end {
+                log_mu += coef;
+            }
+        }
+        match &self.shocks {
+            None => log_mu,
+            Some(shocks) => log_mu + shocks.log_demand_delta(country, week.monday),
+        }
+    }
+}
+
+impl NcaTrend {
+    /// Cumulative UK trend after `weeks` weeks in the modelling window.
+    fn contribution(&self, weekly_trend: f64, weeks: f64) -> f64 {
+        if weeks <= self.start_w {
+            weekly_trend * weeks
+        } else if weeks <= self.recovery_w {
+            weekly_trend * self.start_w + self.trend * (weeks - self.start_w)
+        } else {
+            weekly_trend * self.start_w
+                + self.trend * (self.recovery_w - self.start_w)
+                + weekly_trend * (weeks - self.recovery_w)
+        }
+    }
 }
 
 /// Expected log intensity of attacks on `country` in the week starting at
-/// `monday` (which must be a Monday; use `Date::week_start`).
+/// `monday` (which must be a Monday; use `Date::week_start`): the paper's
+/// fitted history.
 pub fn country_log_intensity(cal: &Calibration, country: Country, monday: Date) -> f64 {
-    let mut log_mu = base_structure(cal, country, monday, true);
-
-    // The five significant interventions, per-country (Table 2).
-    for ic in &cal.interventions {
-        let effect = ic.effect_in(country);
-        if !effect.significant {
-            continue;
-        }
-        let event_date = events::event(ic.id).date;
-        let start = event_date.week_start().add_days(7 * effect.delay_weeks as i64);
-        let end = start.add_days(7 * effect.duration_weeks as i64);
-        if monday >= start && monday < end {
-            log_mu += effect.coef();
-        }
-    }
-
-    // Minor events leave a small one-week mark (China excepted).
-    if country != Country::Cn {
-        for ev in events::timeline() {
-            if cal.intervention(ev.id).is_some() || ev.kind == EventKind::Messaging {
-                continue;
-            }
-            let start = ev.date.week_start();
-            let end = start.add_days(7 * cal.minor_event_weeks as i64);
-            if monday >= start && monday < end {
-                log_mu += cal.minor_event_dip;
-            }
-        }
-    }
-
-    log_mu
+    let plan = DemandPlan::new(cal, None);
+    plan.log_intensity(country, &plan.week(monday))
 }
 
 /// Expected log intensity for `country` under a scenario spec: the
@@ -102,36 +249,17 @@ pub fn scenario_log_intensity(
     country: Country,
     monday: Date,
 ) -> f64 {
-    base_structure(cal, country, monday, false) + spec.log_demand_delta(country, monday)
-}
-
-/// Cumulative trend for `country` after `weeks` weeks in the modelling
-/// window, honouring the UK's NCA-campaign flattening (§4.1/Figure 5)
-/// unless `nca` is off.
-fn trend_contribution(cal: &Calibration, country: Country, weeks: f64, nca: bool) -> f64 {
-    let profile = cal.country(country);
-    if country != Country::Uk || !nca {
-        return profile.weekly_trend * weeks;
-    }
-    let nca = events::event(EventId::NcaAds);
-    let nca_start_w = nca.date.week_start().days_since(cal.window_start) as f64 / 7.0;
-    let recovery_w = cal.nca_recovery.week_start().days_since(cal.window_start) as f64 / 7.0;
-    if weeks <= nca_start_w {
-        profile.weekly_trend * weeks
-    } else if weeks <= recovery_w {
-        profile.weekly_trend * nca_start_w + cal.nca_uk_trend * (weeks - nca_start_w)
-    } else {
-        profile.weekly_trend * nca_start_w
-            + cal.nca_uk_trend * (recovery_w - nca_start_w)
-            + profile.weekly_trend * (weeks - recovery_w)
-    }
+    let plan = DemandPlan::new(cal, Some(spec));
+    plan.log_intensity(country, &plan.week(monday))
 }
 
 /// Expected global (all-country) attack count for a week: Σ exp(log μ_c).
 pub fn global_intensity(cal: &Calibration, monday: Date) -> f64 {
+    let plan = DemandPlan::new(cal, None);
+    let week = plan.week(monday);
     Country::ALL
         .iter()
-        .map(|&c| country_log_intensity(cal, c, monday).exp())
+        .map(|&c| plan.log_intensity(c, &week).exp())
         .sum()
 }
 

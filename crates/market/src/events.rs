@@ -69,123 +69,125 @@ pub struct InterventionEvent {
     pub kind: EventKind,
 }
 
+/// The timeline, in [`EventId`] declaration order (which is
+/// chronological up to the NCA campaign/vDOS sentencing near-tie).
+static TIMELINE: [InterventionEvent; 15] = [
+    InterventionEvent {
+        id: EventId::OperationVivarium,
+        name: "Operation Vivarium",
+        date: Date::new(2015, 8, 28),
+        end_date: None,
+        kind: EventKind::Arrests,
+    },
+    InterventionEvent {
+        id: EventId::SentencingVivarium,
+        name: "Sentencing Vivarium",
+        date: Date::new(2015, 12, 22),
+        end_date: None,
+        kind: EventKind::Sentencing,
+    },
+    InterventionEvent {
+        id: EventId::KrebsVdosArrests,
+        name: "Krebs vDOS leaks and arrests",
+        date: Date::new(2016, 9, 8),
+        end_date: None,
+        kind: EventKind::Arrests,
+    },
+    InterventionEvent {
+        id: EventId::LizardStresserArrests,
+        name: "Lizardstresser arrests",
+        date: Date::new(2016, 10, 6),
+        end_date: None,
+        kind: EventKind::Arrests,
+    },
+    InterventionEvent {
+        id: EventId::HackForumsClosure,
+        name: "Hackforums shuts down SST section",
+        date: Date::new(2016, 10, 28),
+        end_date: None,
+        kind: EventKind::ForumClosure,
+    },
+    InterventionEvent {
+        id: EventId::InternationalUserAction,
+        name: "International action against users",
+        date: Date::new(2016, 12, 5),
+        end_date: None,
+        kind: EventKind::Arrests,
+    },
+    InterventionEvent {
+        id: EventId::TitaniumSentencing,
+        name: "Titaniumstresser sentencing",
+        date: Date::new(2017, 4, 25),
+        end_date: None,
+        kind: EventKind::Sentencing,
+    },
+    InterventionEvent {
+        id: EventId::NcaAds,
+        name: "NCA Google ads",
+        date: Date::new(2017, 12, 25),
+        end_date: Some(Date::new(2018, 6, 30)),
+        kind: EventKind::Messaging,
+    },
+    InterventionEvent {
+        id: EventId::VdosSentencing,
+        name: "vDOS sentencing",
+        date: Date::new(2017, 12, 19),
+        end_date: None,
+        kind: EventKind::Sentencing,
+    },
+    InterventionEvent {
+        id: EventId::LizardStresserSentencing,
+        name: "Lizardstresser sentenced",
+        date: Date::new(2018, 3, 27),
+        end_date: None,
+        kind: EventKind::Sentencing,
+    },
+    InterventionEvent {
+        id: EventId::DejabooterSentencing,
+        name: "Dejabooter sentenced",
+        date: Date::new(2018, 4, 8),
+        end_date: None,
+        kind: EventKind::Sentencing,
+    },
+    InterventionEvent {
+        id: EventId::WebstresserTakedown,
+        name: "Webstresser takedown",
+        date: Date::new(2018, 4, 24),
+        end_date: None,
+        kind: EventKind::Takedown,
+    },
+    InterventionEvent {
+        id: EventId::MiraiSentencing1,
+        name: "Mirai sentencing 1",
+        date: Date::new(2018, 9, 18),
+        end_date: None,
+        kind: EventKind::Sentencing,
+    },
+    InterventionEvent {
+        id: EventId::MiraiSentencing2,
+        name: "Mirai sentencing 2",
+        date: Date::new(2018, 10, 26),
+        end_date: None,
+        kind: EventKind::Sentencing,
+    },
+    InterventionEvent {
+        id: EventId::Xmas2018,
+        name: "Xmas 2018 event",
+        date: Date::new(2018, 12, 19),
+        end_date: None,
+        kind: EventKind::Takedown,
+    },
+];
+
 /// The full timeline, chronological.
-pub fn timeline() -> Vec<InterventionEvent> {
-    vec![
-        InterventionEvent {
-            id: EventId::OperationVivarium,
-            name: "Operation Vivarium",
-            date: Date::new(2015, 8, 28),
-            end_date: None,
-            kind: EventKind::Arrests,
-        },
-        InterventionEvent {
-            id: EventId::SentencingVivarium,
-            name: "Sentencing Vivarium",
-            date: Date::new(2015, 12, 22),
-            end_date: None,
-            kind: EventKind::Sentencing,
-        },
-        InterventionEvent {
-            id: EventId::KrebsVdosArrests,
-            name: "Krebs vDOS leaks and arrests",
-            date: Date::new(2016, 9, 8),
-            end_date: None,
-            kind: EventKind::Arrests,
-        },
-        InterventionEvent {
-            id: EventId::LizardStresserArrests,
-            name: "Lizardstresser arrests",
-            date: Date::new(2016, 10, 6),
-            end_date: None,
-            kind: EventKind::Arrests,
-        },
-        InterventionEvent {
-            id: EventId::HackForumsClosure,
-            name: "Hackforums shuts down SST section",
-            date: Date::new(2016, 10, 28),
-            end_date: None,
-            kind: EventKind::ForumClosure,
-        },
-        InterventionEvent {
-            id: EventId::InternationalUserAction,
-            name: "International action against users",
-            date: Date::new(2016, 12, 5),
-            end_date: None,
-            kind: EventKind::Arrests,
-        },
-        InterventionEvent {
-            id: EventId::TitaniumSentencing,
-            name: "Titaniumstresser sentencing",
-            date: Date::new(2017, 4, 25),
-            end_date: None,
-            kind: EventKind::Sentencing,
-        },
-        InterventionEvent {
-            id: EventId::NcaAds,
-            name: "NCA Google ads",
-            date: Date::new(2017, 12, 25),
-            end_date: Some(Date::new(2018, 6, 30)),
-            kind: EventKind::Messaging,
-        },
-        InterventionEvent {
-            id: EventId::VdosSentencing,
-            name: "vDOS sentencing",
-            date: Date::new(2017, 12, 19),
-            end_date: None,
-            kind: EventKind::Sentencing,
-        },
-        InterventionEvent {
-            id: EventId::LizardStresserSentencing,
-            name: "Lizardstresser sentenced",
-            date: Date::new(2018, 3, 27),
-            end_date: None,
-            kind: EventKind::Sentencing,
-        },
-        InterventionEvent {
-            id: EventId::DejabooterSentencing,
-            name: "Dejabooter sentenced",
-            date: Date::new(2018, 4, 8),
-            end_date: None,
-            kind: EventKind::Sentencing,
-        },
-        InterventionEvent {
-            id: EventId::WebstresserTakedown,
-            name: "Webstresser takedown",
-            date: Date::new(2018, 4, 24),
-            end_date: None,
-            kind: EventKind::Takedown,
-        },
-        InterventionEvent {
-            id: EventId::MiraiSentencing1,
-            name: "Mirai sentencing 1",
-            date: Date::new(2018, 9, 18),
-            end_date: None,
-            kind: EventKind::Sentencing,
-        },
-        InterventionEvent {
-            id: EventId::MiraiSentencing2,
-            name: "Mirai sentencing 2",
-            date: Date::new(2018, 10, 26),
-            end_date: None,
-            kind: EventKind::Sentencing,
-        },
-        InterventionEvent {
-            id: EventId::Xmas2018,
-            name: "Xmas 2018 event",
-            date: Date::new(2018, 12, 19),
-            end_date: None,
-            kind: EventKind::Takedown,
-        },
-    ]
+pub fn timeline() -> &'static [InterventionEvent] {
+    &TIMELINE
 }
 
-/// Look up one event.
-pub fn event(id: EventId) -> InterventionEvent {
-    timeline()
-        .into_iter()
-        .find(|e| e.id == id)
-        .expect("event in timeline")
+/// Look up one event. The timeline lists the events in [`EventId`]
+/// declaration order, so the id is the index.
+pub fn event(id: EventId) -> &'static InterventionEvent {
+    &TIMELINE[id as usize]
 }
 
 #[cfg(test)]
@@ -206,6 +208,14 @@ mod tests {
                 w[1].name,
                 w[0].name
             );
+        }
+    }
+
+    #[test]
+    fn event_ids_index_the_timeline() {
+        for (i, e) in timeline().iter().enumerate() {
+            assert_eq!(e.id as usize, i, "{}", e.name);
+            assert_eq!(event(e.id), e);
         }
     }
 

@@ -25,6 +25,10 @@ pub struct LifecycleWeek {
 }
 
 /// Population manager.
+///
+/// Invariant: a booter's id is its index in [`Population::booters`].
+/// Booters are only ever appended, with `id == next_id`, and never
+/// removed, so lookups by id index the vector directly.
 #[derive(Debug)]
 pub struct Population {
     booters: Vec<Booter>,
@@ -163,12 +167,18 @@ impl Population {
         id
     }
 
+    /// The booter with `id` (see the id invariant on [`Population`]).
+    fn by_id(&mut self, id: u32) -> &mut Booter {
+        let b = &mut self.booters[id as usize];
+        debug_assert_eq!(b.id, id, "booter ids are their indices");
+        b
+    }
+
     fn kill_id(&mut self, id: u32, week: usize, permanent: bool) -> bool {
-        if let Some(b) = self.booters.iter_mut().find(|b| b.id == id) {
-            if b.is_alive() {
-                b.kill(week, permanent);
-                return true;
-            }
+        let b = self.by_id(id);
+        if b.is_alive() {
+            b.kill(week, permanent);
+            return true;
         }
         false
     }
@@ -216,15 +226,8 @@ impl Population {
                 }
                 // Displacement bonus: the surviving major absorbs most of
                 // the dead majors' market (ends up ~60% of the market).
-                let absorbed: f64 = self
-                    .booters
-                    .iter()
-                    .filter(|b| b.id == m1 || b.id == m2)
-                    .map(|b| b.weight)
-                    .sum();
-                if let Some(surv) = self.booters.iter_mut().find(|b| b.id == m3) {
-                    surv.weight += absorbed * 1.6;
-                }
+                let absorbed = self.by_id(m1).weight + self.by_id(m2).weight;
+                self.by_id(m3).weight += absorbed * 1.6;
                 let victims: Vec<u32> = self
                     .booters
                     .iter()
@@ -239,12 +242,10 @@ impl Population {
                 }
             }
             Some(MarketShock::ReturnOfTheMajor) => {
-                let id = self.returning_major;
-                if let Some(b) = self.booters.iter_mut().find(|b| b.id == id) {
-                    if b.state == BooterState::Dead {
-                        b.resurrect();
-                        tally.resurrections += 1;
-                    }
+                let b = self.by_id(self.returning_major);
+                if b.state == BooterState::Dead {
+                    b.resurrect();
+                    tally.resurrections += 1;
                 }
             }
             None => {}
@@ -265,14 +266,14 @@ impl Population {
         &mut self,
         rng: &mut StdRng,
         week: usize,
-        shocks: &[&ShockKind],
+        shocks: &[ShockKind],
     ) -> LifecycleWeek {
         let mut tally = LifecycleWeek::default();
         // Weight closed by supply cuts earlier in this week's shock list,
         // available for a subsequent `displacement` to absorb.
         let mut closed_weight = 0.0f64;
         for kind in shocks {
-            match **kind {
+            match *kind {
                 ShockKind::SupplyCut { class, count } => {
                     closed_weight += self.supply_cut(class, count as usize, week, &mut tally);
                 }
@@ -342,9 +343,7 @@ impl Population {
             .max_by(|a, b| a.weight.partial_cmp(&b.weight).unwrap().then(b.id.cmp(&a.id)))
             .map(|b| b.id);
         if let Some(id) = winner {
-            if let Some(b) = self.booters.iter_mut().find(|b| b.id == id) {
-                b.weight += extra;
-            }
+            self.by_id(id).weight += extra;
         }
     }
 
@@ -368,46 +367,38 @@ impl Population {
             })
             .map(|b| b.id);
         let Some(id) = candidate else { return false };
-        if let Some(b) = self.booters.iter_mut().find(|b| b.id == id) {
-            b.state = BooterState::Alive;
-            b.weight *= migration;
-            true
-        } else {
-            false
-        }
+        let b = self.by_id(id);
+        b.state = BooterState::Alive;
+        b.weight *= migration;
+        true
     }
 
     /// Baseline churn and discovery sweeps, shared verbatim between
     /// [`Self::step`] and [`Self::step_scenario`] so both consume the
     /// same RNG stream.
     fn churn_and_sweeps(&mut self, rng: &mut StdRng, week: usize, tally: &mut LifecycleWeek) {
-        // Baseline churn.
-        let ids: Vec<(u32, SizeClass, BooterState, Option<usize>)> = self
-            .booters
-            .iter()
-            .map(|b| (b.id, b.size, b.state, b.died_week))
-            .collect();
-        for (id, size, state, died) in ids {
-            match state {
+        // Baseline churn. Each draw touches only its own booter, so the
+        // states read in this pass are the week's opening states.
+        for b in &mut self.booters {
+            match b.state {
                 BooterState::Alive => {
-                    let p = match size {
+                    let p = match b.size {
                         SizeClass::Major => 0.0,
                         SizeClass::Medium => WEEKLY_DEATH_PROB_MEDIUM,
                         SizeClass::Small => WEEKLY_DEATH_PROB_SMALL,
                     };
-                    if rng.gen::<f64>() < p && self.kill_id(id, week, false) {
+                    if rng.gen::<f64>() < p {
+                        b.kill(week, false);
                         tally.deaths += 1;
                     }
                 }
                 BooterState::Dead => {
                     // Resurrection chance decays with time dead.
-                    let age = week.saturating_sub(died.unwrap_or(week));
+                    let age = week.saturating_sub(b.died_week.unwrap_or(week));
                     let p = WEEKLY_RESURRECT_PROB * (0.8f64).powi(age as i32);
                     if rng.gen::<f64>() < p {
-                        if let Some(b) = self.booters.iter_mut().find(|b| b.id == id) {
-                            b.resurrect();
-                            tally.resurrections += 1;
-                        }
+                        b.resurrect();
+                        tally.resurrections += 1;
                     }
                 }
                 BooterState::Retired => {}
@@ -617,7 +608,7 @@ mod tests {
             count: 1,
         };
         let disp = ShockKind::Displacement { absorb: 0.5 };
-        let t = p.step_scenario(&mut r, 10, &[&cut, &disp]);
+        let t = p.step_scenario(&mut r, 10, &[cut, disp]);
         assert!(t.deaths >= 1);
         let w = p.booters().iter().find(|b| b.id == web).unwrap();
         assert_eq!(w.state, BooterState::Retired);
@@ -643,10 +634,10 @@ mod tests {
             class: ClassSel::Major,
             count: 1,
         };
-        p.step_scenario(&mut r, 10, &[&cut]);
+        p.step_scenario(&mut r, 10, &[cut]);
         let dead_weight = p.booters().iter().find(|b| b.id == web).unwrap().weight;
         let reb = ShockKind::Rebrand { migration: 0.7 };
-        let t = p.step_scenario(&mut r, 14, &[&reb]);
+        let t = p.step_scenario(&mut r, 14, &[reb]);
         assert!(t.resurrections >= 1);
         let b = p.booters().iter().find(|b| b.id == web).unwrap();
         assert!(b.is_alive(), "rebrand must revive a Retired record");

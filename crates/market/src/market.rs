@@ -8,9 +8,8 @@
 
 use crate::booter::BooterState;
 use crate::calibration::Calibration;
-use crate::demand::{country_log_intensity, scenario_log_intensity};
+use crate::demand::DemandPlan;
 use crate::lifecycle::{LifecycleWeek, MarketShock, Population};
-use crate::protocol_mix::protocol_weights;
 use crate::shocks::ScenarioSpec;
 use booters_netsim::Country;
 use booters_stats::dist::{standard_normal_sample, NegativeBinomial, Poisson};
@@ -86,6 +85,8 @@ pub struct WeekOutput {
 #[derive(Debug)]
 pub struct MarketSim {
     config: MarketConfig,
+    /// The calibration and scenario, compiled once for stepping.
+    plan: DemandPlan,
     rng: StdRng,
     population: Population,
     week: usize,
@@ -100,8 +101,10 @@ impl MarketSim {
         let population = Population::new(&mut rng);
         let monday = config.calibration.scenario_start.week_start();
         let end = config.calibration.scenario_end.week_start();
+        let plan = DemandPlan::new(&config.calibration, config.scenario.as_ref());
         MarketSim {
             config,
+            plan,
             rng,
             population,
             week: 0,
@@ -148,30 +151,27 @@ impl MarketSim {
         let cal = &self.config.calibration;
 
         // 1. Population dynamics and shocks. Scenario runs swap both the
-        // structural-shock source and the demand model; the `None` arm is
-        // the paper's hard-wired history, untouched so its RNG stream and
-        // float-op order (and therefore every existing golden) stay
-        // byte-identical.
-        let lifecycle = match &self.config.scenario {
+        // structural-shock source and the demand model; both arms consume
+        // the same RNG stream (DESIGN.md §5j).
+        let lifecycle = match self.plan.shocks() {
             None => {
                 let shock = self.shock_for(monday);
                 self.population.step(&mut self.rng, self.week, shock)
             }
-            Some(spec) => {
-                let shocks = spec.structural_for(monday);
-                self.population.step_scenario(&mut self.rng, self.week, &shocks)
+            Some(shocks) => {
+                let structural = shocks.structural_for(monday.to_days());
+                self.population
+                    .step_scenario(&mut self.rng, self.week, structural)
             }
         };
 
         // 2. Per-country counts from the calibrated NB2 model.
+        let week = self.plan.week(monday);
         let mut country_counts = [0u64; 12];
         let mut country_protocol = [[0u64; 10]; 12];
         let mut protocol_counts = [0u64; 10];
         for &country in Country::ALL.iter() {
-            let log_mu = match &self.config.scenario {
-                None => country_log_intensity(cal, country, monday),
-                Some(spec) => scenario_log_intensity(cal, spec, country, monday),
-            };
+            let log_mu = self.plan.log_intensity(country, &week);
             let mu = log_mu.exp() * self.config.scale;
             let count = if mu < 0.5 {
                 0
@@ -181,8 +181,7 @@ impl MarketSim {
             country_counts[country.index()] = count;
 
             // 3. Protocol decomposition.
-            let weights = protocol_weights(cal, country, monday);
-            let split = sample_multinomial(&mut self.rng, count, &weights);
+            let split = sample_multinomial(&mut self.rng, count, week.protocol_weights(country));
             for (i, &n) in split.iter().enumerate() {
                 country_protocol[country.index()][i] = n;
                 protocol_counts[i] += n;

@@ -19,27 +19,48 @@ fn logistic(weeks: f64, mid: f64, scale: f64) -> f64 {
     1.0 / (1.0 + (-(weeks - mid) / scale).exp())
 }
 
-/// Unnormalised base popularity of a protocol at `monday` for attacks on
-/// `country`.
-fn base_weight(protocol: UdpProtocol, country: Country, monday: Date) -> f64 {
-    // Weeks since the start of 2017, the LDAP inflection era.
-    let w = monday.days_since(Date::new(2017, 1, 2)) as f64 / 7.0;
+/// The week's protocol-era curves, shared by every country: the logistic
+/// terms of weeks since the start of 2017, the LDAP inflection era.
+struct EraCurves {
+    ldap: f64,
+    ldap_cn: f64,
+    ntp: f64,
+    chargen: f64,
+    qotd: f64,
+}
+
+impl EraCurves {
+    fn new(monday: i64) -> EraCurves {
+        let w = (monday - Date::new(2017, 1, 2).to_days()) as f64 / 7.0;
+        EraCurves {
+            ldap: logistic(w, 26.0, 10.0),
+            ldap_cn: logistic(w, 52.0, 10.0),
+            ntp: logistic(w, 20.0, 12.0),
+            chargen: logistic(w, 6.0, 10.0),
+            qotd: logistic(w, -60.0, 10.0),
+        }
+    }
+}
+
+/// Unnormalised base popularity of a protocol for attacks on `country`,
+/// in the week of `era`.
+fn base_weight(protocol: UdpProtocol, country: Country, era: &EraCurves) -> f64 {
     let cn = country == Country::Cn;
     let uk = country == Country::Uk;
     match protocol {
         UdpProtocol::Ldap => {
             // Rise from ~0 to dominance across 2017–2018; CN six months
             // later; UK converges to almost-entirely-LDAP.
-            let mid = if cn { 52.0 } else { 26.0 };
+            let rise = if cn { era.ldap_cn } else { era.ldap };
             let ceiling = if uk { 1.6 } else { 0.9 };
-            0.02 + ceiling * logistic(w, mid, 10.0)
+            0.02 + ceiling * rise
         }
         UdpProtocol::Ntp => {
             // Strong early, fading as LDAP replaces it (fastest in CN).
             let floor = if cn { 0.25 } else { 0.18 };
-            floor + 0.25 * (1.0 - logistic(w, 20.0, 12.0))
+            floor + 0.25 * (1.0 - era.ntp)
         }
-        UdpProtocol::Chargen => 0.04 + 0.22 * (1.0 - logistic(w, 6.0, 10.0)),
+        UdpProtocol::Chargen => 0.04 + 0.22 * (1.0 - era.chargen),
         UdpProtocol::Dns => {
             if cn {
                 0.0 // Great Firewall blocks DNS
@@ -63,65 +84,111 @@ fn base_weight(protocol: UdpProtocol, country: Country, monday: Date) -> f64 {
                 0.06
             }
         }
-        UdpProtocol::Qotd => 0.015 + 0.02 * (1.0 - logistic(w, -60.0, 10.0)),
+        UdpProtocol::Qotd => 0.015 + 0.02 * (1.0 - era.qotd),
         UdpProtocol::Time => 0.01,
         UdpProtocol::Mdns => 0.02,
         UdpProtocol::Mssql => 0.025,
     }
 }
 
-/// Multiplicative dip applied to a protocol during an intervention window —
-/// the §4.2 observation that post-intervention drops are protocol-specific.
-fn intervention_dip(cal: &Calibration, protocol: UdpProtocol, monday: Date) -> f64 {
-    let mut dip = 1.0;
-    let in_window = |id: EventId, extra_weeks: i64| -> bool {
-        if let Some(ic) = cal.intervention(id) {
-            let date = events::event(id).date.week_start();
-            let start = date.add_days(7 * ic.overall.delay_weeks as i64);
-            let end = start.add_days(7 * (ic.overall.duration_weeks as i64 + extra_weeks));
-            monday >= start && monday < end
-        } else {
-            false
-        }
-    };
-    if in_window(EventId::HackForumsClosure, 0) {
-        match protocol {
-            UdpProtocol::Chargen => dip *= 0.35,
-            UdpProtocol::Ntp => dip *= 0.55,
-            _ => {}
-        }
-    }
-    if in_window(EventId::WebstresserTakedown, 0) {
-        match protocol {
-            UdpProtocol::Dns => dip *= 0.45,
-            UdpProtocol::Ldap => dip *= 0.90,
-            _ => {}
-        }
-    }
-    if in_window(EventId::Xmas2018, 0) {
-        match protocol {
-            UdpProtocol::Ldap => dip *= 0.55,
-            UdpProtocol::Dns => dip *= 0.80,
-            _ => {}
+/// The three intervention windows whose protocol-specific dips §4.2
+/// describes (HackForums, Webstresser, Xmas2018 at their overall delay
+/// and duration), as `[start, end)` Monday day numbers; `None` when the
+/// calibration drops the intervention.
+#[derive(Debug, Clone)]
+pub(crate) struct ProtocolDips {
+    windows: [Option<(i64, i64)>; 3],
+}
+
+impl ProtocolDips {
+    /// Resolve the dip windows of `cal`.
+    pub(crate) fn new(cal: &Calibration) -> ProtocolDips {
+        let window = |id: EventId| {
+            cal.intervention(id).map(|ic| {
+                let date = events::event(id).date.week_start();
+                let start = date.add_days(7 * ic.overall.delay_weeks as i64);
+                let end = start.add_days(7 * ic.overall.duration_weeks as i64);
+                (start.to_days(), end.to_days())
+            })
+        };
+        ProtocolDips {
+            windows: [
+                window(EventId::HackForumsClosure),
+                window(EventId::WebstresserTakedown),
+                window(EventId::Xmas2018),
+            ],
         }
     }
-    dip
+
+    /// Multiplicative dip per protocol (by `UdpProtocol::index`) in the
+    /// week whose Monday is day number `monday` — the §4.2 observation
+    /// that post-intervention drops are protocol-specific.
+    fn dips(&self, monday: i64) -> [f64; 10] {
+        let mut dip = [1.0; 10];
+        let [hackforums, webstresser, xmas] = self
+            .windows
+            .map(|w| w.is_some_and(|(start, end)| monday >= start && monday < end));
+        let mut scale = |p: UdpProtocol, by: f64| dip[p.index()] *= by;
+        if hackforums {
+            scale(UdpProtocol::Chargen, 0.35);
+            scale(UdpProtocol::Ntp, 0.55);
+        }
+        if webstresser {
+            scale(UdpProtocol::Dns, 0.45);
+            scale(UdpProtocol::Ldap, 0.90);
+        }
+        if xmas {
+            scale(UdpProtocol::Ldap, 0.55);
+            scale(UdpProtocol::Dns, 0.80);
+        }
+        dip
+    }
+
+    /// Normalised protocol weights of one week for each country (see
+    /// [`ProtocolWeek::weights`]).
+    pub(crate) fn week(&self, monday: i64) -> ProtocolWeek {
+        let era = EraCurves::new(monday);
+        let dip = self.dips(monday);
+        ProtocolWeek {
+            by_country: Country::ALL.map(|country| {
+                let mut w = [0.0; 10];
+                for (i, &p) in UdpProtocol::ALL.iter().enumerate() {
+                    w[i] = base_weight(p, country, &era) * dip[i];
+                }
+                let total: f64 = w.iter().sum();
+                if total > 0.0 {
+                    for v in &mut w {
+                        *v /= total;
+                    }
+                }
+                w
+            }),
+        }
+    }
+}
+
+/// One week's normalised protocol weights, computed once and shared by
+/// every country.
+#[derive(Debug, Clone)]
+pub(crate) struct ProtocolWeek {
+    /// By `Country::index`.
+    by_country: [[f64; 10]; 12],
+}
+
+impl ProtocolWeek {
+    /// Normalised weights (by `UdpProtocol::index`) for attacks on
+    /// `country`. Sums to 1.
+    pub(crate) fn weights(&self, country: Country) -> &[f64; 10] {
+        &self.by_country[country.index()]
+    }
 }
 
 /// Normalised protocol weights for attacks on `country` in the week of
 /// `monday`. Sums to 1.
 pub fn protocol_weights(cal: &Calibration, country: Country, monday: Date) -> [f64; 10] {
-    let mut w = [0.0; 10];
-    for (i, &p) in UdpProtocol::ALL.iter().enumerate() {
-        w[i] = base_weight(p, country, monday) * intervention_dip(cal, p, monday);
-    }
-    let total: f64 = w.iter().sum();
-    if total > 0.0 {
-        for v in &mut w {
-            *v /= total;
-        }
-    }
-    w
+    *ProtocolDips::new(cal)
+        .week(monday.to_days())
+        .weights(country)
 }
 
 /// Weight of one protocol (convenience accessor).

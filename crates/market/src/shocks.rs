@@ -246,82 +246,7 @@ impl ScenarioSpec {
     /// starting at `monday` (which must be a Monday). Structural shocks
     /// contribute nothing here — they act through the population.
     pub fn log_demand_delta(&self, country: Country, monday: Date) -> f64 {
-        let mut delta = 0.0;
-        for shock in &self.shocks {
-            let onset = shock.date.week_start();
-            let weeks = monday.days_since(onset) as f64 / 7.0;
-            if weeks < 0.0 {
-                continue;
-            }
-            let w = weeks as u32;
-            delta += match shock.kind {
-                ShockKind::DemandShift {
-                    pct,
-                    delay_weeks,
-                    duration_weeks,
-                } => {
-                    if w >= delay_weeks && w < delay_weeks + duration_weeks {
-                        log_coef(pct)
-                    } else {
-                        0.0
-                    }
-                }
-                ShockKind::Reprisal {
-                    country: c,
-                    pct,
-                    duration_weeks,
-                } => {
-                    if c == country && w < duration_weeks {
-                        log_coef(pct)
-                    } else {
-                        0.0
-                    }
-                }
-                ShockKind::DomainSeizure {
-                    pct,
-                    recovery,
-                    lag_weeks,
-                    duration_weeks,
-                    ..
-                } => {
-                    if w < lag_weeks {
-                        log_coef(pct)
-                    } else if w < duration_weeks {
-                        log_coef(pct * (1.0 - recovery))
-                    } else {
-                        0.0
-                    }
-                }
-                ShockKind::PaymentFriction {
-                    pct,
-                    duration_weeks,
-                } => {
-                    if w < duration_weeks {
-                        log_coef(pct)
-                    } else {
-                        0.0
-                    }
-                }
-                ShockKind::Deterrence {
-                    pct,
-                    half_life_weeks,
-                } => log_coef(pct) * (-(w as f64) / half_life_weeks).exp2(),
-                ShockKind::SupplyCut { .. }
-                | ShockKind::Displacement { .. }
-                | ShockKind::Rebrand { .. } => 0.0,
-            };
-        }
-        delta
-    }
-
-    /// Structural shock kinds landing in the week starting at `monday`,
-    /// in spec order.
-    pub fn structural_for(&self, monday: Date) -> Vec<&ShockKind> {
-        self.shocks
-            .iter()
-            .filter(|s| !s.kind.is_demand_side() && s.date.week_start() == monday)
-            .map(|s| &s.kind)
-            .collect()
+        ShockPlan::new(self).log_demand_delta(country, monday.to_days())
     }
 
     /// Intervention windows for the analysis pipeline: one dummy per
@@ -440,6 +365,114 @@ impl ScenarioSpec {
     }
 }
 
+/// A spec compiled for stepping: every shock's onset week resolved once
+/// to its Monday's day number ([`Date::to_days`]). Demand-side shocks
+/// keep spec order; structural shocks are grouped by onset week, in spec
+/// order within a week.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ShockPlan {
+    demand: Vec<(i64, ShockKind)>,
+    structural: Vec<(i64, Vec<ShockKind>)>,
+}
+
+impl ShockPlan {
+    /// Compile `spec`.
+    pub(crate) fn new(spec: &ScenarioSpec) -> ShockPlan {
+        let mut plan = ShockPlan::default();
+        for shock in &spec.shocks {
+            let onset = shock.date.week_start().to_days();
+            let kind = shock.kind.clone();
+            if kind.is_demand_side() {
+                plan.demand.push((onset, kind));
+            } else if let Some((_, kinds)) = plan.structural.iter_mut().find(|(d, _)| *d == onset) {
+                kinds.push(kind);
+            } else {
+                plan.structural.push((onset, vec![kind]));
+            }
+        }
+        plan
+    }
+
+    /// [`ScenarioSpec::log_demand_delta`] for the week whose Monday is
+    /// day number `monday`.
+    pub(crate) fn log_demand_delta(&self, country: Country, monday: i64) -> f64 {
+        let mut delta = 0.0;
+        for (onset, kind) in &self.demand {
+            let weeks = (monday - onset) as f64 / 7.0;
+            if weeks < 0.0 {
+                continue;
+            }
+            let w = weeks as u32;
+            delta += match *kind {
+                ShockKind::DemandShift {
+                    pct,
+                    delay_weeks,
+                    duration_weeks,
+                } => {
+                    if w >= delay_weeks && w < delay_weeks + duration_weeks {
+                        log_coef(pct)
+                    } else {
+                        0.0
+                    }
+                }
+                ShockKind::Reprisal {
+                    country: c,
+                    pct,
+                    duration_weeks,
+                } => {
+                    if c == country && w < duration_weeks {
+                        log_coef(pct)
+                    } else {
+                        0.0
+                    }
+                }
+                ShockKind::DomainSeizure {
+                    pct,
+                    recovery,
+                    lag_weeks,
+                    duration_weeks,
+                    ..
+                } => {
+                    if w < lag_weeks {
+                        log_coef(pct)
+                    } else if w < duration_weeks {
+                        log_coef(pct * (1.0 - recovery))
+                    } else {
+                        0.0
+                    }
+                }
+                ShockKind::PaymentFriction {
+                    pct,
+                    duration_weeks,
+                } => {
+                    if w < duration_weeks {
+                        log_coef(pct)
+                    } else {
+                        0.0
+                    }
+                }
+                ShockKind::Deterrence {
+                    pct,
+                    half_life_weeks,
+                } => log_coef(pct) * (-(w as f64) / half_life_weeks).exp2(),
+                ShockKind::SupplyCut { .. }
+                | ShockKind::Displacement { .. }
+                | ShockKind::Rebrand { .. } => 0.0,
+            };
+        }
+        delta
+    }
+
+    /// Structural shock kinds landing in the week whose Monday is day
+    /// number `monday`, in spec order.
+    pub(crate) fn structural_for(&self, monday: i64) -> &[ShockKind] {
+        self.structural
+            .iter()
+            .find(|(d, _)| *d == monday)
+            .map_or(&[], |(_, kinds)| kinds)
+    }
+}
+
 /// Log-scale coefficient of a percentage change: `ln(1 + pct/100)`.
 fn log_coef(pct: f64) -> f64 {
     (1.0 + pct / 100.0).ln()
@@ -535,7 +568,7 @@ mod tests {
             let s = spec_with(kind);
             let onset = Date::new(2018, 1, 10).week_start();
             assert_eq!(s.log_demand_delta(Country::Us, onset), 0.0);
-            assert_eq!(s.structural_for(onset).len(), 1);
+            assert_eq!(ShockPlan::new(&s).structural_for(onset.to_days()).len(), 1);
             assert!(s.windows().is_empty());
         }
     }

@@ -125,19 +125,25 @@ pub fn spearman(xs: &[f64], ys: &[f64]) -> f64 {
 
 /// Lag-k sample autocorrelation (denominator n, standard Box–Jenkins form).
 pub fn autocorrelation(xs: &[f64], lag: usize) -> f64 {
+    autocorrelations(xs, lag..=lag).next().unwrap_or(f64::NAN)
+}
+
+/// [`autocorrelation`] at each lag in `lags`, with the mean and the
+/// denominator computed once.
+pub fn autocorrelations(
+    xs: &[f64],
+    lags: std::ops::RangeInclusive<usize>,
+) -> impl Iterator<Item = f64> + '_ {
     let n = xs.len();
-    if lag >= n {
-        return f64::NAN;
-    }
     let m = mean(xs);
     let denom: f64 = xs.iter().map(|x| (x - m) * (x - m)).sum();
-    if denom == 0.0 {
-        return f64::NAN;
-    }
-    let num: f64 = (0..n - lag)
-        .map(|i| (xs[i] - m) * (xs[i + lag] - m))
-        .sum();
-    num / denom
+    lags.map(move |lag| {
+        if lag >= n || denom == 0.0 {
+            return f64::NAN;
+        }
+        let num: f64 = (0..n - lag).map(|i| (xs[i] - m) * (xs[i + lag] - m)).sum();
+        num / denom
+    })
 }
 
 /// Quantile of a sample via linear interpolation (type-7, the R default).

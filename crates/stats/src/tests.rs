@@ -37,14 +37,12 @@ impl TestResult {
     }
 }
 
-/// Ordinary least squares of `y` on a design with intercept prepended,
-/// returning fitted values and residuals. Internal helper for [`white_test`].
-fn ols_fit(design: &Matrix, y: &[f64]) -> Option<(Vec<f64>, Vec<f64>)> {
-    let qr = Qr::new(design).ok()?;
-    let beta = qr.solve(y).ok()?;
+/// Residuals of the least-squares fit of `y` on `design`, the first `k`
+/// columns of the matrix `qr` factors. Internal helper for [`white_test`].
+fn ols_residuals(design: &Matrix, qr: &Qr, k: usize, y: &[f64]) -> Option<Vec<f64>> {
+    let beta = qr.solve_leading(y, k).ok()?;
     let fitted = design.matvec(&beta).ok()?;
-    let resid: Vec<f64> = y.iter().zip(&fitted).map(|(a, b)| a - b).collect();
-    Some((fitted, resid))
+    Some(y.iter().zip(&fitted).map(|(a, b)| a - b).collect())
 }
 
 /// R² of a regression of `y` given residuals `resid`.
@@ -71,27 +69,22 @@ pub fn white_test(x: &[f64], y: &[f64]) -> Option<TestResult> {
     if n != y.len() || n < 5 {
         return None;
     }
-    let ones = vec![1.0; n];
-    let design = {
-        let mut m = Matrix::zeros(n, 2);
-        for i in 0..n {
-            m[(i, 0)] = ones[i];
-            m[(i, 1)] = x[i];
-        }
-        m
-    };
-    let (_, resid) = ols_fit(&design, y)?;
+    // The main design (1, x) is the leading two columns of the auxiliary
+    // one (1, x, x²), whose factorisation therefore serves both
+    // regressions (`Qr::solve_leading`).
+    let mut main = Matrix::zeros(n, 2);
+    let mut aux = Matrix::zeros(n, 3);
+    for (i, &xi) in x.iter().enumerate() {
+        main[(i, 0)] = 1.0;
+        main[(i, 1)] = xi;
+        aux[(i, 0)] = 1.0;
+        aux[(i, 1)] = xi;
+        aux[(i, 2)] = xi * xi;
+    }
+    let qr = Qr::new(&aux).ok()?;
+    let resid = ols_residuals(&main, &qr, 2, y)?;
     let e2: Vec<f64> = resid.iter().map(|e| e * e).collect();
-    let aux = {
-        let mut m = Matrix::zeros(n, 3);
-        for i in 0..n {
-            m[(i, 0)] = 1.0;
-            m[(i, 1)] = x[i];
-            m[(i, 2)] = x[i] * x[i];
-        }
-        m
-    };
-    let (_, aux_resid) = ols_fit(&aux, &e2)?;
+    let aux_resid = ols_residuals(&aux, &qr, 3, &e2)?;
     let r2 = r_squared(&e2, &aux_resid);
     let stat = n as f64 * r2.max(0.0);
     let df = 2.0;
@@ -122,7 +115,7 @@ pub fn white_test_general(design_cols: &[Vec<f64>], y: &[f64]) -> Option<TestRes
             main[(i, j + 1)] = c[i];
         }
     }
-    let (_, resid) = ols_fit(&main, y)?;
+    let resid = ols_residuals(&main, &Qr::new(&main).ok()?, k + 1, y)?;
     let e2: Vec<f64> = resid.iter().map(|e| e * e).collect();
     // Auxiliary columns: levels, squares, cross products.
     let mut aux_cols: Vec<Vec<f64>> = Vec::new();
@@ -143,7 +136,7 @@ pub fn white_test_general(design_cols: &[Vec<f64>], y: &[f64]) -> Option<TestRes
             aux[(i, j + 1)] = c[i];
         }
     }
-    let (_, aux_resid) = ols_fit(&aux, &e2)?;
+    let aux_resid = ols_residuals(&aux, &Qr::new(&aux).ok()?, p + 1, &e2)?;
     let r2 = r_squared(&e2, &aux_resid);
     let stat = n as f64 * r2.max(0.0);
     let df = p as f64;
@@ -233,8 +226,7 @@ pub fn ljung_box(xs: &[f64], lags: usize) -> Option<TestResult> {
     }
     let nf = n as f64;
     let mut q = 0.0;
-    for k in 1..=lags {
-        let r = crate::describe::autocorrelation(xs, k);
+    for (k, r) in (1..=lags).zip(crate::describe::autocorrelations(xs, 1..=lags)) {
         if !r.is_finite() {
             return None;
         }

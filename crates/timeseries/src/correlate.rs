@@ -41,20 +41,20 @@ impl CorrelationTable {
 
     /// Render as an aligned text table (the repro of Figure 4's data).
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("{:>6}", ""));
+        use std::fmt::Write as _;
+        let mut out = format!("{:>6}", "");
         for l in &self.labels {
-            out.push_str(&format!("{l:>7}"));
+            let _ = write!(out, "{l:>7}");
         }
         out.push('\n');
         for (i, l) in self.labels.iter().enumerate() {
-            out.push_str(&format!("{l:>6}"));
+            let _ = write!(out, "{l:>6}");
             for j in 0..self.labels.len() {
                 let v = self.matrix[i][j];
                 if v.is_nan() {
                     out.push_str("    nan");
                 } else {
-                    out.push_str(&format!("{v:>7.2}"));
+                    let _ = write!(out, "{v:>7.2}");
                 }
             }
             out.push('\n');

@@ -54,12 +54,13 @@ pub struct Date {
 }
 
 impl Date {
-    /// Construct a date; panics on invalid month/day combinations.
-    pub fn new(year: i32, month: u8, day: u8) -> Date {
-        assert!((1..=12).contains(&month), "invalid month {month}");
+    /// Construct a date; panics on invalid month/day combinations. A
+    /// `const fn`, so fixed dates can live in static tables.
+    pub const fn new(year: i32, month: u8, day: u8) -> Date {
+        assert!(month >= 1 && month <= 12, "invalid month");
         assert!(
             day >= 1 && day <= days_in_month(year, month),
-            "invalid day {day} for {year}-{month:02}"
+            "invalid day for the year and month"
         );
         Date { year, month, day }
     }
@@ -133,18 +134,38 @@ impl Date {
 }
 
 impl fmt::Display for Date {
+    /// ISO `YYYY-MM-DD`. Four-digit years, every year a report shows,
+    /// are written from a byte buffer: the renderers print a date per
+    /// row, and the general formatter was a large share of their cost.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:04}-{:02}-{:02}", self.year, self.month, self.day)
+        if !(0..=9999).contains(&self.year) {
+            return write!(f, "{:04}-{:02}-{:02}", self.year, self.month, self.day);
+        }
+        let digit = |n: u32, place: u32| b'0' + (n / place % 10) as u8;
+        let (y, m, d) = (self.year as u32, self.month as u32, self.day as u32);
+        let buf = [
+            digit(y, 1000),
+            digit(y, 100),
+            digit(y, 10),
+            digit(y, 1),
+            b'-',
+            digit(m, 10),
+            digit(m, 1),
+            b'-',
+            digit(d, 10),
+            digit(d, 1),
+        ];
+        f.write_str(std::str::from_utf8(&buf).expect("ASCII digits"))
     }
 }
 
 /// True for Gregorian leap years.
-pub fn is_leap(year: i32) -> bool {
+pub const fn is_leap(year: i32) -> bool {
     year % 4 == 0 && (year % 100 != 0 || year % 400 == 0)
 }
 
 /// Number of days in the given month.
-pub fn days_in_month(year: i32, month: u8) -> u8 {
+pub const fn days_in_month(year: i32, month: u8) -> u8 {
     match month {
         1 | 3 | 5 | 7 | 8 | 10 | 12 => 31,
         4 | 6 | 9 | 11 => 30,
@@ -155,7 +176,7 @@ pub fn days_in_month(year: i32, month: u8) -> u8 {
                 28
             }
         }
-        _ => panic!("invalid month {month}"),
+        _ => panic!("invalid month"),
     }
 }
 
@@ -242,6 +263,25 @@ mod tests {
         assert_eq!(m.week_start(), m);
         // Sunday maps back 6 days.
         assert_eq!(Date::new(2018, 12, 23).week_start(), m);
+    }
+
+    #[test]
+    fn display_is_zero_padded_iso() {
+        let general = |d: Date| format!("{:04}-{:02}-{:02}", d.year(), d.month(), d.day());
+        let mut d = Date::new(1999, 12, 1);
+        while d < Date::new(2031, 2, 1) {
+            assert_eq!(d.to_string(), general(d));
+            d = d.add_days(1);
+        }
+        for d in [
+            Date::new(7, 3, 9),
+            Date::new(9999, 12, 31),
+            Date::new(10_000, 1, 1),
+            Date::new(-44, 3, 15),
+        ] {
+            assert_eq!(d.to_string(), general(d));
+        }
+        assert_eq!(Date::new(2018, 4, 24).to_string(), "2018-04-24");
     }
 
     #[test]

@@ -177,10 +177,11 @@ rm -f out/table1.nocache.txt out/table2.nocache.txt
 # simulate, observe, refit — and writes the cross-scenario comparison
 # artifacts. Those must be byte-identical across thread counts and with
 # the scalar kernel oracles in charge; the scenario_suite golden test
-# pins the same contract in-process, and the scn parser tests pin the
-# DSL round-trip and diagnostics.
-echo "==> scenario goldens (offline, scn parser + suite byte-identity)"
-cargo test -q --offline --test scenario_suite
+# pins the same contract in-process, the market_golden test pins every
+# market week of the paper run and of each scenario's run, and the scn
+# parser tests pin the DSL round-trip and diagnostics.
+echo "==> scenario goldens (offline, scn parser + market + suite byte-identity)"
+cargo test -q --offline --test scenario_suite --test market_golden
 cargo test -q --offline -p booters-market --test scn
 echo "==> repro_scenarios artifact diff (threads 1/4 x fast/scalar, offline, scale 0.02)"
 cargo run --release --offline -p booters-core --bin repro_scenarios -- 0.02 >/dev/null
