@@ -1,9 +1,17 @@
 //! Netsim benchmarks: packet generation, flow grouping throughput, and
 //! the fast observation path.
+//!
+//! Run with `BENCH_JSON=BENCH_netsim.json cargo bench --offline -p
+//! booters-bench --bench bench_netsim` to append to the recorded
+//! baseline.
 
 use booters_netsim::flow::{classify_flows, FlowGrouper};
-use booters_netsim::{AttackCommand, Engine, EngineConfig, SensorPacket, UdpProtocol, VictimAddr};
+use booters_netsim::{
+    group_flows_par, AttackCommand, Engine, EngineConfig, SensorPacket, UdpProtocol, VictimAddr,
+    VictimKey,
+};
 use booters_testkit::bench::{Criterion, Throughput};
+use booters_testkit::rng::SplitMix64;
 use booters_testkit::{bench_group, bench_main};
 use std::hint::black_box;
 
@@ -74,6 +82,50 @@ fn bench_flow_grouping(c: &mut Criterion) {
     group.finish();
 }
 
+/// One `full_packets` week's commands: four attacks (the workload
+/// averages ~3.6 a week) drawn like `commands_for_week` draws them —
+/// uniform start in the week, 55% under five minutes with a tail to 30,
+/// 10k–100k packets per second — one of them from an avoiding booter.
+fn full_packets_week() -> Vec<AttackCommand> {
+    let mut rng = SplitMix64::new(0xF011_9AC4);
+    (0..4u32)
+        .map(|i| {
+            let r = rng.next_u64();
+            let duration_secs = if r % 100 < 55 {
+                30 + (r >> 8) as u32 % 270
+            } else {
+                300 + (r >> 8) as u32 % 1_500
+            };
+            AttackCommand {
+                time: 100 * 604_800 + (r >> 24) % 604_800,
+                victim: VictimAddr::from_octets(25, 6, (r >> 48) as u8, (r >> 56) as u8),
+                protocol: UdpProtocol::ALL[(r >> 40) as usize % UdpProtocol::ALL.len()],
+                duration_secs,
+                packets_per_second: 10_000 + (r >> 20) as u32 % 90_000,
+                booter: 7 + i,
+                avoids_honeypots: i == 3,
+            }
+        })
+        .collect()
+}
+
+fn bench_full_packets_week(c: &mut Criterion) {
+    let cmds = full_packets_week();
+    let packets = Engine::new(EngineConfig::default()).simulate_attacks_batch(&cmds);
+    let mut group = c.benchmark_group("netsim");
+    group.throughput(Throughput::Elements(packets.len() as u64));
+    group.bench_function("simulate_attacks_batch_week", |b| {
+        b.iter_with_setup(
+            || Engine::new(EngineConfig::default()),
+            |mut engine| black_box(engine.simulate_attacks_batch(&cmds).len()),
+        )
+    });
+    group.bench_function("group_flows_week", |b| {
+        b.iter(|| black_box(group_flows_par(&packets, VictimKey::ByIp).len()))
+    });
+    group.finish();
+}
+
 fn bench_attribution(c: &mut Criterion) {
     use booters_netsim::attribution::{FlowFeatures, KnnAttributor};
     let mut engine = Engine::new(EngineConfig::default());
@@ -105,6 +157,7 @@ bench_group!(
     bench_would_observe,
     bench_packet_generation,
     bench_flow_grouping,
+    bench_full_packets_week,
     bench_attribution
 );
 bench_main!(benches);

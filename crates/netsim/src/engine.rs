@@ -23,10 +23,12 @@ use crate::packet::SensorPacket;
 use crate::protocol::UdpProtocol;
 use crate::attribution::BooterFingerprint;
 use crate::reflector::{SensorConfig, SensorFleet};
-use crate::scanner::{run_scan, ReflectorList, ScannerKind};
+use crate::scanner::{run_scan, ScannerKind};
 use booters_testkit::rngs::StdRng;
 use booters_testkit::{Rng, SeedableRng};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One attack ordered from a booter (produced by `booters-market`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,10 +89,58 @@ impl Default for EngineConfig {
     }
 }
 
+/// A booter's current reflector list for one protocol. The honeypot ids
+/// are shared, so a batch hands each command its list without copying
+/// it — and an earlier command keeps its list even if a later command of
+/// the same batch triggers a rescan.
 #[derive(Debug, Clone)]
 struct ListState {
-    list: ReflectorList,
+    honeypots: Arc<[u32]>,
+    real_reflectors: usize,
     refreshed_at: u64,
+}
+
+impl ListState {
+    /// Expected packets landing on each honeypot in the booter's working
+    /// set. Honeypots are always in the working set (they answer every
+    /// probe and never go offline); real reflectors fill the remainder up
+    /// to the configured working-set size.
+    fn per_honeypot_packets(&self, cmd: &AttackCommand, working_set: usize) -> u64 {
+        let total = cmd.packets_per_second as u64 * cmd.duration_secs as u64;
+        let hp = self.honeypots.len();
+        let real = self.real_reflectors.min(working_set.saturating_sub(hp));
+        let reflectors = (hp + real).max(1) as u64;
+        total / reflectors
+    }
+
+    /// Packets logged per honeypot for `cmd`: the expected count, capped.
+    fn logged_per_sensor(&self, cmd: &AttackCommand, config: &EngineConfig) -> u32 {
+        self.per_honeypot_packets(cmd, config.working_set)
+            .min(config.packet_log_cap as u64) as u32
+    }
+}
+
+/// Scan for a booter's reflector list. Avoiding booters fingerprint the
+/// fleet: with probability 1−leak the scan filters every honeypot out,
+/// so per-attack coverage for these booters ≈ the leak rate (vDOS'
+/// 'SUDP' was seen at 9%).
+fn scan_list(
+    config: &EngineConfig,
+    sensors: u32,
+    protocol: UdpProtocol,
+    avoids: bool,
+    now: u64,
+    rng: &mut StdRng,
+) -> ListState {
+    let mut list = run_scan(protocol, ScannerKind::Booter, config.scan_effort, sensors, rng);
+    if avoids && rng.gen::<f64>() >= config.avoidance_leak {
+        list.honeypots.clear();
+    }
+    ListState {
+        honeypots: list.honeypots.into(),
+        real_reflectors: list.real_reflectors,
+        refreshed_at: now,
+    }
 }
 
 /// The attack engine.
@@ -119,45 +169,20 @@ impl Engine {
     }
 
     /// The booter's current reflector list for a protocol, rescanning if
-    /// stale. Avoiding booters filter honeypots down to the leak rate.
+    /// stale.
     fn list_for(&mut self, booter: u32, protocol: UdpProtocol, now: u64, avoids: bool) -> &ListState {
-        let key = (booter, protocol);
-        let stale = match self.lists.get(&key) {
-            Some(st) => now.saturating_sub(st.refreshed_at) >= self.config.rescan_interval_secs,
-            None => true,
-        };
-        if stale {
-            let mut list = run_scan(
-                protocol,
-                ScannerKind::Booter,
-                self.config.scan_effort,
-                self.fleet.sensor_count(),
-                &mut self.rng,
-            );
-            if avoids {
-                // Avoiding booters fingerprint the fleet: with probability
-                // 1−leak the scan filters every honeypot out, so per-attack
-                // coverage for these booters ≈ the leak rate (vDOS' 'SUDP'
-                // was seen at 9%).
-                if self.rng.gen::<f64>() >= self.config.avoidance_leak {
-                    list.honeypots.clear();
+        let Engine { config, fleet, rng, lists } = self;
+        let mut scan = || scan_list(config, fleet.sensor_count(), protocol, avoids, now, rng);
+        match lists.entry((booter, protocol)) {
+            Entry::Occupied(e) => {
+                let st = e.into_mut();
+                if now.saturating_sub(st.refreshed_at) >= config.rescan_interval_secs {
+                    *st = scan();
                 }
+                st
             }
-            self.lists.insert(key, ListState { list, refreshed_at: now });
+            Entry::Vacant(e) => e.insert(scan()),
         }
-        self.lists.get(&key).expect("list present")
-    }
-
-    /// Expected packets landing on each honeypot in the booter's working
-    /// set. Honeypots are always in the working set (they answer every
-    /// probe and never go offline); real reflectors fill the remainder up
-    /// to the configured working-set size.
-    fn per_honeypot_packets(cmd: &AttackCommand, list: &ReflectorList, working_set: usize) -> u64 {
-        let total = cmd.packets_per_second as u64 * cmd.duration_secs as u64;
-        let hp = list.honeypots.len();
-        let real = list.real_reflectors.min(working_set.saturating_sub(hp));
-        let reflectors = (hp + real).max(1) as u64;
-        total / reflectors
     }
 
     /// Fast path: would the paper's pipeline record this command as an
@@ -166,47 +191,22 @@ impl Engine {
     pub fn would_observe(&mut self, cmd: &AttackCommand) -> bool {
         let ws = self.config.working_set;
         let st = self.list_for(cmd.booter, cmd.protocol, cmd.time, cmd.avoids_honeypots);
-        if st.list.honeypots.is_empty() {
-            return false;
-        }
-        Engine::per_honeypot_packets(cmd, &st.list, ws) > crate::flow::ATTACK_PACKET_THRESHOLD as u64
+        !st.honeypots.is_empty()
+            && st.per_honeypot_packets(cmd, ws) > crate::flow::ATTACK_PACKET_THRESHOLD as u64
     }
 
     /// Full path: generate the sensor packet log for one command and run
-    /// it through the fleet's reflect/absorb machinery. Packets are
-    /// returned in time order.
+    /// it through the fleet's reflect/absorb machinery. Packets are drawn
+    /// from the engine's own RNG stream and reach the fleet in generation
+    /// order; they are returned in time order.
     pub fn simulate_attack_packets(&mut self, cmd: &AttackCommand) -> Vec<SensorPacket> {
-        let ws = self.config.working_set;
+        let config = self.config;
         let st = self.list_for(cmd.booter, cmd.protocol, cmd.time, cmd.avoids_honeypots);
-        let honeypots = st.list.honeypots.clone();
-        if honeypots.is_empty() {
-            return Vec::new();
-        }
-        let per_sensor = Engine::per_honeypot_packets(cmd, &st.list, ws);
-        let logged = per_sensor.min(self.config.packet_log_cap as u64) as u32;
-        let mut packets = Vec::with_capacity(honeypots.len() * logged as usize);
-        let dur = cmd.duration_secs.max(1) as u64;
-        let fp = BooterFingerprint::for_booter(cmd.booter);
-        for &sensor in &honeypots {
-            for k in 0..logged {
-                // Spread logged packets evenly over the attack duration with
-                // jitter so flow grouping sees realistic spacing.
-                let base = cmd.time + k as u64 * dur / logged.max(1) as u64;
-                let jitter = self.rng.gen_range(0..(dur / logged.max(1) as u64).max(1));
-                let time = base + jitter;
-                self.fleet.handle_packet(sensor, time, cmd.victim, cmd.protocol, false);
-                packets.push(SensorPacket {
-                    time,
-                    sensor,
-                    victim: cmd.victim,
-                    protocol: cmd.protocol,
-                    ttl: fp.observed_ttl(&mut self.rng),
-                    src_port: fp.source_port(&mut self.rng),
-                });
-            }
-        }
-        packets.sort_by_key(|p| p.time);
-        packets
+        let honeypots = Arc::clone(&st.honeypots);
+        let logged = st.logged_per_sensor(cmd, &config);
+        let generated = generate_packets(cmd, &honeypots, logged, &mut self.rng);
+        self.fleet.handle_command(&generated);
+        order_command_log(cmd, generated)
     }
 
     /// Deterministic parallel batch generation: the packet logs for many
@@ -220,11 +220,11 @@ impl Engine {
     ///    sequential loop would make — and one batch seed is drawn.
     /// 2. **Synthesise (parallel).** Each command's packets are generated
     ///    from its own RNG stream, split off the batch seed by submission
-    ///    index ([`booters_par::stream_seed`]); results merge in
-    ///    submission order.
-    /// 3. **Replay (sequential).** Packets pass through the fleet's
-    ///    reflect/absorb machinery in submission order, and the merged log
-    ///    is stably sorted by time.
+    ///    index ([`booters_par::stream_seed`]), and put in time order;
+    ///    results merge in submission order.
+    /// 3. **Replay (sequential).** Each command's log passes through the
+    ///    fleet's reflect/absorb machinery ([`SensorFleet::handle_command`])
+    ///    in submission order, and the merged log is stably sorted by time.
     ///
     /// Note the per-command jitter streams differ from those of repeated
     /// [`Engine::simulate_attack_packets`] calls (which interleave one
@@ -232,8 +232,8 @@ impl Engine {
     /// thread-count invariance. Flow classification agrees between the
     /// two paths — a test pins that.
     pub fn simulate_attacks_batch(&mut self, cmds: &[AttackCommand]) -> Vec<SensorPacket> {
-        let mut packets: Vec<SensorPacket> = Vec::new();
-        self.simulate_attacks_batch_into(cmds, &mut packets);
+        booters_obs::span!("synthesize_batch");
+        let mut packets = self.synthesize_batch(cmds).concat();
         packets.sort_by_key(|p| p.time);
         packets
     }
@@ -255,42 +255,46 @@ impl Engine {
         sink: &mut S,
     ) -> u64 {
         booters_obs::span!("synthesize_batch");
-        let ws = self.config.working_set;
-        let cap = self.config.packet_log_cap;
+        let mut emitted = 0u64;
+        for log in &self.synthesize_batch(cmds) {
+            for p in log {
+                sink.accept(p);
+            }
+            emitted += log.len() as u64;
+        }
+        emitted
+    }
+
+    /// The three phases of a batch (see [`Engine::simulate_attacks_batch`]):
+    /// each command's time-ordered log, in submission order, after the
+    /// fleet has replayed it.
+    fn synthesize_batch(&mut self, cmds: &[AttackCommand]) -> Vec<Vec<SensorPacket>> {
+        let config = self.config;
         // Phase 1: sequential, stateful — same draw order at any thread
         // count.
         let batch_seed: u64 = self.rng.gen();
-        let mut prepared: Vec<(AttackCommand, Vec<u32>, u64)> = Vec::with_capacity(cmds.len());
-        for cmd in cmds {
-            let st = self.list_for(cmd.booter, cmd.protocol, cmd.time, cmd.avoids_honeypots);
-            let per_sensor = Engine::per_honeypot_packets(cmd, &st.list, ws);
-            prepared.push((*cmd, st.list.honeypots.clone(), per_sensor));
-        }
+        let prepared: Vec<(&AttackCommand, Arc<[u32]>, u32)> = cmds
+            .iter()
+            .map(|cmd| {
+                let st = self.list_for(cmd.booter, cmd.protocol, cmd.time, cmd.avoids_honeypots);
+                (cmd, Arc::clone(&st.honeypots), st.logged_per_sensor(cmd, &config))
+            })
+            .collect();
         // Phase 2: parallel, pure.
-        let per_cmd: Vec<Vec<SensorPacket>> =
-            booters_par::par_map_indexed(&prepared, |i, (cmd, honeypots, per_sensor)| {
-                synthesize_packets(
-                    cmd,
-                    honeypots,
-                    *per_sensor,
-                    cap,
-                    booters_par::stream_seed(batch_seed, i as u64),
-                )
+        let logs: Vec<Vec<SensorPacket>> =
+            booters_par::par_map_indexed(&prepared, |i, (cmd, honeypots, logged)| {
+                let mut rng = StdRng::seed_from_u64(booters_par::stream_seed(batch_seed, i as u64));
+                order_command_log(cmd, generate_packets(cmd, honeypots, *logged, &mut rng))
             });
-        // Phase 3: sequential replay in submission order, streaming each
-        // packet to the sink as it passes through the fleet.
-        let mut emitted = 0u64;
-        for generated in per_cmd {
-            for p in &generated {
-                self.fleet
-                    .handle_packet(p.sensor, p.time, p.victim, p.protocol, false);
-                sink.accept(p);
-                emitted += 1;
-            }
+        // Phase 3: sequential replay in submission order, one fleet pass
+        // per command.
+        for log in &logs {
+            self.fleet.handle_command(log);
         }
-        booters_obs::counter_add("netsim.packets_emitted", emitted);
+        let emitted: usize = logs.iter().map(Vec::len).sum();
+        booters_obs::counter_add("netsim.packets_emitted", emitted as u64);
         booters_obs::counter_add("netsim.commands_simulated", cmds.len() as u64);
-        emitted
+        logs
     }
 
     /// Generate white-hat / background scan noise over `[from, to)`:
@@ -338,41 +342,72 @@ impl Engine {
     }
 }
 
-/// Pure per-command packet synthesis for the batch path: the generation
-/// loop of [`Engine::simulate_attack_packets`], driven by a private
-/// per-command RNG stream instead of the shared engine generator.
-fn synthesize_packets(
+/// One command's packet log in generation order: honeypot by honeypot,
+/// `logged` packets each, the *k*-th spread to slot `⌊k·dur/logged⌋` of
+/// the attack with jitter below the slot width so flow grouping sees
+/// realistic spacing. Each packet draws its jitter, TTL and source port
+/// from `rng`, in that order — the single-command path passes the
+/// engine's shared stream, the batch path a per-command one.
+fn generate_packets<R: Rng + ?Sized>(
     cmd: &AttackCommand,
     honeypots: &[u32],
-    per_sensor: u64,
-    packet_log_cap: u32,
-    seed: u64,
+    logged: u32,
+    rng: &mut R,
 ) -> Vec<SensorPacket> {
-    if honeypots.is_empty() {
-        return Vec::new();
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let logged = per_sensor.min(packet_log_cap as u64) as u32;
     let mut packets = Vec::with_capacity(honeypots.len() * logged as usize);
     let dur = cmd.duration_secs.max(1) as u64;
+    let slots = logged.max(1) as u64;
+    let jitter_span = (dur / slots).max(1);
     let fp = BooterFingerprint::for_booter(cmd.booter);
     for &sensor in honeypots {
-        for k in 0..logged {
-            let base = cmd.time + k as u64 * dur / logged.max(1) as u64;
-            let jitter = rng.gen_range(0..(dur / logged.max(1) as u64).max(1));
-            let time = base + jitter;
+        for k in 0..logged as u64 {
+            let time = cmd.time + k * dur / slots + rng.gen_range(0..jitter_span);
             packets.push(SensorPacket {
                 time,
                 sensor,
                 victim: cmd.victim,
                 protocol: cmd.protocol,
-                ttl: fp.observed_ttl(&mut rng),
-                src_port: fp.source_port(&mut rng),
+                ttl: fp.observed_ttl(rng),
+                src_port: fp.source_port(rng),
             });
         }
     }
-    packets.sort_by_key(|p| p.time);
     packets
+}
+
+/// Put a log from [`generate_packets`] for `cmd` in time order: the
+/// result equals `packets.sort_by_key(|p| p.time)`, ties kept in input
+/// order.
+///
+/// Every generated packet falls at an offset below the attack's duration
+/// from its start, so a stable counting placement over one bucket per
+/// second of the attack builds the order in `O(packets + duration)`
+/// (DESIGN.md §5k). A log too sparse for its buckets to pay (more than
+/// 4,096 buckets and more than four per packet) takes the comparison
+/// sort instead; both give the same order.
+fn order_command_log(cmd: &AttackCommand, mut packets: Vec<SensorPacket>) -> Vec<SensorPacket> {
+    let span = cmd.duration_secs.max(1) as u64;
+    let offset = |p: &SensorPacket| p.time - cmd.time;
+    let dense = span as usize <= 4 * packets.len().max(1024);
+    if packets.len() < 2 || !dense {
+        packets.sort_by_key(|p| p.time);
+        return packets;
+    }
+    // next[o]: where the next packet at offset o goes.
+    let mut next = vec![0usize; span as usize + 1];
+    for p in &packets {
+        next[offset(p) as usize + 1] += 1;
+    }
+    for o in 1..next.len() {
+        next[o] += next[o - 1];
+    }
+    let mut ordered = vec![packets[0]; packets.len()];
+    for p in &packets {
+        let slot = &mut next[offset(p) as usize];
+        ordered[*slot] = *p;
+        *slot += 1;
+    }
+    ordered
 }
 
 #[cfg(test)]
@@ -595,6 +630,29 @@ mod tests {
     fn batch_on_empty_command_list_is_empty() {
         let mut e = Engine::new(EngineConfig::default());
         assert!(e.simulate_attacks_batch(&[]).is_empty());
+    }
+
+    booters_testkit::forall! {
+        #![cases(256)]
+
+        fn command_log_order_equals_stable_time_sort(
+            duration in 1u32..20_000,
+            short in booters_testkit::any::<bool>(),
+            sensors in 0u32..70,
+            logged in 0u32..30,
+            seed in booters_testkit::any::<u64>(),
+        ) {
+            // Half the cases shorter than the log (q = 0): slots share
+            // seconds. Long sparse logs take the comparison sort.
+            let duration = if short { 1 + duration % 40 } else { duration };
+            let mut c = cmd(1_000, UdpProtocol::Dns, 3);
+            c.duration_secs = duration;
+            let honeypots: Vec<u32> = (0..sensors).collect();
+            let packets = generate_packets(&c, &honeypots, logged, &mut StdRng::seed_from_u64(seed));
+            let mut expected = packets.clone();
+            expected.sort_by_key(|p| p.time);
+            booters_testkit::prop_assert_eq!(order_command_log(&c, packets), expected);
+        }
     }
 
     #[test]

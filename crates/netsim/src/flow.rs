@@ -10,7 +10,9 @@ use crate::addr::VictimAddr;
 use crate::packet::SensorPacket;
 use crate::protocol::UdpProtocol;
 use booters_testkit::rng::SplitMix64;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// The flow-closing gap: 15 minutes, in seconds.
 pub const FLOW_GAP_SECS: u64 = 15 * 60;
@@ -66,12 +68,104 @@ pub enum FlowClass {
     Scan,
 }
 
-#[derive(Debug, Clone)]
-struct OpenFlow {
+/// Hasher for the grouping maps: one splitmix64 finaliser per written
+/// word instead of SipHash's per-lookup setup. Flow keys and sensor ids
+/// come from the simulator or from decoded store chunks, not from an
+/// attacker, so DoS-resistant hashing buys nothing on this per-packet
+/// path; and every grouped output is put in canonical order
+/// ([`sort_flows`]) or compared as a map, so the hasher never changes a
+/// result.
+#[derive(Debug, Default, Clone, Copy)]
+struct SplitMixHasher(u64);
+
+impl std::hash::Hasher for SplitMixHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        // splitmix64 finaliser: full avalanche, so both the bucket bits
+        // and hashbrown's control bits are well distributed.
+        let mut z = self.0 ^ v.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        self.0 = z ^ (z >> 31);
+    }
+}
+
+/// Per-sensor packet counts of an open flow, keyed with
+/// [`SplitMixHasher`]. Memory follows the number of distinct sensors,
+/// never the size of their ids. A flow's counts become the public
+/// [`Flow::per_sensor`] map once, when it closes.
+type SensorCounts = HashMap<u32, u32, BuildHasherDefault<SplitMixHasher>>;
+
+/// A flow still taking packets: the paper's gap rule and per-sensor
+/// aggregation, shared by [`FlowGrouper`] and the out-of-core grouper in
+/// booters-store.
+#[derive(Debug)]
+pub struct OpenFlow {
+    victim: VictimAddr,
+    protocol: UdpProtocol,
     start: u64,
     end: u64,
     total: u64,
-    per_sensor: HashMap<u32, u32>,
+    per_sensor: SensorCounts,
+}
+
+impl OpenFlow {
+    /// Open a flow at packet `p`; `victim` is `p`'s victim under the
+    /// grouper's [`VictimKey`].
+    pub fn open(victim: VictimAddr, p: &SensorPacket) -> OpenFlow {
+        let mut per_sensor = SensorCounts::default();
+        per_sensor.insert(p.sensor, 1);
+        OpenFlow {
+            victim,
+            protocol: p.protocol,
+            start: p.time,
+            end: p.time,
+            total: 1,
+            per_sensor,
+        }
+    }
+
+    /// Add `p` (keyed victim `victim`) if it continues this flow: same
+    /// victim and protocol, and less than [`FLOW_GAP_SECS`] after the
+    /// flow's last packet. Returns false, leaving the flow as it was,
+    /// when `p` must start a new flow instead.
+    pub fn try_push(&mut self, victim: VictimAddr, p: &SensorPacket) -> bool {
+        if victim != self.victim
+            || p.protocol != self.protocol
+            || p.time.saturating_sub(self.end) >= FLOW_GAP_SECS
+        {
+            return false;
+        }
+        self.end = self.end.max(p.time);
+        self.total += 1;
+        *self.per_sensor.entry(p.sensor).or_insert(0) += 1;
+        true
+    }
+
+    /// The closed flow.
+    pub fn close(self) -> Flow {
+        Flow {
+            victim: self.victim,
+            protocol: self.protocol,
+            start: self.start,
+            end: self.end,
+            total_packets: self.total,
+            per_sensor: self.per_sensor.into_iter().collect(),
+        }
+    }
 }
 
 /// How victims are keyed when grouping flows — the paper groups "to the
@@ -104,9 +198,16 @@ impl VictimKey {
 /// flow is tolerated but a stale packet cannot reopen a closed flow.
 #[derive(Debug, Default)]
 pub struct FlowGrouper {
-    open: HashMap<(VictimAddr, UdpProtocol), OpenFlow>,
+    /// Open flows by [`flow_key`].
+    open: HashMap<u64, OpenFlow, BuildHasherDefault<SplitMixHasher>>,
     closed: Vec<Flow>,
     key: VictimKey,
+}
+
+/// One word per `(victim, protocol)` grouping key, so an open-flow lookup
+/// hashes a single `u64`.
+fn flow_key(victim: VictimAddr, protocol: UdpProtocol) -> u64 {
+    (victim.0 as u64) << 8 | protocol.index() as u64
 }
 
 impl FlowGrouper {
@@ -130,66 +231,31 @@ impl FlowGrouper {
 
     /// Push one packet.
     pub fn push(&mut self, p: &SensorPacket) {
-        let key = (self.key.canonical(p.victim), p.protocol);
-        match self.open.get_mut(&key) {
-            Some(flow) if p.time.saturating_sub(flow.end) < FLOW_GAP_SECS => {
-                flow.end = flow.end.max(p.time);
-                flow.total += 1;
-                *flow.per_sensor.entry(p.sensor).or_insert(0) += 1;
+        let victim = self.key.canonical(p.victim);
+        match self.open.entry(flow_key(victim, p.protocol)) {
+            Entry::Occupied(mut e) => {
+                let flow = e.get_mut();
+                if !flow.try_push(victim, p) {
+                    // Gap exceeded: close the old flow, open a new one.
+                    let old = std::mem::replace(flow, OpenFlow::open(victim, p));
+                    self.closed.push(old.close());
+                }
             }
-            Some(_) => {
-                // Gap exceeded: close the old flow, open a new one.
-                let old = self.open.remove(&key).expect("flow present");
-                self.closed.push(Flow {
-                    victim: key.0,
-                    protocol: key.1,
-                    start: old.start,
-                    end: old.end,
-                    total_packets: old.total,
-                    per_sensor: old.per_sensor,
-                });
-                self.insert_new(key, p);
+            Entry::Vacant(e) => {
+                e.insert(OpenFlow::open(victim, p));
             }
-            None => self.insert_new(key, p),
         }
-    }
-
-    fn insert_new(&mut self, key: (VictimAddr, UdpProtocol), p: &SensorPacket) {
-        let mut per_sensor = HashMap::new();
-        per_sensor.insert(p.sensor, 1);
-        self.open.insert(
-            key,
-            OpenFlow {
-                start: p.time,
-                end: p.time,
-                total: 1,
-                per_sensor,
-            },
-        );
     }
 
     /// Close every open flow whose last packet is at least the gap before
     /// `now`, releasing memory on long runs. Returns how many were closed.
     pub fn flush_before(&mut self, now: u64) -> usize {
-        let keys: Vec<_> = self
+        let before = self.closed.len();
+        let stale = self
             .open
-            .iter()
-            .filter(|(_, f)| now.saturating_sub(f.end) >= FLOW_GAP_SECS)
-            .map(|(k, _)| *k)
-            .collect();
-        let n = keys.len();
-        for key in keys {
-            let old = self.open.remove(&key).expect("flow present");
-            self.closed.push(Flow {
-                victim: key.0,
-                protocol: key.1,
-                start: old.start,
-                end: old.end,
-                total_packets: old.total,
-                per_sensor: old.per_sensor,
-            });
-        }
-        n
+            .extract_if(|_, f| now.saturating_sub(f.end) >= FLOW_GAP_SECS);
+        self.closed.extend(stale.map(|(_, f)| f.close()));
+        self.closed.len() - before
     }
 
     /// Drain flows closed so far.
@@ -199,7 +265,7 @@ impl FlowGrouper {
 
     /// Close everything and return all remaining flows.
     pub fn finish(mut self) -> Vec<Flow> {
-        self.flush_before(u64::MAX);
+        self.closed.extend(self.open.into_values().map(OpenFlow::close));
         self.closed
     }
 }

@@ -13,6 +13,7 @@
 //!   white-hat-derived reflector lists.
 
 use crate::addr::VictimAddr;
+use crate::packet::SensorPacket;
 use crate::protocol::UdpProtocol;
 use std::collections::HashMap;
 
@@ -110,6 +111,46 @@ impl SensorFleet {
             self.absorbed_packets += 1;
             return SensorAction::Absorbed;
         }
+        self.rate_limit(sensor, time, victim, protocol).0
+    }
+
+    /// Replay logged attack packets through the fleet, in slice order:
+    /// the same state and counters as calling [`SensorFleet::handle_packet`]
+    /// on each packet in turn (none from white-hat scanners).
+    ///
+    /// Built for one command's log, where every packet shares a victim
+    /// and protocol: the blocklist is consulted once per run of packets
+    /// with the same victim and protocol, rate-limit state is touched
+    /// only until the run's victim is reported — about the first 241 of
+    /// a typical 1,440-packet log — and the rest of the run is counted as
+    /// absorbed in bulk. That is exact because a blocklisted victim's
+    /// packets never reach the rate-limit state.
+    pub fn handle_command(&mut self, packets: &[SensorPacket]) {
+        for run in packets.chunk_by(|a, b| a.victim == b.victim && a.protocol == b.protocol) {
+            let (victim, protocol) = (run[0].victim, run[0].protocol);
+            let mut replayed = 0;
+            if !self.is_blocklisted(victim, protocol) {
+                for p in run {
+                    replayed += 1;
+                    if self.rate_limit(p.sensor, p.time, victim, protocol).1 {
+                        break;
+                    }
+                }
+            }
+            self.absorbed_packets += (run.len() - replayed) as u64;
+        }
+    }
+
+    /// Rate-limit one packet to a victim that is not blocklisted. Returns
+    /// the action and whether this packet tripped the limit, reporting
+    /// the victim fleet-wide.
+    fn rate_limit(
+        &mut self,
+        sensor: u32,
+        time: u64,
+        victim: VictimAddr,
+        protocol: UdpProtocol,
+    ) -> (SensorAction, bool) {
         let entry = self
             .state
             .entry((sensor, victim, protocol))
@@ -126,13 +167,14 @@ impl SensorFleet {
             self.reflected_packets += 1;
             // Hitting the limit identifies a victim under attack: report
             // fleet-wide so every sensor absorbs from now on.
-            if entry.reflected == self.config.reflect_limit {
+            let reported = entry.reflected == self.config.reflect_limit;
+            if reported {
                 self.blocklist.insert((victim, protocol), time);
             }
-            SensorAction::Reflected
+            (SensorAction::Reflected, reported)
         } else {
             self.absorbed_packets += 1;
-            SensorAction::Absorbed
+            (SensorAction::Absorbed, false)
         }
     }
 

@@ -2,10 +2,12 @@
 //! invariants, classification rules, addressing and the engine.
 
 use booters_netsim::flow::{FlowGrouper, FLOW_GAP_SECS};
+use booters_netsim::reflector::{SensorConfig, SensorFleet};
 use booters_netsim::{
-    classify_flows, AttackCommand, Country, Engine, EngineConfig, FlowClass, SensorPacket,
-    UdpProtocol, VictimAddr,
+    classify_flows, sort_flows, AttackCommand, Country, Engine, EngineConfig, Flow, FlowClass,
+    SensorPacket, UdpProtocol, VictimAddr, VictimKey,
 };
+use booters_testkit::rng::SplitMix64;
 use booters_testkit::strategy::prop;
 use booters_testkit::{any, forall, prop_assert, prop_assert_eq, Strategy};
 
@@ -161,5 +163,138 @@ forall! {
         for w in packets.windows(2) {
             prop_assert!(w[0].time <= w[1].time);
         }
+    }
+}
+
+/// A command's log laid out as the engine lays it out: `sensors` honeypots
+/// in generation order, `logged` packets each, the *k*-th at slot
+/// `⌊k·dur/logged⌋` plus a jitter below the slot width — so durations
+/// shorter than `logged` put several slots on one second.
+fn command_log(cmd: &AttackCommand, sensors: u32, logged: u64, seed: u64) -> Vec<SensorPacket> {
+    let mut rng = SplitMix64::new(seed);
+    let dur = cmd.duration_secs.max(1) as u64;
+    let slots = logged.max(1);
+    let jitter_span = (dur / slots).max(1);
+    let mut packets = Vec::new();
+    for sensor in 0..sensors {
+        for k in 0..logged {
+            packets.push(SensorPacket {
+                time: cmd.time + k * dur / slots + rng.next_u64() % jitter_span,
+                sensor,
+                victim: cmd.victim,
+                protocol: cmd.protocol,
+                ttl: rng.next_u64() as u8,
+                src_port: k as u16,
+            });
+        }
+    }
+    packets
+}
+
+fn command_at(time: u64, duration_secs: u32, victim: VictimAddr, protocol: UdpProtocol) -> AttackCommand {
+    AttackCommand {
+        time,
+        victim,
+        protocol,
+        duration_secs,
+        packets_per_second: 1,
+        booter: 0,
+        avoids_honeypots: false,
+    }
+}
+
+/// Test-only grouping oracle: the paper's rule on a SipHash-keyed map of
+/// open flows, in canonical order.
+fn siphash_grouper(packets: &[SensorPacket], key: VictimKey) -> Vec<Flow> {
+    use std::collections::HashMap;
+    let mut open: HashMap<(VictimAddr, UdpProtocol), Flow> = HashMap::new();
+    let mut flows = Vec::new();
+    for p in packets {
+        let k = (key.canonical(p.victim), p.protocol);
+        let fresh = Flow {
+            victim: k.0,
+            protocol: k.1,
+            start: p.time,
+            end: p.time,
+            total_packets: 0,
+            per_sensor: HashMap::new(),
+        };
+        let flow = open.entry(k).or_insert_with(|| fresh.clone());
+        if p.time.saturating_sub(flow.end) >= FLOW_GAP_SECS {
+            flows.push(std::mem::replace(flow, fresh));
+        }
+        flow.end = flow.end.max(p.time);
+        flow.total_packets += 1;
+        *flow.per_sensor.entry(p.sensor).or_insert(0) += 1;
+    }
+    flows.extend(open.into_values());
+    sort_flows(&mut flows);
+    flows
+}
+
+forall! {
+    #![cases(256)]
+
+    fn handle_command_equals_per_packet_replay(
+        limit in 1u32..8,
+        window in 30u64..4_000,
+        commands in prop::collection::vec((0u8..3, 0usize..2, 1u32..400, 0u32..8, 0u64..40), 1..12),
+        seed in any::<u64>(),
+    ) {
+        let config = SensorConfig { sensors: 8, reflect_limit: limit, window_secs: window };
+        let mut bulk = SensorFleet::new(config);
+        let mut each = SensorFleet::new(config);
+        let mut now = 0u64;
+        let mut logs = Vec::new();
+        for (i, &(v, p, duration, sensors, logged)) in commands.iter().enumerate() {
+            now += 200 * (i as u64 % 3);
+            let victim = VictimAddr::from_octets(25, 5, 5, v);
+            let cmd = command_at(now, duration, victim, UdpProtocol::ALL[p]);
+            // The batch replays time-ordered logs, the single-command path
+            // generation order.
+            let mut log = command_log(&cmd, sensors, logged, seed ^ i as u64);
+            if i % 2 == 0 {
+                log.sort_by_key(|p| p.time);
+            }
+            logs.push(log);
+        }
+        // One mixed slice too: runs of several victims back to back.
+        logs.push(logs.concat());
+        for (i, log) in logs.iter().enumerate() {
+            bulk.handle_command(log);
+            for p in log {
+                each.handle_packet(p.sensor, p.time, p.victim, p.protocol, false);
+            }
+            if i % 4 == 3 {
+                bulk.expire_blocklist(now + i as u64 * 1_000, 2_000);
+                each.expire_blocklist(now + i as u64 * 1_000, 2_000);
+            }
+            prop_assert_eq!(bulk.reflected_packets, each.reflected_packets);
+            prop_assert_eq!(bulk.absorbed_packets, each.absorbed_packets);
+        }
+        // Same blocklist and rate-limit state: every probe is treated alike.
+        for v in 0u8..3 {
+            for &protocol in &UdpProtocol::ALL[..2] {
+                let victim = VictimAddr::from_octets(25, 5, 5, v);
+                prop_assert_eq!(bulk.is_blocklisted(victim, protocol), each.is_blocklisted(victim, protocol));
+                for sensor in 0..8 {
+                    prop_assert_eq!(
+                        bulk.handle_packet(sensor, now + 100, victim, protocol, false),
+                        each.handle_packet(sensor, now + 100, victim, protocol, false)
+                    );
+                }
+            }
+        }
+    }
+
+    fn grouper_equals_siphash_oracle(packets in packet_stream(), by_prefix in any::<bool>()) {
+        let key = if by_prefix { VictimKey::ByPrefix24 } else { VictimKey::ByIp };
+        let mut grouper = FlowGrouper::with_key(key);
+        for p in &packets {
+            grouper.push(p);
+        }
+        let mut flows = grouper.finish();
+        sort_flows(&mut flows);
+        prop_assert_eq!(flows, siphash_grouper(&packets, key));
     }
 }

@@ -33,9 +33,9 @@ use crate::chunk::DEFAULT_CHUNK_CAPACITY;
 use crate::error::StoreError;
 use crate::reader::ChunkReader;
 use crate::writer::{ChunkWriter, PACKET_BYTES};
-use booters_netsim::flow::FLOW_GAP_SECS;
+use booters_netsim::flow::{OpenFlow, FLOW_GAP_SECS};
 use booters_netsim::packet::PacketSink;
-use booters_netsim::{Flow, SensorPacket, UdpProtocol, VictimAddr, VictimKey};
+use booters_netsim::{Flow, SensorPacket, VictimKey};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::path::PathBuf;
@@ -376,89 +376,17 @@ impl PacketSink for SpillGrouper {
 /// the 15-minute gap closes it, so memory is bounded by one flow.
 ///
 /// This is [`booters_netsim::FlowGrouper`] specialised to the sorted
-/// stream: because
-/// each key's packets arrive contiguously and time-nondecreasing, the
-/// grouper tracks its single open flow in a plain struct — no per-packet
-/// hash-map lookup of the flow key, which dominated the merge loop. The
-/// gap rule, aggregation, and produced [`Flow`] values are identical
-/// (`FlowGrouper::push` semantics, pinned by the store-vs-in-memory
+/// stream: because each key's packets arrive contiguously and
+/// time-nondecreasing, the grouper holds its single open flow directly —
+/// no per-packet hash-map lookup of the flow key, which dominated the
+/// merge loop. The open flow is the in-memory grouper's own
+/// [`OpenFlow`], so the gap rule, aggregation and produced [`Flow`]
+/// values are the same code (pinned by the store-vs-in-memory
 /// equivalence goldens).
 struct KeyedGrouper {
     key: VictimKey,
-    current: Option<OpenKeyedFlow>,
+    current: Option<OpenFlow>,
     flows: Vec<Flow>,
-}
-
-/// Cheap keyed hasher for the per-sensor accumulation map: one
-/// splitmix64-style mix instead of SipHash's per-lookup setup. Sensor
-/// ids are not attacker-controlled (they come from the simulator), so
-/// DoS-resistant hashing buys nothing on this per-packet hot path. Only
-/// the accumulator uses it — the map is re-collected into the standard
-/// `HashMap` when the flow closes, so [`Flow`] is unchanged.
-#[derive(Default)]
-struct SensorHasher(u64);
-
-impl std::hash::Hasher for SensorHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64);
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        // splitmix64 finalizer: full avalanche, so both the bucket bits
-        // and hashbrown's control bits are well distributed.
-        let mut z = self.0 ^ v.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        self.0 = z ^ (z >> 31);
-    }
-}
-
-type SensorCounts = std::collections::HashMap<u32, u32, std::hash::BuildHasherDefault<SensorHasher>>;
-
-/// The one open flow of a [`KeyedGrouper`]; `victim` is canonical.
-struct OpenKeyedFlow {
-    victim: VictimAddr,
-    protocol: UdpProtocol,
-    start: u64,
-    end: u64,
-    total: u64,
-    per_sensor: SensorCounts,
-}
-
-impl OpenKeyedFlow {
-    fn open(victim: VictimAddr, p: &SensorPacket) -> OpenKeyedFlow {
-        let mut per_sensor = SensorCounts::default();
-        per_sensor.insert(p.sensor, 1);
-        OpenKeyedFlow {
-            victim,
-            protocol: p.protocol,
-            start: p.time,
-            end: p.time,
-            total: 1,
-            per_sensor,
-        }
-    }
-
-    fn close(self) -> Flow {
-        Flow {
-            victim: self.victim,
-            protocol: self.protocol,
-            start: self.start,
-            end: self.end,
-            total_packets: self.total,
-            per_sensor: self.per_sensor.into_iter().collect(),
-        }
-    }
 }
 
 impl KeyedGrouper {
@@ -472,21 +400,9 @@ impl KeyedGrouper {
 
     fn push(&mut self, p: &SensorPacket) {
         let victim = self.key.canonical(p.victim);
-        match &mut self.current {
-            Some(f)
-                if f.victim == victim
-                    && f.protocol == p.protocol
-                    && p.time.saturating_sub(f.end) < FLOW_GAP_SECS =>
-            {
-                f.end = f.end.max(p.time);
-                f.total += 1;
-                *f.per_sensor.entry(p.sensor).or_insert(0) += 1;
-            }
-            _ => {
-                let opened = OpenKeyedFlow::open(victim, p);
-                if let Some(old) = std::mem::replace(&mut self.current, Some(opened)) {
-                    self.flows.push(old.close());
-                }
+        if !self.current.as_mut().is_some_and(|f| f.try_push(victim, p)) {
+            if let Some(old) = self.current.replace(OpenFlow::open(victim, p)) {
+                self.flows.push(old.close());
             }
         }
     }
@@ -733,7 +649,7 @@ pub const GROUP_GAP_SECS: u64 = FLOW_GAP_SECS;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use booters_netsim::{classify_flows, sort_flows, UdpProtocol};
+    use booters_netsim::{classify_flows, sort_flows, UdpProtocol, VictimAddr};
 
     fn pkt(time: u64, sensor: u32, victim: u32, proto: usize) -> SensorPacket {
         SensorPacket {

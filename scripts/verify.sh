@@ -41,7 +41,7 @@ BOOTERS_STORE_BUDGET=65536 cargo test -q --workspace --offline
 # byte-identical either way.
 echo "==> seeded goldens (offline, BOOTERS_PAR_MIN_ITEMS=1, BOOTERS_THREADS=4)"
 BOOTERS_PAR_MIN_ITEMS=1 BOOTERS_THREADS=4 \
-    cargo test -q --offline --test smoke_seeded --test par_invariance
+    cargo test -q --offline --test smoke_seeded --test par_invariance --test packet_chain_golden
 
 # Fifth pass with every byte-level fast kernel (SWAR varint decode,
 # slice-by-8 CRC-32, radix grouping sort, coarse fan-outs) forced back to
@@ -50,9 +50,11 @@ BOOTERS_PAR_MIN_ITEMS=1 BOOTERS_THREADS=4 \
 # the oracles in charge, at one thread and at four.
 echo "==> seeded goldens (offline, BOOTERS_SCALAR_KERNELS=1)"
 BOOTERS_SCALAR_KERNELS=1 \
-    cargo test -q --offline --test smoke_seeded --test store_equivalence --test par_invariance
+    cargo test -q --offline --test smoke_seeded --test store_equivalence --test par_invariance \
+    --test packet_chain_golden
 BOOTERS_SCALAR_KERNELS=1 BOOTERS_THREADS=4 \
-    cargo test -q --offline --test smoke_seeded --test store_equivalence --test par_invariance
+    cargo test -q --offline --test smoke_seeded --test store_equivalence --test par_invariance \
+    --test packet_chain_golden
 
 # Artifact-level kernel check: render Table 1 with the fast kernels, then
 # again with the scalar oracles, and require the written artifacts to be
