@@ -123,6 +123,14 @@ fn bench_full_packets_week(c: &mut Criterion) {
     group.bench_function("group_flows_week", |b| {
         b.iter(|| black_box(group_flows_par(&packets, VictimKey::ByIp).len()))
     });
+    // The two above fused, as the in-memory full-packet scenario runs
+    // them: per-command grouping on the pool, no week-wide sort.
+    group.bench_function("simulate_attack_flows_week", |b| {
+        b.iter_with_setup(
+            || Engine::new(EngineConfig::default()),
+            |mut engine| black_box(engine.simulate_attack_flows(&cmds, VictimKey::ByIp).len()),
+        )
+    });
     group.finish();
 }
 

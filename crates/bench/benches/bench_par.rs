@@ -1,8 +1,8 @@
-//! Parallel-executor benchmarks: the two hot paths `booters-par` fans
-//! out — per-country Table-2 fits and packet-flow grouping — measured
-//! sequentially and at 2/4/8 worker threads via the thread-local
-//! override, so one run emits the full scaling comparison regardless of
-//! `BOOTERS_THREADS`.
+//! Parallel-executor benchmarks: the cost of one dispatch, and the two
+//! hot paths `booters-par` fans out — per-country Table-2 fits and
+//! packet-flow grouping — measured sequentially and at 2/4/8 worker
+//! threads via the thread-local override, so one run emits the full
+//! scaling comparison regardless of `BOOTERS_THREADS`.
 //!
 //! Speedup is hardware-bound: on a single-core host the threaded runs
 //! only measure executor overhead. The determinism contract is what the
@@ -89,9 +89,47 @@ fn bench_flow_grouping(c: &mut Criterion) {
     group.finish();
 }
 
+/// The fixed cost of one coarse dispatch at two threads.
+///
+/// - `dispatch_roundtrip`: two trivial items. The caller may finish both
+///   before a helper wakes, so this is the cost a dispatch adds to a
+///   batch too small to share.
+/// - `helper_wake_roundtrip`: two items that each wait until both have
+///   started, so the second one must run on a helper: the cost of waking
+///   it, handing it the item and waiting for it to finish.
+fn bench_dispatch_roundtrip(c: &mut Criterion) {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let items = [1u64, 2];
+    let mut group = c.benchmark_group("par");
+    group.sample_size(20);
+    group.bench_function("dispatch_roundtrip", |b| {
+        b.iter(|| {
+            booters_par::with_threads(2, || {
+                black_box(booters_par::par_map_coarse(&items, |&x| black_box(x) + 1))
+            })
+        })
+    });
+    let started = AtomicUsize::new(0);
+    group.bench_function("helper_wake_roundtrip", |b| {
+        b.iter(|| {
+            started.store(0, Ordering::Relaxed);
+            booters_par::with_threads(2, || {
+                black_box(booters_par::par_map_coarse(&items, |&x| {
+                    started.fetch_add(1, Ordering::AcqRel);
+                    while started.load(Ordering::Acquire) < 2 {
+                        std::hint::spin_loop();
+                    }
+                    x
+                }))
+            })
+        })
+    });
+    group.finish();
+}
+
 bench_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_country_fits, bench_flow_grouping
+    targets = bench_dispatch_roundtrip, bench_country_fits, bench_flow_grouping
 }
 bench_main!(benches);

@@ -22,9 +22,7 @@ use booters_market::commands::{booter_by_id, commands_for_week};
 use booters_market::market::{sample_binomial, MarketConfig, MarketSim, WeekOutput};
 use booters_market::Booter;
 use booters_netsim::flow::{FlowClass, VictimKey};
-use booters_netsim::{
-    group_flows_par, AttackCommand, Country, Engine, EngineConfig, UdpProtocol, VictimAddr,
-};
+use booters_netsim::{AttackCommand, Country, Engine, EngineConfig, UdpProtocol, VictimAddr};
 use booters_query::{Predicate, QueryConfig, QueryEngine, QueryStats};
 use booters_serve::{ServeConfig, ServeError, ServeNode, ServeStats};
 use booters_store::{ChunkWriter, SpillConfig, SpillGrouper, SpillStats, StoreError};
@@ -439,15 +437,15 @@ fn coverage_rate_aggregate(
 
 /// Full-packet fidelity: simulate every sampled command's packets, group
 /// flows, classify, and return the fraction of commands recovered as
-/// attacks. Packet synthesis and flow grouping both fan out over the
-/// `booters-par` executor; the result is identical at every thread count.
+/// attacks. Each command's synthesis and grouping run as one task on the
+/// `booters-par` executor, and the week's packets are never gathered into
+/// one trace; the flows are exactly those of grouping that trace, so the
+/// result is identical at every thread count and to the other backends.
 fn full_packet_rate(engine: &mut Engine, cmds: &[AttackCommand]) -> f64 {
     if cmds.is_empty() {
         return 1.0;
     }
-    let packets = engine.simulate_attacks_batch(cmds);
-    booters_obs::span!("group");
-    let flows = group_flows_par(&packets, VictimKey::ByIp);
+    let flows = engine.simulate_attack_flows(cmds, VictimKey::ByIp);
     let attacks = flows
         .iter()
         .filter(|f| f.classify() == FlowClass::Attack)

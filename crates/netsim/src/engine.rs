@@ -22,6 +22,7 @@ use crate::addr::VictimAddr;
 use crate::packet::SensorPacket;
 use crate::protocol::UdpProtocol;
 use crate::attribution::BooterFingerprint;
+use crate::flow::{sort_flows, Flow, KeyedGrouper, VictimKey};
 use crate::reflector::{SensorConfig, SensorFleet};
 use crate::scanner::{run_scan, ScannerKind};
 use booters_testkit::rngs::StdRng;
@@ -233,9 +234,46 @@ impl Engine {
     /// two paths — a test pins that.
     pub fn simulate_attacks_batch(&mut self, cmds: &[AttackCommand]) -> Vec<SensorPacket> {
         booters_obs::span!("synthesize_batch");
-        let mut packets = self.synthesize_batch(cmds).concat();
+        let mut packets = concat_logs(self.synthesize_batch(cmds, None));
         packets.sort_by_key(|p| p.time);
         packets
+    }
+
+    /// The batch's flows: exactly
+    /// `group_flows_par(&self.simulate_attacks_batch(cmds), key)`, with
+    /// the same engine draws and fleet replay, but without building or
+    /// sorting the batch's whole packet trace.
+    ///
+    /// Each command's pool task groups its own log, which has a single
+    /// grouping key, right after ordering it. Commands that share a key
+    /// are then merged stably by time, ties in submission order, and
+    /// grouped again. That is the exact subsequence the global stable
+    /// time sort gives that key, and no flow crosses keys, so
+    /// [`sort_flows`] yields the same flows (DESIGN.md §5k).
+    /// Per-command grouping runs inside the `synthesize_batch` span;
+    /// only the merge and the canonical sort count under `group`.
+    pub fn simulate_attack_flows(&mut self, cmds: &[AttackCommand], key: VictimKey) -> Vec<Flow> {
+        let synth = booters_obs::span("synthesize_batch");
+        let mut logs = self.synthesize_batch(cmds, Some(key));
+        drop(synth);
+        booters_obs::span!("group");
+        // Commands in key order, submission order within a key.
+        let grouping_key = |i: &usize| (key.canonical(cmds[*i].victim).0, cmds[*i].protocol.index());
+        let mut order: Vec<usize> = (0..cmds.len()).collect();
+        order.sort_by_key(grouping_key);
+        let mut flows = Vec::new();
+        for same_key in order.chunk_by(|a, b| grouping_key(a) == grouping_key(b)) {
+            let mut take = |i: &usize| std::mem::take(&mut logs[*i]);
+            if let [only] = same_key {
+                flows.append(&mut take(only).flows);
+            } else {
+                let mut merged = concat_logs(same_key.iter().map(take).collect());
+                merged.sort_by_key(|p| p.time);
+                flows.append(&mut group_log(&merged, key));
+            }
+        }
+        sort_flows(&mut flows);
+        flows
     }
 
     /// Streaming variant of [`Engine::simulate_attacks_batch`]: packets
@@ -256,42 +294,44 @@ impl Engine {
     ) -> u64 {
         booters_obs::span!("synthesize_batch");
         let mut emitted = 0u64;
-        for log in &self.synthesize_batch(cmds) {
-            for p in log {
+        for log in &self.synthesize_batch(cmds, None) {
+            for p in &log.packets {
                 sink.accept(p);
             }
-            emitted += log.len() as u64;
+            emitted += log.packets.len() as u64;
         }
         emitted
     }
 
     /// The three phases of a batch (see [`Engine::simulate_attacks_batch`]):
     /// each command's time-ordered log, in submission order, after the
-    /// fleet has replayed it.
-    fn synthesize_batch(&mut self, cmds: &[AttackCommand]) -> Vec<Vec<SensorPacket>> {
+    /// fleet has replayed it — and, given a grouping key, the log's flows.
+    fn synthesize_batch(&mut self, cmds: &[AttackCommand], group: Option<VictimKey>) -> Vec<CommandLog> {
         let config = self.config;
         // Phase 1: sequential, stateful — same draw order at any thread
         // count.
         let batch_seed: u64 = self.rng.gen();
-        let prepared: Vec<(&AttackCommand, Arc<[u32]>, u32)> = cmds
-            .iter()
-            .map(|cmd| {
+        let prepared: Vec<(u64, &AttackCommand, Arc<[u32]>, u32)> = (0u64..)
+            .zip(cmds)
+            .map(|(i, cmd)| {
                 let st = self.list_for(cmd.booter, cmd.protocol, cmd.time, cmd.avoids_honeypots);
-                (cmd, Arc::clone(&st.honeypots), st.logged_per_sensor(cmd, &config))
+                (i, cmd, Arc::clone(&st.honeypots), st.logged_per_sensor(cmd, &config))
             })
             .collect();
-        // Phase 2: parallel, pure.
-        let logs: Vec<Vec<SensorPacket>> =
-            booters_par::par_map_indexed(&prepared, |i, (cmd, honeypots, logged)| {
-                let mut rng = StdRng::seed_from_u64(booters_par::stream_seed(batch_seed, i as u64));
-                order_command_log(cmd, generate_packets(cmd, honeypots, *logged, &mut rng))
-            });
+        // Phase 2: parallel, pure, one pool item per command — a command
+        // costs about eight times the wake-up of a parked helper.
+        let logs = booters_par::par_map_coarse(&prepared, |(i, cmd, honeypots, logged)| {
+            let mut rng = StdRng::seed_from_u64(booters_par::stream_seed(batch_seed, *i));
+            let packets = order_command_log(cmd, generate_packets(cmd, honeypots, *logged, &mut rng));
+            let flows = group.map_or_else(Vec::new, |key| group_log(&packets, key));
+            CommandLog { packets, flows }
+        });
         // Phase 3: sequential replay in submission order, one fleet pass
         // per command.
         for log in &logs {
-            self.fleet.handle_command(log);
+            self.fleet.handle_command(&log.packets);
         }
-        let emitted: usize = logs.iter().map(Vec::len).sum();
+        let emitted: usize = logs.iter().map(|l| l.packets.len()).sum();
         booters_obs::counter_add("netsim.packets_emitted", emitted as u64);
         booters_obs::counter_add("netsim.commands_simulated", cmds.len() as u64);
         logs
@@ -340,6 +380,32 @@ impl Engine {
     pub fn maintain(&mut self, now: u64) {
         self.fleet.expire_blocklist(now, 86_400);
     }
+}
+
+/// One command's share of a batch: its time-ordered packet log and, when
+/// the batch groups, the log's flows.
+#[derive(Default)]
+struct CommandLog {
+    packets: Vec<SensorPacket>,
+    flows: Vec<Flow>,
+}
+
+/// The batch's packets, command by command in submission order.
+fn concat_logs(logs: Vec<CommandLog>) -> Vec<SensorPacket> {
+    let mut packets = Vec::with_capacity(logs.iter().map(|l| l.packets.len()).sum());
+    for log in logs {
+        packets.extend(log.packets);
+    }
+    packets
+}
+
+/// Flows of a time-ordered log whose packets share one grouping key.
+fn group_log(packets: &[SensorPacket], key: VictimKey) -> Vec<Flow> {
+    let mut grouper = KeyedGrouper::new(key);
+    for p in packets {
+        grouper.push(p);
+    }
+    grouper.finish()
 }
 
 /// One command's packet log in generation order: honeypot by honeypot,

@@ -110,10 +110,9 @@ impl std::hash::Hasher for SplitMixHasher {
 type SensorCounts = HashMap<u32, u32, BuildHasherDefault<SplitMixHasher>>;
 
 /// A flow still taking packets: the paper's gap rule and per-sensor
-/// aggregation, shared by [`FlowGrouper`] and the out-of-core grouper in
-/// booters-store.
+/// aggregation, shared by [`FlowGrouper`] and [`KeyedGrouper`].
 #[derive(Debug)]
-pub struct OpenFlow {
+struct OpenFlow {
     victim: VictimAddr,
     protocol: UdpProtocol,
     start: u64,
@@ -125,7 +124,7 @@ pub struct OpenFlow {
 impl OpenFlow {
     /// Open a flow at packet `p`; `victim` is `p`'s victim under the
     /// grouper's [`VictimKey`].
-    pub fn open(victim: VictimAddr, p: &SensorPacket) -> OpenFlow {
+    fn open(victim: VictimAddr, p: &SensorPacket) -> OpenFlow {
         let mut per_sensor = SensorCounts::default();
         per_sensor.insert(p.sensor, 1);
         OpenFlow {
@@ -142,7 +141,7 @@ impl OpenFlow {
     /// victim and protocol, and less than [`FLOW_GAP_SECS`] after the
     /// flow's last packet. Returns false, leaving the flow as it was,
     /// when `p` must start a new flow instead.
-    pub fn try_push(&mut self, victim: VictimAddr, p: &SensorPacket) -> bool {
+    fn try_push(&mut self, victim: VictimAddr, p: &SensorPacket) -> bool {
         if victim != self.victim
             || p.protocol != self.protocol
             || p.time.saturating_sub(self.end) >= FLOW_GAP_SECS
@@ -156,7 +155,7 @@ impl OpenFlow {
     }
 
     /// The closed flow.
-    pub fn close(self) -> Flow {
+    fn close(self) -> Flow {
         Flow {
             victim: self.victim,
             protocol: self.protocol,
@@ -165,6 +164,50 @@ impl OpenFlow {
             total_packets: self.total,
             per_sensor: self.per_sensor.into_iter().collect(),
         }
+    }
+}
+
+/// Grouper for a stream whose packets arrive key by key: each
+/// `(canonical victim, protocol)` key's packets contiguous and in
+/// non-decreasing time order, as in a key-sorted store run or one
+/// command's time-ordered log. It holds at most one open flow and swaps
+/// it out when the key changes or the 15-minute gap closes it, so it
+/// needs no per-packet lookup of the flow key. On such a stream its
+/// flows are exactly [`FlowGrouper`]'s: both run one definition of the
+/// gap rule and per-sensor aggregation.
+#[derive(Debug)]
+pub struct KeyedGrouper {
+    key: VictimKey,
+    current: Option<OpenFlow>,
+    flows: Vec<Flow>,
+}
+
+impl KeyedGrouper {
+    /// New empty grouper with the given victim keying rule.
+    pub fn new(key: VictimKey) -> KeyedGrouper {
+        KeyedGrouper {
+            key,
+            current: None,
+            flows: Vec::new(),
+        }
+    }
+
+    /// Push the next packet of the stream.
+    pub fn push(&mut self, p: &SensorPacket) {
+        let victim = self.key.canonical(p.victim);
+        if !self.current.as_mut().is_some_and(|f| f.try_push(victim, p)) {
+            if let Some(old) = self.current.replace(OpenFlow::open(victim, p)) {
+                self.flows.push(old.close());
+            }
+        }
+    }
+
+    /// Close the open flow and return every flow, in stream order.
+    pub fn finish(mut self) -> Vec<Flow> {
+        if let Some(f) = self.current.take() {
+            self.flows.push(f.close());
+        }
+        self.flows
     }
 }
 

@@ -4,7 +4,7 @@
 use booters_netsim::flow::{FlowGrouper, FLOW_GAP_SECS};
 use booters_netsim::reflector::{SensorConfig, SensorFleet};
 use booters_netsim::{
-    classify_flows, sort_flows, AttackCommand, Country, Engine, EngineConfig, Flow, FlowClass,
+    classify_flows, group_flows_par, sort_flows, AttackCommand, Country, Engine, EngineConfig, Flow, FlowClass,
     SensorPacket, UdpProtocol, VictimAddr, VictimKey,
 };
 use booters_testkit::rng::SplitMix64;
@@ -297,4 +297,152 @@ forall! {
         sort_flows(&mut flows);
         prop_assert_eq!(flows, siphash_grouper(&packets, key));
     }
+}
+
+/// Gaps between consecutive commands, in seconds: small ones put a
+/// victim's commands in one flow, large ones split them.
+const GAPS: [u64; 7] = [0, 120, 500, 899, 900, 2_000, 40_000];
+/// Durations: the short ones give logs with fewer seconds than packets.
+const DURATIONS: [u32; 6] = [1, 7, 23, 60, 300, 1_800];
+const RATES: [u32; 3] = [3, 800, 50_000];
+
+/// A batch from compact draws `(gap, victim, protocol, duration, rate,
+/// booter, avoids)`: each command starts `gap` seconds after the previous
+/// one, on one of three addresses in a single /24, with one of two
+/// protocols.
+fn batch_from(raw: &[(u64, u8, usize, u32, u32, u32, bool)]) -> Vec<AttackCommand> {
+    let mut time = 1_000;
+    raw.iter()
+        .map(|&(gap, v, p, duration_secs, packets_per_second, booter, avoids_honeypots)| {
+            time += gap;
+            AttackCommand {
+                time,
+                victim: VictimAddr::from_octets(25, 9, 9, v),
+                protocol: UdpProtocol::ALL[p],
+                duration_secs,
+                packets_per_second,
+                booter,
+                avoids_honeypots,
+            }
+        })
+        .collect()
+}
+
+/// Twin engines with the same seed and history must agree: the flows
+/// entry point returns exactly the grouped batch trace, at 1, 2 and 4
+/// threads and with the small-work cutoff off, and leaves the fleet
+/// exactly as the trace path leaves it.
+fn assert_flows_equal_grouped_trace(history: &[AttackCommand], cmds: &[AttackCommand], key: VictimKey) {
+    let twin = || {
+        let mut e = Engine::new(EngineConfig::default());
+        e.simulate_attacks_batch(history);
+        e
+    };
+    let mut trace_path = twin();
+    let expected = group_flows_par(&trace_path.simulate_attacks_batch(cmds), key);
+    let expected_fleet = trace_path.fleet();
+    for threads in [1usize, 2, 4] {
+        for min_items in [None, Some(1)] {
+            let mut flows_path = twin();
+            let flows = booters_par::with_threads(threads, || match min_items {
+                Some(n) => booters_par::with_min_items(n, || flows_path.simulate_attack_flows(cmds, key)),
+                None => flows_path.simulate_attack_flows(cmds, key),
+            });
+            let case = format!("threads={threads} min_items={min_items:?}");
+            prop_assert_eq!(&flows, &expected, "{}", case);
+            let fleet = flows_path.fleet();
+            prop_assert_eq!(fleet.reflected_packets, expected_fleet.reflected_packets, "{}", case);
+            prop_assert_eq!(fleet.absorbed_packets, expected_fleet.absorbed_packets, "{}", case);
+            for c in cmds {
+                prop_assert_eq!(
+                    fleet.is_blocklisted(c.victim, c.protocol),
+                    expected_fleet.is_blocklisted(c.victim, c.protocol),
+                    "{}",
+                    case
+                );
+            }
+        }
+    }
+}
+
+forall! {
+    #![cases(48)]
+
+    fn flows_entry_point_equals_grouped_batch_trace(
+        raw in prop::collection::vec(
+            (
+                (0usize..GAPS.len(), 0u8..3, 0usize..2),
+                (0usize..DURATIONS.len(), 0usize..RATES.len(), 0u32..4, any::<bool>()),
+            ),
+            1..9,
+        ),
+        history_len in 0usize..3,
+        by_prefix in any::<bool>(),
+    ) {
+        let raw: Vec<_> = raw
+            .into_iter()
+            .map(|((g, v, p), (d, r, b, a))| (GAPS[g], v, p, DURATIONS[d], RATES[r], b, a))
+            .collect();
+        let cmds = batch_from(&raw);
+        // The history replays the first few commands earlier, so lists
+        // and the blocklist are already warm for the same victims.
+        let history: Vec<AttackCommand> = cmds[..history_len.min(cmds.len())]
+            .iter()
+            .map(|c| AttackCommand { time: c.time.saturating_sub(500), ..*c })
+            .collect();
+        let key = if by_prefix { VictimKey::ByPrefix24 } else { VictimKey::ByIp };
+        assert_flows_equal_grouped_trace(&history, &cmds, key);
+    }
+}
+
+#[test]
+fn flows_entry_point_covers_the_named_cases() {
+    type Raw = (u64, u8, usize, u32, u32, u32, bool);
+    let cases: [(&str, Vec<Raw>, VictimKey, usize); 6] = [
+        (
+            "same victim and protocol under 15 minutes apart: one merged flow",
+            vec![(0, 1, 0, 300, 50_000, 0, false), (600, 1, 0, 300, 50_000, 1, false)],
+            VictimKey::ByIp,
+            1,
+        ),
+        (
+            "same pair over 15 minutes apart: two flows",
+            vec![(0, 1, 0, 60, 50_000, 0, false), (2_000, 1, 0, 60, 50_000, 1, false)],
+            VictimKey::ByIp,
+            2,
+        ),
+        (
+            "different addresses in one /24 under the prefix key: one flow",
+            vec![
+                (0, 0, 1, 300, 50_000, 0, false),
+                (30, 1, 1, 300, 50_000, 1, false),
+                (30, 2, 1, 300, 50_000, 2, false),
+            ],
+            VictimKey::ByPrefix24,
+            1,
+        ),
+        (
+            "an avoiding booter with an empty list next to a visible one",
+            vec![(0, 1, 0, 300, 50_000, 3, true), (10, 1, 0, 300, 50_000, 0, false)],
+            VictimKey::ByIp,
+            1,
+        ),
+        (
+            "commands shorter than the packet log cap (q = 0)",
+            vec![(0, 2, 1, 7, 50_000, 0, false), (3, 2, 1, 1, 50_000, 1, false)],
+            VictimKey::ByIp,
+            1,
+        ),
+        ("a batch of one command", vec![(0, 0, 0, 300, 50_000, 0, false)], VictimKey::ByIp, 1),
+    ];
+    for (name, raw, key, flows) in cases {
+        let cmds = batch_from(&raw);
+        assert_flows_equal_grouped_trace(&[], &cmds, key);
+        let got = Engine::new(EngineConfig::default()).simulate_attack_flows(&cmds, key);
+        assert_eq!(got.len(), flows, "{name}");
+    }
+    // The avoiding booter's list is empty at the default seed, so that
+    // case really has a command with no packets.
+    let avoiding = batch_from(&[(0, 1, 0, 300, 50_000, 3, true)]);
+    assert!(Engine::new(EngineConfig::default()).simulate_attacks_batch(&avoiding).is_empty());
 }

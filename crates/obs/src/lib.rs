@@ -28,9 +28,10 @@
 //! ## Determinism of merged counters
 //!
 //! Worker threads accumulate into thread-local maps; a thread's map is
-//! folded into the process-wide registry when the thread exits (the
-//! `booters-par` pool uses scoped threads, so every worker has flushed by
-//! the time a `par_*` call returns) or when that thread calls
+//! folded into the process-wide registry when the thread exits, when it
+//! calls [`flush`] (each parked `booters-par` helper flushes before it
+//! reports its share of a dispatch done, so every helper's metrics are in
+//! the registry by the time a `par_*` call returns) or when it calls
 //! [`snapshot`]. Counter merging is addition and gauge merging is `max` —
 //! both commutative and associative — so the merged totals are
 //! independent of thread scheduling and arrival order. Workload counters
@@ -305,10 +306,29 @@ impl Snapshot {
     }
 }
 
+/// Fold the calling thread's pending metrics into the process-wide
+/// registry now, instead of at thread exit. Long-lived worker threads
+/// call this after each batch of work so a [`snapshot`] taken on another
+/// thread sees it. Open spans stay open. No-op unless [`enabled`].
+pub fn flush() {
+    if !enabled() {
+        return;
+    }
+    with_local(|l| {
+        if l.counters.is_empty() && l.gauges.is_empty() && l.spans.is_empty() {
+            return;
+        }
+        if let Ok(mut global) = GLOBAL.lock() {
+            global.absorb(l);
+        }
+    });
+}
+
 /// Flush the calling thread's pending metrics and return a merged copy of
 /// the registry. Live threads other than the caller contribute only what
-/// they have already flushed (scoped pool workers flush on exit, so after
-/// a `par_*` call returns their metrics are all present).
+/// they have already flushed (pool helpers flush at the end of each
+/// dispatch, so after a `par_*` call returns their metrics are all
+/// present).
 pub fn snapshot() -> Snapshot {
     let mut global = GLOBAL.lock().expect("obs registry poisoned");
     with_local(|l| {
@@ -483,6 +503,31 @@ mod tests {
         let snap = snapshot();
         assert_eq!(snap.counter("w.items"), 1 + 2 + 3 + 4);
         assert_eq!(snap.gauges["w.peak"], 3);
+        set_enabled(false);
+    }
+
+    #[test]
+    fn flush_hands_a_live_threads_metrics_to_the_registry() {
+        let _g = locked_enabled();
+        let (flushed, done) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let outer = span("live_outer");
+                counter_add("live.items", 4);
+                flush();
+                flushed.wait();
+                // The open span survived the flush and still nests.
+                {
+                    span!("after");
+                }
+                drop(outer);
+                done.wait();
+            });
+            flushed.wait();
+            // The worker is still alive: only flush() can have delivered it.
+            assert_eq!(snapshot().counter("live.items"), 4);
+            done.wait();
+        });
         set_enabled(false);
     }
 

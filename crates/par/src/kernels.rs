@@ -56,8 +56,10 @@ pub fn scalar_kernels() -> bool {
         .unwrap_or_else(configured_scalar)
 }
 
-/// Install the submitting thread's effective selection on a pool worker
-/// (workers are fresh scoped threads, so nothing needs restoring).
+/// Install the submitting thread's effective selection on a pool helper.
+/// Helpers outlive a dispatch, so each one calls this at the start of
+/// every job it claims; the next dispatch overwrites the value, so
+/// nothing needs restoring.
 pub(crate) fn inherit_kernels(scalar: bool) {
     KERNEL_OVERRIDE.with(|c| c.set(Some(scalar)));
 }

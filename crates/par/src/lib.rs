@@ -2,7 +2,8 @@
 //! # booters-par
 //!
 //! Deterministic data parallelism for the simulate→group→fit pipeline:
-//! a zero-dependency scoped thread-pool with chunked [`par_map`] /
+//! a zero-dependency thread pool of parked, process-wide helpers with
+//! chunked [`par_map`] /
 //! [`par_for_each`] / [`par_map_collect`] and a hard determinism
 //! contract. The executor exists so the per-country Table 2 fan-out,
 //! netsim packet generation, flow grouping and the intervention-window
@@ -23,6 +24,18 @@
 //!    point degenerates to the plain `iter().map(...)` loop the
 //!    pre-executor code ran — no pool, no channels, no reordering.
 //!
+//! ## The helpers
+//!
+//! The calling thread always works its share of a batch. The other
+//! workers are helper threads started lazily and parked between
+//! dispatches for the life of the process; the set grows to the largest
+//! thread count ever requested. A helper that has not joined a dispatch
+//! by the time the caller has finished every chunk does not join it at
+//! all, so a dispatch never waits on a helper that is slow to wake.
+//! While one dispatch owns the helpers, a dispatch from another OS thread
+//! runs its batch alone on that thread. `DESIGN.md` §5b has the life
+//! cycle and the safety argument.
+//!
 //! ## Thread-count resolution
 //!
 //! [`threads`] resolves, in priority order: a scoped [`with_threads`]
@@ -33,24 +46,27 @@
 //!
 //! ## Small-work cutoff and size-aware scheduling
 //!
-//! Spawning the pool costs tens of microseconds, more than a batch of a
+//! Waking a parked helper costs about 4–5 µs per dispatch on a 2-core
+//! host (`par/helper_wake_roundtrip` in `BENCH_par.json`), plus the cache
+//! misses of moving the work to another core — more than a batch of a
 //! few cheap items is worth. Every `par_*` entry point except
 //! [`par_map_coarse`] therefore runs sequentially when the batch has
 //! fewer than [`min_items`] items (default 16),
 //! resolved as: a scoped [`with_min_items`] override → the
 //! `BOOTERS_PAR_MIN_ITEMS` environment variable (read once per process)
 //! → 16. Above the cutoff, worker count is *size-aware*: at most one
-//! worker per [`min_items`] items is spawned, so a batch barely past the
+//! worker per [`min_items`] items is used, so a batch barely past the
 //! cutoff gets two threads, not eight two-item ones — and the implied
 //! chunk size never drops below `min_items / CHUNKS_PER_WORKER`.
 //! Because the sequential path is already part of the determinism
 //! contract (point 3), neither the cutoff nor the worker cap can ever
-//! change a result — only when and how many threads are spawned. Set
+//! change a result — only when and how many helpers are woken. Set
 //! `BOOTERS_PAR_MIN_ITEMS=1` to disable both.
 //!
 //! Batches of *few but individually heavy* items (decoding store chunks,
 //! grouping per-shard packet buckets, the Table 2 country fits and the
-//! duration-scan refits at about 0.7 ms each) are the one shape the
+//! duration-scan refits at about 0.7 ms each, one week's packet commands
+//! at about 40 µs each) are the one shape the
 //! item-count cutoff misjudges; [`par_map_coarse`] is the entry point for
 //! them — no item-count cutoff, one item per scheduling unit.
 //!
@@ -64,6 +80,7 @@
 pub mod kernels;
 mod pool;
 mod seed;
+mod workers;
 
 pub use kernels::{scalar_kernels, with_scalar_kernels};
 pub use pool::{par_for_each, par_map, par_map_coarse, par_map_collect, par_map_indexed};
@@ -82,9 +99,10 @@ thread_local! {
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Default sequential cutoff: batches smaller than this never spawn the
-/// pool. Sized for batches of cheap items, whose per-item work a pool
-/// spawn would dwarf; heavy items such as NB2 fits go through
+/// Default sequential cutoff: batches smaller than this never wake a
+/// helper. Sized for batches of cheap items, whose per-item work the
+/// 4–5 µs wake-up and the cross-core hand-off would dwarf; heavy items
+/// such as NB2 fits and packet commands go through
 /// [`par_map_coarse`], which has no cutoff, so real data-parallel sweeps
 /// and few-but-heavy fan-outs both get the pool.
 const DEFAULT_MIN_ITEMS: usize = 16;
@@ -140,8 +158,8 @@ pub fn threads() -> usize {
 }
 
 /// True while the current thread runs pool tasks (where [`threads`]
-/// reports 1): on a spawned worker, or on the calling thread while it
-/// works its share of a batch.
+/// reports 1): always on a pool helper, and on the calling thread while
+/// it works its share of a batch.
 pub fn in_pool() -> bool {
     IN_POOL.with(|c| c.get())
 }
@@ -180,7 +198,7 @@ fn configured_min_items() -> usize {
 }
 
 /// Batches with fewer items than this run sequentially on the calling
-/// thread (same results by the determinism contract, no pool spawn).
+/// thread (same results by the determinism contract, no helper woken).
 pub fn min_items() -> usize {
     MIN_ITEMS_OVERRIDE
         .with(|c| c.get())

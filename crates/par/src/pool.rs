@@ -1,4 +1,4 @@
-//! The chunked scoped executor behind `par_map` and friends.
+//! The chunked executor behind `par_map` and friends.
 //!
 //! Work distribution is dynamic (workers pull chunks off a shared atomic
 //! cursor, so an expensive item does not stall the rest), but reduction is
@@ -6,14 +6,14 @@
 //! that index before returning. The output is therefore a pure function of
 //! the input — never of the schedule.
 //!
-//! The calling thread is one of the workers: it spawns the others, then
-//! pulls chunks alongside them instead of idling until they join. That
-//! saves one thread spawn per dispatch, and the spans a task opens on
-//! the caller stay inside the caller's `booters-obs` span tree.
+//! The calling thread is one of the workers: it wakes parked helpers
+//! ([`crate::workers`]), then pulls chunks alongside them instead of
+//! idling until they finish. The spans a task opens on the caller stay
+//! inside the caller's `booters-obs` span tree.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Chunks handed out per worker (over-decomposition for load balance; the
 /// value only affects scheduling granularity, never results).
@@ -26,12 +26,13 @@ fn chunk_len(items: usize, workers: usize) -> usize {
 /// Size-aware worker count for a fine-grained batch of `len` items:
 /// 1 (the sequential path) below the [`crate::min_items`] cutoff, and at
 /// most one worker per `min_items` items above it, capped by the
-/// configured thread count. Spawning a thread costs tens of
-/// microseconds, so a worker that would receive less than one cutoff's
-/// worth of items costs more than it contributes; capping workers this
-/// way also floors the chunk size at `min_items / CHUNKS_PER_WORKER`.
-/// Results never depend on the answer (determinism contract points 1
-/// and 3) — only the spawn count does.
+/// configured thread count. Waking a parked helper costs a few
+/// microseconds plus the cache misses of moving the work, so a worker
+/// that would receive less than one cutoff's worth of cheap items costs
+/// more than it contributes; capping workers this way also floors the
+/// chunk size at `min_items / CHUNKS_PER_WORKER`. Results never depend
+/// on the answer (determinism contract points 1 and 3) — only the number
+/// of helpers woken does.
 fn plan_workers(len: usize) -> usize {
     let threads = crate::threads().min(len);
     let min = crate::min_items();
@@ -66,7 +67,7 @@ where
     if workers <= 1 {
         // Sequential fallback: the exact code path the pre-executor
         // callers ran. Small batches take it too (see the small-work
-        // cutoff in the crate docs) — same results, no pool spawn.
+        // cutoff in the crate docs) — same results, no helper woken.
         booters_obs::counter_add("par.seq_fallbacks", 1);
         return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
@@ -132,13 +133,14 @@ where
         .collect()
 }
 
-/// The scoped pool: spawn `workers - 1` threads, work alongside them on
-/// the calling thread, hand out chunks off an atomic cursor, join
-/// everything, then merge results by submission index.
+/// One dispatch: the calling thread and up to `workers - 1` parked
+/// helpers ([`crate::workers`]) pull chunks off an atomic cursor, then
+/// results merge by submission index.
 ///
 /// A panicking task sets the abort flag (other workers stop at their next
-/// chunk boundary — no hang, no orphan threads: `thread::scope` joins them
-/// all) and the lowest-index captured panic is resumed on the caller.
+/// chunk boundary, and the dispatch still waits for every helper that
+/// joined it) and the lowest-index captured panic is resumed on the
+/// caller.
 fn run_on_pool<T, U, F>(items: &[T], workers: usize, chunk: usize, f: &F) -> Vec<U>
 where
     T: Sync,
@@ -148,8 +150,14 @@ where
     let n_chunks = items.len().div_ceil(chunk);
     let cursor = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
-    let panics: Mutex<Vec<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(Vec::new());
-    // Workers must see the same fast-vs-scalar kernel selection as the
+    // Every worker deposits its results and any panic here once, when it
+    // runs out of chunks. Nothing panics while holding the lock, so a
+    // poisoned guard is still whole.
+    let done: Mutex<Collected<U>> = Mutex::new(Collected {
+        tagged: Vec::with_capacity(items.len()),
+        panics: Vec::new(),
+    });
+    // Helpers must see the same fast-vs-scalar kernel selection as the
     // submitting thread (the override is thread-local, and kernels run
     // inside fanned-out closures — chunk decode, flow grouping).
     let scalar_kernels = crate::scalar_kernels();
@@ -159,7 +167,8 @@ where
     let work = || {
         let _in_pool = crate::enter_pool();
         let mut local: Vec<(usize, U)> = Vec::new();
-        while !abort.load(Ordering::Relaxed) {
+        let mut panicked = None;
+        'chunks: while !abort.load(Ordering::Relaxed) {
             let c = cursor.fetch_add(1, Ordering::Relaxed);
             if c >= n_chunks {
                 break;
@@ -171,36 +180,35 @@ where
                     Ok(v) => local.push((i, v)),
                     Err(payload) => {
                         abort.store(true, Ordering::Relaxed);
-                        panics.lock().expect("panic log poisoned").push((i, payload));
-                        return local;
+                        panicked = Some((i, payload));
+                        break 'chunks;
                     }
                 }
             }
         }
-        local
+        let mut done = done.lock().unwrap_or_else(PoisonError::into_inner);
+        done.tagged.append(&mut local);
+        done.panics.extend(panicked);
     };
-
-    let mut tagged: Vec<(usize, U)> = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    crate::kernels::inherit_kernels(scalar_kernels);
-                    work()
-                })
-            })
-            .collect();
-        tagged.extend(work());
-        for h in handles {
-            // Worker bodies catch task panics, so join itself cannot fail.
-            tagged.extend(h.join().expect("pool worker crashed outside a task"));
+    let helper_job = || {
+        crate::kernels::inherit_kernels(scalar_kernels);
+        // The caller takes its first chunk right after waking helpers,
+        // so a helper that finds none taken was most likely woken onto
+        // the caller's core and preempted it. Hand the core back until
+        // the caller has started: otherwise the helper can run the whole
+        // batch while the caller waits, and the scheduler may keep
+        // placing the two together on later dispatches.
+        while cursor.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
         }
-    });
+        work();
+    };
+    crate::workers::run(workers - 1, &helper_job, &work);
 
-    let mut panics = panics.into_inner().expect("panic log poisoned");
+    let Collected { mut tagged, mut panics } = done.into_inner().unwrap_or_else(PoisonError::into_inner);
     if !panics.is_empty() {
         panics.sort_by_key(|(i, _)| *i);
-        resume_unwind(panics.remove(0).1);
+        resume_unwind(panics.swap_remove(0).1);
     }
 
     // Submission-order reduction: indices are unique, so this sort yields
@@ -208,6 +216,12 @@ where
     tagged.sort_unstable_by_key(|(i, _)| *i);
     debug_assert_eq!(tagged.len(), items.len(), "executor lost results");
     tagged.into_iter().map(|(_, v)| v).collect()
+}
+
+/// What the workers of one dispatch hand back.
+struct Collected<U> {
+    tagged: Vec<(usize, U)>,
+    panics: Vec<(usize, Box<dyn std::any::Any + Send>)>,
 }
 
 #[cfg(test)]
@@ -237,7 +251,7 @@ mod tests {
 
     #[test]
     fn small_batches_stay_on_the_calling_thread() {
-        // Below the cutoff no pool is spawned even with threads available:
+        // Below the cutoff no helper is woken even with threads available:
         // the closure observes the calling thread, not a pool worker.
         let items: Vec<u32> = (0..8).collect();
         let on_pool = crate::with_threads(4, || {

@@ -73,8 +73,8 @@ fn panic_in_one_task_joins_cleanly_and_propagates() {
         .unwrap_or_default();
     assert!(message.contains("task 9 exploded"), "payload: {message:?}");
 
-    // The pool is stateless between calls: after a panicked run the next
-    // call works normally (no poisoned global, no leaked workers).
+    // The helpers survive a panicked dispatch: the next call works
+    // normally (no poisoned state, no helper left counted as busy).
     let ok = with_threads(4, || par_map(&items, |&x| x + 1));
     assert_eq!(ok.len(), items.len());
 }

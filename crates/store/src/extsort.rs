@@ -33,7 +33,7 @@ use crate::chunk::DEFAULT_CHUNK_CAPACITY;
 use crate::error::StoreError;
 use crate::reader::ChunkReader;
 use crate::writer::{ChunkWriter, PACKET_BYTES};
-use booters_netsim::flow::{OpenFlow, FLOW_GAP_SECS};
+use booters_netsim::flow::{KeyedGrouper, FLOW_GAP_SECS};
 use booters_netsim::packet::PacketSink;
 use booters_netsim::{Flow, SensorPacket, VictimKey};
 use std::cmp::Reverse;
@@ -368,50 +368,6 @@ impl PacketSink for SpillGrouper {
         if let Err(e) = self.push(p) {
             self.deferred = Some(e);
         }
-    }
-}
-
-/// Group a key-sorted packet stream: at most one open flow at a time,
-/// swapped out when the `(canonical victim, protocol)` key changes or
-/// the 15-minute gap closes it, so memory is bounded by one flow.
-///
-/// This is [`booters_netsim::FlowGrouper`] specialised to the sorted
-/// stream: because each key's packets arrive contiguously and
-/// time-nondecreasing, the grouper holds its single open flow directly —
-/// no per-packet hash-map lookup of the flow key, which dominated the
-/// merge loop. The open flow is the in-memory grouper's own
-/// [`OpenFlow`], so the gap rule, aggregation and produced [`Flow`]
-/// values are the same code (pinned by the store-vs-in-memory
-/// equivalence goldens).
-struct KeyedGrouper {
-    key: VictimKey,
-    current: Option<OpenFlow>,
-    flows: Vec<Flow>,
-}
-
-impl KeyedGrouper {
-    fn new(key: VictimKey) -> KeyedGrouper {
-        KeyedGrouper {
-            key,
-            current: None,
-            flows: Vec::new(),
-        }
-    }
-
-    fn push(&mut self, p: &SensorPacket) {
-        let victim = self.key.canonical(p.victim);
-        if !self.current.as_mut().is_some_and(|f| f.try_push(victim, p)) {
-            if let Some(old) = self.current.replace(OpenFlow::open(victim, p)) {
-                self.flows.push(old.close());
-            }
-        }
-    }
-
-    fn finish(mut self) -> Vec<Flow> {
-        if let Some(f) = self.current.take() {
-            self.flows.push(f.close());
-        }
-        self.flows
     }
 }
 

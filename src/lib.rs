@@ -20,7 +20,7 @@
 //! | [`netsim`] | packet-level UDP reflection + hopscotch honeypot simulator |
 //! | [`market`] | agent-based booter market with the §2 intervention timeline |
 //! | [`core`] | scenario runner, datasets, the §4 pipeline, table/figure renderers |
-//! | [`par`] | deterministic scoped thread-pool driving the simulate→group→fit hot paths |
+//! | [`par`] | deterministic parked thread-pool driving the simulate→group→fit hot paths |
 //! | [`store`] | chunked columnar on-disk packet store + out-of-core flow grouping |
 //! | [`obs`] | zero-dependency span timers + metric counters, off by default (`BOOTERS_OBS=1`) |
 //! | [`serve`] | streaming ingest: sharded intake, watermark-driven flow expiry, rolling warm-started refits |
