@@ -1,8 +1,9 @@
-//! Parallel-executor benchmarks: the cost of one dispatch, and the two
-//! hot paths `booters-par` fans out — per-country Table-2 fits and
-//! packet-flow grouping — measured sequentially and at 2/4/8 worker
-//! threads via the thread-local override, so one run emits the full
-//! scaling comparison regardless of `BOOTERS_THREADS`.
+//! Parallel-executor benchmarks: the cost of one dispatch, per-country
+//! Table-2 fits (a hot path `booters-par` fans out) and whole-trace
+//! packet-flow grouping (which stays on the calling thread), measured
+//! sequentially and at 2/4/8 worker threads via the thread-local
+//! override, so one run emits the full scaling comparison regardless of
+//! `BOOTERS_THREADS`.
 //!
 //! Speedup is hardware-bound: on a single-core host the threaded runs
 //! only measure executor overhead. The determinism contract is what the
@@ -44,8 +45,7 @@ fn bench_country_fits(c: &mut Criterion) {
     group.finish();
 }
 
-/// A week of commands against a spread of victims and protocols — enough
-/// packets that the 15-minute-gap grouping dominates the sharding cost.
+/// A week of commands against a spread of victims and protocols.
 fn sample_packets() -> Vec<SensorPacket> {
     let mut engine = Engine::new(EngineConfig::default());
     let protocols = [
@@ -76,10 +76,6 @@ fn bench_flow_grouping(c: &mut Criterion) {
     for threads in THREADS {
         group.bench_function(&format!("threads_{threads}"), |b| {
             b.iter(|| {
-                // No min-items force here: this measures the production
-                // gate, so hosts where sharding cannot pay (one core, or
-                // a trace below the per-shard minimum) record the
-                // sequential path rather than pure overhead.
                 booters_par::with_threads(threads, || {
                     black_box(group_flows_par(&packets, VictimKey::ByIp).len())
                 })

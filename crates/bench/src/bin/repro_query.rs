@@ -1,47 +1,17 @@
-//! Exercise the predicate-pushdown query engine end to end: run the
-//! full-packet measurement chain once through the batch in-memory
-//! pipeline and once with every week routed through a scratch columnar
-//! store and the `booters-query` engine, render Tables 1 and 2 from
-//! both, and write each rendering as its own artifact so the verify
-//! recipe can `cmp` them byte-for-byte. A second section runs canned
-//! pushdown queries (time window, victim prefix, protocol set) against
-//! a many-chunk store and reports the pruning economics, plus the
-//! weekly `(week × country × protocol)` panel as a CSV artifact.
+//! Exercise the predicate-pushdown query engine: run canned pushdown
+//! queries (time window, victim prefix, protocol set) against a
+//! many-chunk store, report the pruning economics, and write the weekly
+//! `(week × country × protocol)` panel as a CSV artifact. The query
+//! path's equivalence with in-memory flow grouping is pinned on engine
+//! packet batches by `tests/flow_backends.rs`.
 //!
-//! Usage: `cargo run --release -p booters-bench --bin repro_query [scale]`
+//! Usage: `cargo run --release -p booters-bench --bin repro_query`
 
-use booters_bench::{pipeline_config, scale_from_args, write_artifact, REPRO_SEED};
-use booters_core::pipeline::{build_dataset_query, fit_global};
-use booters_core::report::{table1, table2};
-use booters_core::scenario::{Fidelity, Scenario, ScenarioConfig};
-use booters_market::calibration::Calibration;
-use booters_market::market::MarketConfig;
+use booters_bench::write_artifact;
 use booters_netsim::{AttackCommand, Engine, EngineConfig, UdpProtocol, VictimAddr};
-use booters_query::{Predicate, QueryConfig, QueryEngine, QueryStats, WEEK_SECS};
+use booters_query::{Predicate, QueryEngine, WEEK_SECS};
 use booters_store::ChunkWriter;
 use std::fmt::Write as _;
-use std::time::Instant;
-
-fn query_scenario_config(scale: f64) -> ScenarioConfig {
-    ScenarioConfig {
-        market: MarketConfig {
-            calibration: Calibration::default(),
-            scale,
-            seed: REPRO_SEED,
-            ..MarketConfig::default()
-        },
-        fidelity: Fidelity::FullPackets { per_week: 8 },
-        ..ScenarioConfig::default()
-    }
-}
-
-fn render(s: &Scenario) -> (String, String) {
-    let cal = Calibration::default();
-    let cfg = pipeline_config();
-    let t1 = table1(&fit_global(&s.honeypot, &cal, &cfg).expect("global fit"));
-    let t2 = table2(&s.honeypot, &cal, &cfg).expect("country fits");
-    (t1, t2)
-}
 
 /// One synthetic trace spanning several weeks, chunked small so the
 /// canned queries face a store with plenty of chunks to prune.
@@ -138,65 +108,12 @@ fn canned_queries_report() -> (String, String) {
 }
 
 fn main() {
-    let scale = scale_from_args();
-    eprintln!("simulating full-packet scenario at scale {scale} ...");
-
-    let start = Instant::now();
-    let batch = Scenario::run(query_scenario_config(scale));
-    let t_batch = start.elapsed().as_secs_f64();
-    let (t1_batch, t2_batch) = render(&batch);
-
-    let start = Instant::now();
-    let queried = build_dataset_query(
-        query_scenario_config(scale),
-        QueryConfig {
-            chunk_capacity: 1024, // several chunks per simulated week
-            ..QueryConfig::default()
-        },
-    )
-    .expect("query-backed scenario");
-    let t_query = start.elapsed().as_secs_f64();
-    let stats: QueryStats = queried.query_stats.expect("query path ran");
-    let (t1_query, t2_query) = render(&queried);
-
-    assert_eq!(
-        t1_batch, t1_query,
-        "query-backed Table 1 must be byte-identical to the batch pipeline"
-    );
-    assert_eq!(
-        t2_batch, t2_query,
-        "query-backed Table 2 must be byte-identical to the batch pipeline"
-    );
-
     let (canned, panel_csv) = canned_queries_report();
-
     let report = format!(
-        "query-backed weeks: {} scans over {} chunks, {} pruned / {} covered / {} decoded / {} cached\n\
-         rows: {} scanned, {} returned\n\
-         wall time: batch {:.2}s vs query-backed {:.2}s\n\
-         Tables 1 and 2 byte-identical across both paths: yes\n\
-         decoded-chunk cache budget: {} bytes\n\
-         \n{canned}",
-        stats.scans,
-        stats.chunks_total,
-        stats.chunks_pruned,
-        stats.chunks_covered,
-        stats.chunks_decoded,
-        stats.chunks_cached,
-        stats.rows_scanned,
-        stats.rows_returned,
-        t_batch,
-        t_query,
+        "decoded-chunk cache budget: {} bytes\n\n{canned}",
         booters_store::cache_bytes(),
     );
-    assert!(stats.scans >= 3, "expected real query-backed weeks");
-
     println!("{report}");
-    println!("{t1_query}");
-    write_artifact("table1.qbatch.txt", &t1_batch);
-    write_artifact("table1.query.txt", &t1_query);
-    write_artifact("table2.qbatch.txt", &t2_batch);
-    write_artifact("table2.query.txt", &t2_query);
     write_artifact("query_panel.csv", &panel_csv);
     write_artifact("query.txt", &report);
 }

@@ -1,37 +1,15 @@
-//! Exercise the columnar event store end to end: ingest a full synthetic
-//! sensor trace into the chunked on-disk format, report throughput and
-//! compression, then rebuild the honeypot dataset through the
-//! spill-to-disk out-of-core grouping path under a deliberately small
-//! memory budget and check Table 1 is byte-identical to the in-memory
-//! pipeline.
+//! Exercise the columnar event store: ingest a synthetic sensor trace
+//! into the chunked on-disk format and report throughput and
+//! compression. The out-of-core grouping path's equivalence with
+//! in-memory grouping is pinned on engine packet batches by
+//! `tests/flow_backends.rs`.
 //!
-//! Usage: `cargo run --release -p booters-bench --bin repro_store [scale]`
+//! Usage: `cargo run --release -p booters-bench --bin repro_store`
 
-use booters_bench::{pipeline_config, scale_from_args, write_artifact, REPRO_SEED};
-use booters_core::pipeline::{build_dataset_store, fit_global};
-use booters_core::report::table1;
-use booters_core::scenario::{Fidelity, Scenario, ScenarioConfig};
-use booters_market::calibration::Calibration;
-use booters_market::market::MarketConfig;
-use booters_store::{ChunkWriter, SpillConfig, PACKET_BYTES};
+use booters_bench::write_artifact;
+use booters_store::{ChunkWriter, PACKET_BYTES};
 use booters_netsim::{AttackCommand, Engine, EngineConfig, UdpProtocol, VictimAddr};
 use std::time::Instant;
-
-/// Small enough that every simulated week spills several sorted runs.
-const STORE_BUDGET: usize = 128 << 10;
-
-fn store_config(scale: f64) -> ScenarioConfig {
-    ScenarioConfig {
-        market: MarketConfig {
-            calibration: Calibration::default(),
-            scale,
-            seed: REPRO_SEED,
-            ..MarketConfig::default()
-        },
-        fidelity: Fidelity::FullPackets { per_week: 8 },
-        ..ScenarioConfig::default()
-    }
-}
 
 /// Time a raw ingest of one engine trace through the chunk writer.
 fn ingest_report() -> String {
@@ -71,49 +49,7 @@ fn ingest_report() -> String {
 }
 
 fn main() {
-    let scale = scale_from_args();
-    let mut report = ingest_report();
-    eprint!("{report}");
-
-    eprintln!("simulating full-packet scenario at scale {scale} ...");
-    let cal = Calibration::default();
-    let cfg = pipeline_config();
-
-    let start = Instant::now();
-    let baseline = Scenario::run(store_config(scale));
-    let t_mem = start.elapsed().as_secs_f64();
-    let t1_mem = table1(&fit_global(&baseline.honeypot, &cal, &cfg).expect("global fit"));
-
-    let start = Instant::now();
-    let spill = SpillConfig {
-        budget_bytes: STORE_BUDGET,
-        ..SpillConfig::default()
-    };
-    let stored = build_dataset_store(store_config(scale), spill).expect("store-backed scenario");
-    let t_store = start.elapsed().as_secs_f64();
-    let stats = stored.store_stats.expect("store path ran");
-    let t1_store = table1(&fit_global(&stored.honeypot, &cal, &cfg).expect("global fit"));
-
-    assert_eq!(
-        t1_mem, t1_store,
-        "store-backed Table 1 must be byte-identical to the in-memory pipeline"
-    );
-    report.push_str(&format!(
-        "out-of-core grouping: {} packets, {} spill runs ({:.1} MB in {} chunks), \
-         peak buffer {} packets under a {} KiB budget\n\
-         wall time: in-memory {:.2}s vs store-backed {:.2}s\n\
-         Table 1 byte-identical across both paths: yes\n",
-        stats.packets,
-        stats.spill_runs,
-        stats.run_bytes as f64 / 1e6,
-        stats.run_chunks,
-        stats.peak_buf_packets,
-        STORE_BUDGET >> 10,
-        t_mem,
-        t_store,
-    ));
-
+    let report = ingest_report();
     println!("{report}");
-    println!("{t1_store}");
     write_artifact("store.txt", &report);
 }

@@ -202,54 +202,6 @@ pub fn fit_series(
     })
 }
 
-/// Store-backed dataset builder: run `config` with every full-packet
-/// week streamed through the booters-store out-of-core spill grouper
-/// instead of in-RAM grouping, bounding packet memory at the spill
-/// budget. The returned scenario — and therefore every table fitted from
-/// it — is **byte-identical** to `Scenario::run(config)` without a store
-/// (golden-tested in `tests/store_equivalence.rs`); only the memory
-/// ceiling changes. `store_stats` on the result records the spill work.
-pub fn build_dataset_store(
-    mut config: crate::scenario::ScenarioConfig,
-    spill: booters_store::SpillConfig,
-) -> Result<crate::scenario::Scenario, crate::scenario::ScenarioError> {
-    config.store = Some(spill);
-    crate::scenario::Scenario::try_run(config)
-}
-
-/// Streaming dataset builder: run `config` with every full-packet week
-/// streamed through one long-running `booters-serve` node — sharded
-/// intake, watermark-driven incremental grouping, an epoch close per
-/// week, rolling warm-started NB2 refits. The returned scenario — and
-/// therefore every table fitted from it — is **byte-identical** to
-/// `Scenario::run(config)` without a streaming backend (golden-tested
-/// in `tests/serve_equivalence.rs`, across threads and kernel
-/// selections). `serve_stats` on the result records the intake work.
-pub fn build_dataset_serve(
-    mut config: crate::scenario::ScenarioConfig,
-    serve: booters_serve::ServeConfig,
-) -> Result<crate::scenario::Scenario, crate::scenario::ScenarioError> {
-    config.serve = Some(serve);
-    crate::scenario::Scenario::try_run(config)
-}
-
-/// Query-backed dataset builder: run `config` with every full-packet
-/// week written to a scratch columnar store file and its attack flows
-/// recovered through the `booters-query` predicate-pushdown engine
-/// (zone-map planning, late materialization) instead of in-RAM
-/// grouping. The returned scenario — and therefore every table fitted
-/// from it — is **byte-identical** to `Scenario::run(config)` without a
-/// query backend (golden-tested in `tests/query_equivalence.rs`, across
-/// threads and kernel selections). `query_stats` on the result records
-/// the planner/scan work (chunks pruned vs decoded, rows scanned).
-pub fn build_dataset_query(
-    mut config: crate::scenario::ScenarioConfig,
-    query: booters_query::QueryConfig,
-) -> Result<crate::scenario::Scenario, crate::scenario::ScenarioError> {
-    config.query = Some(query);
-    crate::scenario::Scenario::try_run(config)
-}
-
 /// Fit the paper's global Table 1 model on the honeypot dataset.
 pub fn fit_global(
     ds: &HoneypotDataset,

@@ -23,52 +23,10 @@ use booters_market::market::{sample_binomial, MarketConfig, MarketSim, WeekOutpu
 use booters_market::Booter;
 use booters_netsim::flow::{FlowClass, VictimKey};
 use booters_netsim::{AttackCommand, Country, Engine, EngineConfig, UdpProtocol, VictimAddr};
-use booters_query::{Predicate, QueryConfig, QueryEngine, QueryStats};
-use booters_serve::{ServeConfig, ServeError, ServeNode, ServeStats};
-use booters_store::{ChunkWriter, SpillConfig, SpillGrouper, SpillStats, StoreError};
 use booters_timeseries::Date;
 use booters_testkit::rngs::StdRng;
 use booters_testkit::SeedableRng;
 use std::collections::BTreeMap;
-
-/// A scenario run failure: either backing subsystem can refuse.
-#[derive(Debug)]
-pub enum ScenarioError {
-    /// The on-disk spill store failed (I/O, corruption).
-    Store(StoreError),
-    /// The streaming ingest service failed (late packet, shard panic).
-    Serve(ServeError),
-}
-
-impl std::fmt::Display for ScenarioError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ScenarioError::Store(e) => write!(f, "scenario store backend: {e}"),
-            ScenarioError::Serve(e) => write!(f, "scenario streaming backend: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ScenarioError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ScenarioError::Store(e) => Some(e),
-            ScenarioError::Serve(e) => Some(e),
-        }
-    }
-}
-
-impl From<StoreError> for ScenarioError {
-    fn from(e: StoreError) -> Self {
-        ScenarioError::Store(e)
-    }
-}
-
-impl From<ServeError> for ScenarioError {
-    fn from(e: ServeError) -> Self {
-        ScenarioError::Serve(e)
-    }
-}
 
 /// Observation fidelity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,31 +59,6 @@ pub struct ScenarioConfig {
     /// First week of the self-report scrape (the collection began
     /// November 2017).
     pub selfreport_start: Date,
-    /// When set, [`Fidelity::FullPackets`] weeks stream their packet
-    /// batches through the out-of-core spill grouper (booters-store)
-    /// instead of grouping in RAM. The resulting datasets are
-    /// byte-identical to the in-memory path at every budget and thread
-    /// count — only the memory ceiling changes. Ignored by the other
-    /// fidelities (they never materialise packets).
-    pub store: Option<SpillConfig>,
-    /// When set (and `store` is not), [`Fidelity::FullPackets`] weeks
-    /// stream their packet batches through one long-running
-    /// [`booters_serve::ServeNode`]: sharded intake, watermark-driven
-    /// incremental grouping, an epoch close per week, and rolling
-    /// warm-started NB2 refits as each week's watermark lands. The
-    /// resulting datasets are byte-identical to the in-memory path at
-    /// every shard/queue/thread/kernel setting (golden-tested in
-    /// `tests/serve_equivalence.rs`). Ignored by the other fidelities.
-    pub serve: Option<ServeConfig>,
-    /// When set (and neither `store` nor `serve` is), each
-    /// [`Fidelity::FullPackets`] week writes its packet batch to a
-    /// scratch columnar store file and recovers the week's attack flows
-    /// through the [`booters_query`] predicate-pushdown engine (zone-map
-    /// planning, late materialization) instead of grouping the in-RAM
-    /// batch directly. The resulting datasets are byte-identical to the
-    /// in-memory path at every thread/kernel setting (golden-tested in
-    /// `tests/query_equivalence.rs`). Ignored by the other fidelities.
-    pub query: Option<QueryConfig>,
 }
 
 impl Default for ScenarioConfig {
@@ -136,9 +69,6 @@ impl Default for ScenarioConfig {
             fidelity: Fidelity::Aggregate,
             observe_seed: 0x0B5E,
             selfreport_start: Date::new(2017, 11, 6),
-            store: None,
-            serve: None,
-            query: None,
         }
     }
 }
@@ -155,36 +85,11 @@ pub struct Scenario {
     pub selfreport: SelfReportDataset,
     /// Raw weekly market outputs.
     pub weeks: Vec<WeekOutput>,
-    /// Spill/merge counters accumulated across all store-backed weeks;
-    /// `None` when the in-memory path ran (no `store` configured or the
-    /// fidelity never materialises packets).
-    pub store_stats: Option<SpillStats>,
-    /// Streaming-ingest counters from the long-running serve node;
-    /// `None` unless the streaming backend ran (`serve` configured with
-    /// [`Fidelity::FullPackets`]).
-    pub serve_stats: Option<ServeStats>,
-    /// Planner/scan accounting accumulated across all query-backed
-    /// weeks (chunks pruned vs decoded, rows scanned vs returned);
-    /// `None` unless the query backend ran (`query` configured with
-    /// [`Fidelity::FullPackets`]).
-    pub query_stats: Option<QueryStats>,
 }
 
 impl Scenario {
     /// Run a scenario to completion.
-    ///
-    /// # Panics
-    /// If a configured on-disk store fails (spill-file I/O) or a
-    /// configured streaming backend fails; use [`Scenario::try_run`] to
-    /// handle [`ScenarioError`] instead. Without a `store` or `serve`
-    /// backend configured this never panics.
     pub fn run(config: ScenarioConfig) -> Scenario {
-        Scenario::try_run(config).expect("scenario backend failed")
-    }
-
-    /// Run a scenario to completion, surfacing store and streaming
-    /// backend errors.
-    pub fn try_run(config: ScenarioConfig) -> Result<Scenario, ScenarioError> {
         booters_obs::span!("simulate");
         let cal_start = config.market.calibration.scenario_start;
         let cal_end = config.market.calibration.scenario_end;
@@ -202,7 +107,7 @@ impl Scenario {
 
         let mut weeks = Vec::with_capacity(n_weeks_total);
         while let Some(out) = sim.step() {
-            observer.observe_week(&out, sim.population().booters())?;
+            observer.observe_week(&out, sim.population().booters());
             record_ground_truth(&mut ground_truth, &out);
 
             // --- self-report scrape -------------------------------------
@@ -223,7 +128,7 @@ impl Scenario {
             booters_obs::counter_add("core.weeks_simulated", 1);
         }
 
-        Ok(Scenario {
+        Scenario {
             honeypot: observer.honeypot,
             ground_truth,
             selfreport: SelfReportDataset {
@@ -234,10 +139,13 @@ impl Scenario {
                 births,
             },
             weeks,
-            store_stats: observer.store_stats,
-            serve_stats: observer.serve_node.map(|n| n.stats()),
-            query_stats: observer.query_stats,
-        })
+        }
+    }
+
+    /// [`Scenario::run`] in the `Result` form the end-to-end benchmark
+    /// (`bench_e2e/`) calls; a scenario run cannot fail.
+    pub fn try_run(config: ScenarioConfig) -> Result<Scenario, std::convert::Infallible> {
+        Ok(Scenario::run(config))
     }
 }
 
@@ -246,40 +154,32 @@ impl Scenario {
 /// weeks. Each market week is dropped as soon as it is observed, so the
 /// heap holds one [`HoneypotDataset`] rather than a whole [`Scenario`].
 ///
-/// The observation is [`Scenario::try_run`]'s own (both drive the same
-/// observer), so the result equals `Scenario::try_run(config)?.honeypot`
+/// The observation is [`Scenario::run`]'s own (both drive the same
+/// observer), so the result equals `Scenario::run(config).honeypot`
 /// bit for bit at every fidelity, thread count and kernel selection.
 ///
 /// Opens no `simulate` span of its own: the scenario suite observes
 /// several markets at once and times that whole phase as one span.
-pub fn observe_honeypot(config: ScenarioConfig) -> Result<HoneypotDataset, ScenarioError> {
+pub fn observe_honeypot(config: ScenarioConfig) -> HoneypotDataset {
     let mut sim = MarketSim::new(config.market.clone());
     let mut observer = Observer::new(&config);
     while let Some(out) = sim.step() {
-        observer.observe_week(&out, sim.population().booters())?;
+        observer.observe_week(&out, sim.population().booters());
         booters_obs::counter_add("core.weeks_simulated", 1);
     }
-    Ok(observer.honeypot)
+    observer.honeypot
 }
 
 /// The observation half of a scenario run: the honeypot engine, the
-/// observation RNG, the full-packet backend state and the observed
-/// dataset. Both drivers ([`Scenario::try_run`] and
-/// [`observe_honeypot`]) feed it the same market weeks, so they share
-/// the coverage measurement, the binomial thinning and the
-/// observation-RNG draw order by construction.
+/// observation RNG and the observed dataset. Both drivers
+/// ([`Scenario::run`] and [`observe_honeypot`]) feed it the same market
+/// weeks, so they share the coverage measurement, the binomial thinning
+/// and the observation-RNG draw order by construction.
 struct Observer<'c> {
     config: &'c ScenarioConfig,
     engine: Engine,
     rng: StdRng,
     honeypot: HoneypotDataset,
-    /// One long-running streaming node for the whole scenario: flows and
-    /// weekly refits accumulate across weeks, exactly as a live
-    /// deployment would see them. The store backend wins if both are
-    /// configured (they are alternative full-packet sinks).
-    serve_node: Option<ServeNode>,
-    store_stats: Option<SpillStats>,
-    query_stats: Option<QueryStats>,
 }
 
 impl<'c> Observer<'c> {
@@ -290,37 +190,21 @@ impl<'c> Observer<'c> {
             engine: Engine::new(config.engine),
             rng: StdRng::seed_from_u64(config.observe_seed),
             honeypot: HoneypotDataset::new(cal.scenario_start, cal.scenario_end),
-            serve_node: match (&config.store, &config.serve) {
-                (None, Some(sc)) => Some(ServeNode::new(ServeConfig {
-                    // Stream time 0 is the scenario start; anchor the
-                    // rolling weekly model there.
-                    epoch_start: cal.scenario_start,
-                    ..sc.clone()
-                })),
-                _ => None,
-            },
-            store_stats: None,
-            query_stats: None,
         }
     }
 
     /// Observe one market week: measure the week's coverage rate at the
     /// configured fidelity, thin every country×protocol cell at that
     /// rate into the honeypot dataset, then age the engine's state.
-    fn observe_week(&mut self, out: &WeekOutput, booters: &[Booter]) -> Result<(), ScenarioError> {
-        let rate = self.coverage_rate(out, booters)?;
+    fn observe_week(&mut self, out: &WeekOutput, booters: &[Booter]) {
+        let rate = self.coverage_rate(out, booters);
         self.thin_week(out, rate);
         self.engine.maintain(out.week as u64 * 7 * 86_400);
-        Ok(())
     }
 
-    fn coverage_rate(
-        &mut self,
-        out: &WeekOutput,
-        booters: &[Booter],
-    ) -> Result<f64, ScenarioError> {
+    fn coverage_rate(&mut self, out: &WeekOutput, booters: &[Booter]) -> f64 {
         let engine = &mut self.engine;
-        Ok(match self.config.fidelity {
+        match self.config.fidelity {
             Fidelity::Aggregate => coverage_rate_aggregate(engine, out, booters),
             Fidelity::PacketSampled { per_week } => {
                 let cmds = commands_for_week(out, booters, &mut self.rng, per_week);
@@ -333,25 +217,9 @@ impl<'c> Observer<'c> {
             }
             Fidelity::FullPackets { per_week } => {
                 let cmds = commands_for_week(out, booters, &mut self.rng, per_week);
-                match (&self.config.store, &mut self.serve_node, &self.config.query) {
-                    (Some(spill), _, _) => {
-                        let (rate, stats) = full_packet_rate_store(engine, &cmds, spill.clone())?;
-                        self.store_stats.get_or_insert_with(SpillStats::default).absorb(&stats);
-                        rate
-                    }
-                    (None, Some(node), _) => {
-                        let week_end = (out.week as u64 + 1) * 7 * 86_400;
-                        full_packet_rate_serve(engine, &cmds, node, week_end)?
-                    }
-                    (None, None, Some(qcfg)) => {
-                        let (rate, stats) = full_packet_rate_query(engine, &cmds, qcfg)?;
-                        self.query_stats.get_or_insert_with(QueryStats::default).absorb(&stats);
-                        rate
-                    }
-                    (None, None, None) => full_packet_rate(engine, &cmds),
-                }
+                full_packet_rate(engine, &cmds)
             }
-        })
+        }
     }
 
     /// Thin every cell at the measured weekly coverage rate and rebuild
@@ -440,7 +308,7 @@ fn coverage_rate_aggregate(
 /// attacks. Each command's synthesis and grouping run as one task on the
 /// `booters-par` executor, and the week's packets are never gathered into
 /// one trace; the flows are exactly those of grouping that trace, so the
-/// result is identical at every thread count and to the other backends.
+/// result is identical at every thread count.
 fn full_packet_rate(engine: &mut Engine, cmds: &[AttackCommand]) -> f64 {
     if cmds.is_empty() {
         return 1.0;
@@ -451,100 +319,6 @@ fn full_packet_rate(engine: &mut Engine, cmds: &[AttackCommand]) -> f64 {
         .filter(|f| f.classify() == FlowClass::Attack)
         .count();
     (attacks as f64 / cmds.len() as f64).min(1.0)
-}
-
-/// Out-of-core twin of [`full_packet_rate`]: the engine streams the batch
-/// into a [`SpillGrouper`] sink (never holding the full trace in RAM) and
-/// flows come from the external sort/merge. Engine RNG draw order and the
-/// produced flows match the in-memory path exactly, so the observed
-/// datasets are byte-identical at every budget and thread count.
-fn full_packet_rate_store(
-    engine: &mut Engine,
-    cmds: &[AttackCommand],
-    spill: SpillConfig,
-) -> Result<(f64, SpillStats), StoreError> {
-    if cmds.is_empty() {
-        return Ok((1.0, SpillStats::default()));
-    }
-    let mut grouper = SpillGrouper::new(SpillConfig {
-        key: VictimKey::ByIp, // must match full_packet_rate's grouping
-        ..spill
-    });
-    engine.simulate_attacks_batch_into(cmds, &mut grouper);
-    booters_obs::span!("group");
-    let out = grouper.finish()?;
-    let attacks = out
-        .flows
-        .iter()
-        .filter(|f| f.classify() == FlowClass::Attack)
-        .count();
-    Ok(((attacks as f64 / cmds.len() as f64).min(1.0), out.stats))
-}
-
-/// Streaming twin of [`full_packet_rate`]: the engine streams the batch
-/// into the long-running [`ServeNode`] sink (sharded intake, watermark
-/// grouping), and closing the week's epoch yields the flows. The batch
-/// pipeline groups each full-packet week in isolation, so an epoch
-/// close per week makes the streamed flow sets — and every rate and
-/// table derived from them — byte-identical to the in-memory path
-/// (DESIGN.md §5g). The watermark lands on the week boundary, closing
-/// the week for the node's rolling warm-started refit.
-fn full_packet_rate_serve(
-    engine: &mut Engine,
-    cmds: &[AttackCommand],
-    node: &mut ServeNode,
-    week_end: u64,
-) -> Result<f64, ServeError> {
-    if !cmds.is_empty() {
-        engine.simulate_attacks_batch_into(cmds, node);
-        if let Some(e) = node.sink_error() {
-            return Err(e.clone());
-        }
-    }
-    booters_obs::span!("group");
-    let flows = node.close_epoch_at(week_end)?;
-    if cmds.is_empty() {
-        // Mirror full_packet_rate's empty-week convention exactly.
-        return Ok(1.0);
-    }
-    let attacks = flows
-        .iter()
-        .filter(|f| f.classify() == FlowClass::Attack)
-        .count();
-    Ok((attacks as f64 / cmds.len() as f64).min(1.0))
-}
-
-/// Query-backed twin of [`full_packet_rate`]: the engine streams the
-/// week's batch into a scratch columnar store file, then recovers the
-/// attack flows through the predicate-pushdown [`QueryEngine`] instead
-/// of grouping the in-RAM batch. The scan uses [`Predicate::all()`] —
-/// the in-memory path groups *every* packet the batch produced, so the
-/// query path must too — and batch output is time-ordered, satisfying
-/// `weekly_attacks`' ingest-order requirement. Engine RNG draw order is
-/// untouched (`simulate_attacks_batch_into` draws identically to
-/// `simulate_attacks_batch`), so the observed datasets are
-/// byte-identical at every thread and kernel setting.
-fn full_packet_rate_query(
-    engine: &mut Engine,
-    cmds: &[AttackCommand],
-    qcfg: &QueryConfig,
-) -> Result<(f64, QueryStats), StoreError> {
-    if cmds.is_empty() {
-        return Ok((1.0, QueryStats::default()));
-    }
-    let path = qcfg.scratch_path();
-    let result = (|| {
-        let mut w = ChunkWriter::with_capacity(&path, qcfg.chunk_capacity)?;
-        engine.simulate_attacks_batch_into(cmds, &mut w);
-        w.finish()?;
-        let q = QueryEngine::open(&path)?;
-        booters_obs::span!("group");
-        let (weeks, stats) = q.weekly_attacks(&Predicate::all(), VictimKey::ByIp)?;
-        let attacks: u64 = weeks.values().sum();
-        Ok(((attacks as f64 / cmds.len() as f64).min(1.0), stats))
-    })();
-    let _ = std::fs::remove_file(&path);
-    result
 }
 
 #[cfg(test)]
@@ -619,134 +393,6 @@ mod tests {
         let s = Scenario::run(cfg);
         let rate = s.honeypot.global.total() / s.ground_truth.global.total();
         assert!(rate > 0.5, "rate={rate}");
-    }
-
-    #[test]
-    fn store_backed_full_packets_matches_in_memory_bit_for_bit() {
-        let mut cfg = small_config(Fidelity::FullPackets { per_week: 40 });
-        // Short window: 8 weeks (as the in-memory full-packet test).
-        cfg.market.calibration.scenario_start = Date::new(2018, 9, 3);
-        cfg.market.calibration.scenario_end = Date::new(2018, 10, 29);
-        let baseline = Scenario::run(cfg.clone());
-        assert!(baseline.store_stats.is_none());
-
-        let mut store_cfg = cfg;
-        store_cfg.store = Some(SpillConfig {
-            budget_bytes: 32 << 10, // tiny: forces many spill runs
-            ..SpillConfig::default()
-        });
-        let s = Scenario::run(store_cfg);
-        let stats = s.store_stats.expect("store path ran");
-        assert!(stats.spill_runs >= 3, "spill_runs={}", stats.spill_runs);
-        assert!(stats.packets > 0);
-        assert_eq!(s.honeypot.global.values(), baseline.honeypot.global.values());
-        assert_eq!(
-            s.ground_truth.global.values(),
-            baseline.ground_truth.global.values()
-        );
-        for (a, b) in s
-            .honeypot
-            .by_protocol
-            .iter()
-            .zip(baseline.honeypot.by_protocol.iter())
-        {
-            assert_eq!(a.values(), b.values());
-        }
-    }
-
-    #[test]
-    fn serve_backed_full_packets_matches_in_memory_bit_for_bit() {
-        let mut cfg = small_config(Fidelity::FullPackets { per_week: 40 });
-        // Short window: 8 weeks (as the in-memory full-packet test).
-        cfg.market.calibration.scenario_start = Date::new(2018, 9, 3);
-        cfg.market.calibration.scenario_end = Date::new(2018, 10, 29);
-        let baseline = Scenario::run(cfg.clone());
-        assert!(baseline.serve_stats.is_none());
-
-        let mut serve_cfg = cfg;
-        serve_cfg.serve = Some(ServeConfig {
-            shards: 3,
-            queue_capacity: 64, // tiny: intake backpressure must engage
-            ..ServeConfig::default()
-        });
-        let s = Scenario::run(serve_cfg);
-        let stats = s.serve_stats.expect("streaming path ran");
-        assert!(stats.packets > 0);
-        assert_eq!(stats.grouped, stats.packets, "every packet was grouped");
-        assert!(stats.weeks_closed >= 8, "weeks_closed={}", stats.weeks_closed);
-        assert!(stats.epochs >= 8, "epochs={}", stats.epochs);
-        assert!(
-            stats.backpressure_events > 0,
-            "tiny queues should exercise typed backpressure"
-        );
-        assert_eq!(stats.late_packets, 0);
-        assert_eq!(s.honeypot.global.values(), baseline.honeypot.global.values());
-        assert_eq!(
-            s.ground_truth.global.values(),
-            baseline.ground_truth.global.values()
-        );
-        for (a, b) in s
-            .honeypot
-            .by_protocol
-            .iter()
-            .zip(baseline.honeypot.by_protocol.iter())
-        {
-            assert_eq!(a.values(), b.values());
-        }
-    }
-
-    #[test]
-    fn query_backed_full_packets_matches_in_memory_bit_for_bit() {
-        let mut cfg = small_config(Fidelity::FullPackets { per_week: 40 });
-        // Short window: 8 weeks (as the in-memory full-packet test).
-        cfg.market.calibration.scenario_start = Date::new(2018, 9, 3);
-        cfg.market.calibration.scenario_end = Date::new(2018, 10, 29);
-        let baseline = Scenario::run(cfg.clone());
-        assert!(baseline.query_stats.is_none());
-
-        let mut query_cfg = cfg;
-        query_cfg.query = Some(QueryConfig {
-            chunk_capacity: 256, // tiny: every week spans several chunks
-            ..QueryConfig::default()
-        });
-        let s = Scenario::run(query_cfg);
-        let stats = s.query_stats.expect("query path ran");
-        assert!(stats.scans >= 8, "scans={}", stats.scans);
-        assert!(stats.chunks_total > 8, "chunks_total={}", stats.chunks_total);
-        assert_eq!(
-            stats.rows_returned, stats.rows_scanned,
-            "Predicate::all() keeps every scanned row"
-        );
-        assert_eq!(s.honeypot.global.values(), baseline.honeypot.global.values());
-        assert_eq!(
-            s.ground_truth.global.values(),
-            baseline.ground_truth.global.values()
-        );
-        for (a, b) in s
-            .honeypot
-            .by_protocol
-            .iter()
-            .zip(baseline.honeypot.by_protocol.iter())
-        {
-            assert_eq!(a.values(), b.values());
-        }
-    }
-
-    #[test]
-    fn serve_shard_fault_surfaces_as_a_typed_scenario_error() {
-        let mut cfg = small_config(Fidelity::FullPackets { per_week: 4 });
-        cfg.market.calibration.scenario_start = Date::new(2018, 9, 3);
-        cfg.market.calibration.scenario_end = Date::new(2018, 9, 17);
-        cfg.serve = Some(ServeConfig {
-            shards: 2,
-            fault_panic_shard: Some(0),
-            ..ServeConfig::default()
-        });
-        let err = Scenario::try_run(cfg).map(|_| ()).unwrap_err();
-        assert!(
-            matches!(err, ScenarioError::Serve(ServeError::ShardPanic { shard: 0 })),
-            "expected a typed shard panic, got {err:?}"
-        );
     }
 
     #[test]

@@ -149,8 +149,7 @@ fn run_specs(
                 },
                 fidelity: Fidelity::Aggregate,
                 ..ScenarioConfig::default()
-            })
-            .expect("Aggregate observation has no fallible backend");
+            });
             let series = std::iter::once(&honeypot.global)
                 .chain(countries.iter().map(|&c| honeypot.country(c)))
                 .map(|s| s.window(from, to).expect("modelling window inside dataset"))

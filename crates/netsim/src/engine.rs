@@ -276,33 +276,6 @@ impl Engine {
         flows
     }
 
-    /// Streaming variant of [`Engine::simulate_attacks_batch`]: packets
-    /// flow into `sink` instead of a returned `Vec`, so a batch can be
-    /// spilled to an on-disk store (booters-store) without ever holding
-    /// the whole trace in memory. Returns the number of packets emitted.
-    ///
-    /// Packets arrive at the sink in submission order per command
-    /// (time-sorted within each command's log, **not** globally
-    /// time-sorted — the `Vec` path sorts afterwards; out-of-core sinks
-    /// sort externally). Engine RNG draw order is identical to the `Vec`
-    /// path, so interleaving the two against one engine stays
-    /// reproducible, and the emitted packet multiset is the same.
-    pub fn simulate_attacks_batch_into<S: crate::packet::PacketSink>(
-        &mut self,
-        cmds: &[AttackCommand],
-        sink: &mut S,
-    ) -> u64 {
-        booters_obs::span!("synthesize_batch");
-        let mut emitted = 0u64;
-        for log in &self.synthesize_batch(cmds, None) {
-            for p in &log.packets {
-                sink.accept(p);
-            }
-            emitted += log.packets.len() as u64;
-        }
-        emitted
-    }
-
     /// The three phases of a batch (see [`Engine::simulate_attacks_batch`]):
     /// each command's time-ordered log, in submission order, after the
     /// fleet has replayed it — and, given a grouping key, the log's flows.
@@ -665,31 +638,6 @@ mod tests {
         }
         let fleet_total = e.fleet().reflected_packets + e.fleet().absorbed_packets;
         assert_eq!(fleet_total, packets.len() as u64);
-    }
-
-    #[test]
-    fn batch_into_sink_matches_vec_path() {
-        let cmds: Vec<AttackCommand> = (0..10)
-            .map(|i| {
-                let mut c = cmd(i * 3_000, UdpProtocol::ALL[i as usize % 10], 30 + i as u32);
-                c.victim = VictimAddr::from_octets(25, 2, i as u8, 9);
-                c
-            })
-            .collect();
-        let mut e1 = Engine::new(EngineConfig::default());
-        let expected = e1.simulate_attacks_batch(&cmds);
-        let mut e2 = Engine::new(EngineConfig::default());
-        let mut got: Vec<SensorPacket> = Vec::new();
-        let emitted = e2.simulate_attacks_batch_into(&cmds, &mut got);
-        assert_eq!(emitted as usize, got.len());
-        // The sink sees submission order; a stable time sort reproduces
-        // the Vec path exactly.
-        got.sort_by_key(|p| p.time);
-        assert_eq!(got, expected);
-        assert_eq!(
-            e1.fleet().reflected_packets + e1.fleet().absorbed_packets,
-            e2.fleet().reflected_packets + e2.fleet().absorbed_packets
-        );
     }
 
     #[test]

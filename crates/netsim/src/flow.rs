@@ -9,7 +9,6 @@
 use crate::addr::VictimAddr;
 use crate::packet::SensorPacket;
 use crate::protocol::UdpProtocol;
-use booters_testkit::rng::SplitMix64;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -313,15 +312,6 @@ impl FlowGrouper {
     }
 }
 
-/// Deterministic shard id for one flow key: a splitmix64 mix of the
-/// canonical victim and protocol, reduced mod `shards`. Depends only on
-/// the key — never on thread count, schedule, or process state (unlike
-/// `HashMap`'s per-process-random hasher).
-fn shard_of(victim: VictimAddr, protocol: UdpProtocol, shards: usize) -> usize {
-    let mixed = SplitMix64::new(((victim.0 as u64) << 8) ^ protocol.index() as u64).next_u64();
-    (mixed % shards as u64) as usize
-}
-
 /// The canonical flow order as a 21-byte big-endian radix key:
 /// `start · victim · protocol · end`, so lexicographic byte order equals
 /// the scalar sort's tuple order.
@@ -354,75 +344,30 @@ pub fn sort_flows(flows: &mut [Flow]) {
     }
 }
 
-/// Minimum packets per configured thread before [`group_flows_par`]
-/// shards: below this, the up-front bucketing copy costs more than the
-/// grouping it parallelises (measured break-even is in the tens of
-/// thousands of packets per shard; this sits safely under it while
-/// still refusing clearly-losing splits).
-pub const MIN_PACKETS_PER_SHARD: usize = 8192;
-
-/// Group a packet trace into flows on the configured thread count,
-/// sharded by victim/protocol key and merged deterministically.
+/// Group a packet trace into flows in the canonical order.
 ///
 /// Packets must be in non-decreasing time order (as
-/// [`FlowGrouper::push`] requires). A flow depends only on the packets of
-/// its own key, and sharding by key preserves their relative order, so the
-/// merged output — canonicalised by [`sort_flows`] — is **bit-identical**
-/// at every thread count, including the sequential `threads = 1` path,
-/// which runs one plain [`FlowGrouper`] exactly like [`classify_flows`].
+/// [`FlowGrouper::push`] requires). One [`FlowGrouper`] groups the
+/// trace, exactly like [`classify_flows`], and [`sort_flows`] puts the
+/// flows in their canonical order, so the result is a pure function of
+/// the trace.
 ///
-/// Sharding is size-aware: bucketing copies every packet up front, so
-/// the parallel path only engages when worker threads can genuinely run
-/// concurrently ([`booters_par::hardware_parallelism`] > 1) **and** the
-/// trace is large enough for each shard to amortise that copy
-/// ([`MIN_PACKETS_PER_SHARD`] packets per configured thread). Setting
-/// the small-work cutoff to 1 ([`booters_par::with_min_items`] /
-/// `BOOTERS_PAR_MIN_ITEMS=1` — "every batch may go parallel") forces
-/// the sharded path regardless, which is how tests and the verify
-/// recipe pin it on any host. Either path, same bytes.
+/// The trace is grouped on the calling thread at every thread count:
+/// splitting it by key across the pool copies every packet into a
+/// per-shard bucket first, which costs more than the grouping it would
+/// spread out (DESIGN.md §5b).
 pub fn group_flows_par(packets: &[SensorPacket], key: VictimKey) -> Vec<Flow> {
-    let threads = booters_par::threads();
-    let forced = booters_par::min_items() <= 1;
-    let pays = booters_par::hardware_parallelism() > 1
-        && packets.len() >= threads.saturating_mul(MIN_PACKETS_PER_SHARD);
-    let mut flows = if threads <= 1 || packets.len() < 2 || !(forced || pays) {
-        let mut grouper = FlowGrouper::with_key(key);
-        for p in packets {
-            grouper.push(p);
-        }
-        grouper.finish()
-    } else {
-        // Over-decompose slightly so one hot shard doesn't serialise the
-        // run, but never below two or past the point where shards drop
-        // under the per-shard minimum; the shard count affects
-        // scheduling only, never results.
-        let shards = (threads * 2)
-            .min(packets.len().div_ceil(MIN_PACKETS_PER_SHARD))
-            .max(2);
-        let mut buckets: Vec<Vec<SensorPacket>> = vec![Vec::new(); shards];
-        for p in packets {
-            buckets[shard_of(key.canonical(p.victim), p.protocol, shards)].push(*p);
-        }
-        // Coarse fan-out: a handful of shards, each holding thousands of
-        // packets — the item-count cutoff must not apply here.
-        booters_par::par_map_coarse(&buckets, |bucket| {
-            let mut grouper = FlowGrouper::with_key(key);
-            for p in bucket {
-                grouper.push(p);
-            }
-            grouper.finish()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    };
+    let mut grouper = FlowGrouper::with_key(key);
+    for p in packets {
+        grouper.push(p);
+    }
+    let mut flows = grouper.finish();
     sort_flows(&mut flows);
     flows
 }
 
-/// Parallel [`classify_flows`]: group on the configured thread count and
-/// classify each flow. Output order is canonical (see [`sort_flows`]) and
-/// thread-count invariant.
+/// [`classify_flows`] in the canonical flow order (see [`sort_flows`]),
+/// grouped by [`group_flows_par`].
 pub fn classify_flows_par(packets: &[SensorPacket]) -> Vec<(Flow, FlowClass)> {
     group_flows_par(packets, VictimKey::ByIp)
         .into_iter()
@@ -628,24 +573,15 @@ mod tests {
             baseline.iter().map(|(f, _)| f.clone()).collect::<Vec<_>>(),
             plain
         );
-        // min_items = 1 forces the sharded path (the trace is far below
-        // the size-aware cutoff), so this genuinely exercises it.
-        booters_par::with_min_items(1, || {
-            for threads in [2usize, 3, 4, 8] {
-                let par = booters_par::with_threads(threads, || classify_flows_par(&trace));
-                assert_eq!(par, baseline, "threads={threads}");
-            }
-        });
-        // Without the force, a small trace stays on the sequential path —
-        // still byte-identical by the determinism contract.
-        let gated = booters_par::with_threads(4, || classify_flows_par(&trace));
-        assert_eq!(gated, baseline);
+        for threads in [2usize, 3, 4, 8] {
+            let par = booters_par::with_threads(threads, || classify_flows_par(&trace));
+            assert_eq!(par, baseline, "threads={threads}");
+        }
     }
 
     #[test]
     fn parallel_grouping_respects_victim_key() {
-        // Carpet-bombing trace: by-prefix must merge, by-IP must not —
-        // under the parallel path too (min_items = 1 forces sharding).
+        // Carpet-bombing trace: by-prefix must merge, by-IP must not.
         let packets: Vec<SensorPacket> = (0..12u64)
             .map(|i| SensorPacket {
                 time: i,
@@ -656,26 +592,12 @@ mod tests {
                 src_port: 80,
             })
             .collect();
-        booters_par::with_min_items(1, || {
-            booters_par::with_threads(4, || {
-                assert_eq!(group_flows_par(&packets, VictimKey::ByIp).len(), 12);
-                let merged = group_flows_par(&packets, VictimKey::ByPrefix24);
-                assert_eq!(merged.len(), 1);
-                assert_eq!(merged[0].classify(), FlowClass::Attack);
-            });
+        booters_par::with_threads(4, || {
+            assert_eq!(group_flows_par(&packets, VictimKey::ByIp).len(), 12);
+            let merged = group_flows_par(&packets, VictimKey::ByPrefix24);
+            assert_eq!(merged.len(), 1);
+            assert_eq!(merged[0].classify(), FlowClass::Attack);
         });
-    }
-
-    #[test]
-    fn shard_of_is_stable_and_in_range() {
-        for shards in [1usize, 2, 7, 16] {
-            for v in 0..50u32 {
-                let victim = VictimAddr(v * 7919);
-                let s = shard_of(victim, UdpProtocol::Ldap, shards);
-                assert!(s < shards);
-                assert_eq!(s, shard_of(victim, UdpProtocol::Ldap, shards));
-            }
-        }
     }
 
     #[test]

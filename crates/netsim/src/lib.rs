@@ -45,6 +45,6 @@ pub use flow::{
     classify_flows, classify_flows_par, group_flows_par, sort_flows, Flow, FlowClass, FlowGrouper,
     VictimKey,
 };
-pub use packet::{PacketSink, SensorPacket};
+pub use packet::SensorPacket;
 pub use protocol::UdpProtocol;
 pub use radix::radix_sort_by_key;

@@ -58,26 +58,6 @@ impl SpoofedRequest {
     }
 }
 
-/// A destination for a stream of sensor packets.
-///
-/// The engine's batch simulator emits packets through this trait so the
-/// same generation code can fill an in-memory `Vec` or stream to an
-/// on-disk store without materialising the trace. `accept` is infallible
-/// by design: fallible sinks (file writers) record their first error
-/// internally and surface it when finalised.
-pub trait PacketSink {
-    /// Accept one packet. The engine's batch path delivers packets in
-    /// submission order per command, time-sorted within each command's
-    /// log but not globally.
-    fn accept(&mut self, packet: &SensorPacket);
-}
-
-impl PacketSink for Vec<SensorPacket> {
-    fn accept(&mut self, packet: &SensorPacket) {
-        self.push(*packet);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -129,22 +129,6 @@ fn configured_threads() -> usize {
     })
 }
 
-/// The machine's hardware parallelism (cached `available_parallelism`;
-/// 1 when it cannot be determined). Unlike [`threads`], this ignores
-/// `BOOTERS_THREADS` and overrides — it answers "can worker threads
-/// actually run concurrently here?", so size-aware callers (e.g.
-/// `group_flows_par`) can skip sharding overhead that can never pay on
-/// the current host. Results are identical either way by the
-/// determinism contract; only the schedule changes.
-pub fn hardware_parallelism() -> usize {
-    static HW: OnceLock<usize> = OnceLock::new();
-    *HW.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
 /// The thread count the next `par_*` call on this thread will use.
 ///
 /// Always 1 inside a pool worker (nested parallelism is sequential).

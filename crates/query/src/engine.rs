@@ -45,45 +45,6 @@ impl Drop for EngineInner {
     }
 }
 
-/// Configuration for query-backed pipeline weeks: where the scratch
-/// store files live and how they are chunked. (The engine itself needs
-/// no configuration — this parameterises the *write* side of the
-/// write-then-query path `booters-core` runs per full-packet week.)
-#[derive(Debug, Clone)]
-pub struct QueryConfig {
-    /// Packets per chunk for scratch stores
-    /// ([`booters_store::DEFAULT_CHUNK_CAPACITY`] by default — smaller
-    /// values mean more chunks and finer-grained pruning).
-    pub chunk_capacity: usize,
-    /// Directory for scratch store files; `None` means the system temp
-    /// directory.
-    pub dir: Option<PathBuf>,
-}
-
-impl Default for QueryConfig {
-    fn default() -> Self {
-        QueryConfig {
-            chunk_capacity: booters_store::DEFAULT_CHUNK_CAPACITY,
-            dir: None,
-        }
-    }
-}
-
-impl QueryConfig {
-    /// A fresh, process-unique scratch-store path under the configured
-    /// directory. The caller owns the file's lifecycle.
-    pub fn scratch_path(&self) -> PathBuf {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-        let dir = self.dir.clone().unwrap_or_else(std::env::temp_dir);
-        dir.join(format!(
-            "booters_query_scratch_{}_{seq}.bstore",
-            std::process::id()
-        ))
-    }
-}
-
 /// A planned scan: the chunks that survived zone-map pruning.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryPlan {
@@ -95,10 +56,9 @@ pub struct QueryPlan {
     pub total: usize,
 }
 
-/// Work accounting for one query (or, via [`QueryStats::absorb`], a
-/// whole run of them). All fields are exact and thread-count invariant:
-/// pruning decisions depend only on the footer, and per-chunk work is
-/// summed in submission order.
+/// Work accounting for one query. All fields are exact and thread-count
+/// invariant: pruning decisions depend only on the footer, and per-chunk
+/// work is summed in submission order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Queries executed.
@@ -125,18 +85,6 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
-    /// Fold another accounting in (field-wise addition).
-    pub fn absorb(&mut self, other: &QueryStats) {
-        self.scans += other.scans;
-        self.chunks_total += other.chunks_total;
-        self.chunks_pruned += other.chunks_pruned;
-        self.chunks_covered += other.chunks_covered;
-        self.chunks_decoded += other.chunks_decoded;
-        self.chunks_cached += other.chunks_cached;
-        self.rows_scanned += other.rows_scanned;
-        self.rows_returned += other.rows_returned;
-    }
-
     /// Publish this accounting to the `query.*` observability counters
     /// (one call per query, outside the parallel region, so counter
     /// totals are thread-count invariant by construction).

@@ -40,5 +40,5 @@ pub mod engine;
 pub mod predicate;
 
 pub use agg::{Column, WeeklyPanel, WEEK_SECS};
-pub use engine::{QueryConfig, QueryEngine, QueryPlan, QueryStats, ScanResult};
+pub use engine::{QueryEngine, QueryPlan, QueryStats, ScanResult};
 pub use predicate::{Predicate, ProtocolSet, VictimFilter};

@@ -28,23 +28,24 @@
 //! advance/flush schedule, the closed flows — and therefore Tables 1
 //! and 2 rendered from them — are **byte-identical** to the batch
 //! `group_flows_par` path on the time-sorted trace (DESIGN.md §5g,
-//! pinned by `tests/serve_equivalence.rs` and the property tests in
-//! `crates/serve/tests/stream_equivalence.rs`).
+//! pinned on engine packet batches by `tests/flow_backends.rs` and by
+//! the property tests in `crates/serve/tests/stream_equivalence.rs`).
 //!
 //! ```
-//! use booters_netsim::{PacketSink, SensorPacket, UdpProtocol, VictimAddr};
+//! use booters_netsim::{SensorPacket, UdpProtocol, VictimAddr};
 //! use booters_serve::{ServeConfig, ServeNode};
 //!
 //! let mut node = ServeNode::new(ServeConfig::default());
 //! for t in [0u64, 10, 2_000] {
-//!     node.accept(&SensorPacket {
+//!     node.ingest(&SensorPacket {
 //!         time: t,
 //!         sensor: 1,
 //!         victim: VictimAddr::from_octets(25, 0, 0, 9),
 //!         protocol: UdpProtocol::Ldap,
 //!         ttl: 60,
 //!         src_port: 53,
-//!     });
+//!     })
+//!     .expect("no packet is late");
 //! }
 //! let (flows, stats) = node.finish().expect("stream is well-formed");
 //! assert_eq!(flows.len(), 2); // 10 → 2000 exceeds the 15-minute gap

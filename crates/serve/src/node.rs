@@ -24,7 +24,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 use booters_netsim::flow::{sort_flows, Flow, FlowClass, VictimKey};
-use booters_netsim::{PacketSink, SensorPacket};
+use booters_netsim::SensorPacket;
 use booters_testkit::rng::SplitMix64;
 use booters_timeseries::Date;
 
@@ -146,9 +146,6 @@ pub struct ServeNode {
     roller: WeeklyRoller,
     fitter: RollingFitter,
     stats: ServeStats,
-    /// First sink-path error, surfaced at [`Self::finish`] — the
-    /// infallible [`PacketSink`] contract.
-    deferred: Option<ServeError>,
     poisoned: bool,
 }
 
@@ -169,15 +166,14 @@ impl ServeNode {
             collected: Vec::new(),
             roller: WeeklyRoller::new(),
             stats: ServeStats::default(),
-            deferred: None,
             poisoned: false,
             cfg,
         }
     }
 
     fn shard_index(&self, p: &SensorPacket) -> usize {
-        // Same mix as the batch path's shard_of: canonical victim and
-        // protocol, so every packet of one flow lands in one shard.
+        // A splitmix64 mix of the canonical victim and protocol, so every
+        // packet of one flow lands in one shard.
         let key = self.cfg.key.canonical(p.victim);
         let mixed =
             SplitMix64::new(((key.0 as u64) << 8) ^ p.protocol.index() as u64).next_u64();
@@ -394,41 +390,11 @@ impl ServeNode {
         self.fitter.last_fit()
     }
 
-    /// First error deferred by the infallible [`PacketSink`] path, if
-    /// any.
-    pub fn sink_error(&self) -> Option<&ServeError> {
-        self.deferred.as_ref()
-    }
-
     /// Close everything and return (canonical flows, final stats).
-    ///
-    /// Surfaces the first deferred sink-path error instead of emitting
-    /// flows — a stream that broke mid-flight never yields a
-    /// partially-corrupt result.
     pub fn finish(mut self) -> Result<(Vec<Flow>, ServeStats), ServeError> {
-        if let Some(e) = self.deferred.take() {
-            return Err(e);
-        }
         let w = self.max_time;
         let flows = self.close_epoch_at(w)?;
         Ok((flows, self.stats))
-    }
-}
-
-impl PacketSink for ServeNode {
-    /// Infallible intake: backpressure is absorbed by draining, and the
-    /// first hard failure (late arrival, poisoning) is recorded and
-    /// surfaced at [`ServeNode::finish`] — the same deferred-error
-    /// contract as `booters_store::SpillGrouper`. Packets after the
-    /// first failure are dropped deliberately: the stream is already
-    /// broken, and grouping a suffix could only fabricate flows.
-    fn accept(&mut self, packet: &SensorPacket) {
-        if self.deferred.is_some() {
-            return;
-        }
-        if let Err(e) = self.ingest(packet) {
-            self.deferred = Some(e);
-        }
     }
 }
 

@@ -6,11 +6,9 @@
 //! - full intake ring → [`ServeError::Backpressure`], packet not
 //!   consumed, nothing lost after a drain-and-retry;
 //! - shard worker panic → [`ServeError::ShardPanic`] naming the shard,
-//!   node poisoned (every later call is [`ServeError::Poisoned`]);
-//! - mid-stream sink error → deferred, later packets deliberately
-//!   dropped, [`ServeNode::finish`] returns the error instead of flows.
+//!   node poisoned (every later call is [`ServeError::Poisoned`]).
 
-use booters_netsim::{PacketSink, SensorPacket, UdpProtocol, VictimAddr};
+use booters_netsim::{SensorPacket, UdpProtocol, VictimAddr};
 use booters_serve::{RefitPolicy, ServeConfig, ServeError, ServeNode};
 
 fn pkt(time: u64, victim: u32) -> SensorPacket {
@@ -100,41 +98,9 @@ fn a_shard_panic_surfaces_as_a_typed_error_and_poisons_the_node() {
 }
 
 #[test]
-fn a_mid_stream_sink_error_is_deferred_and_finish_returns_it() {
-    // The PacketSink path is infallible by trait, so a hard failure is
-    // recorded and every later packet is deliberately dropped — grouping
-    // a suffix of a broken stream could only fabricate flows.
-    let mut node = ServeNode::new(config(2, 8));
-    node.advance_watermark(1_000).unwrap();
-    node.accept(&pkt(500, 2)); // late: violates the watermark contract
-    let deferred = node.sink_error().cloned();
-    assert_eq!(
-        deferred,
-        Some(ServeError::LateArrival {
-            time: 500,
-            watermark: 1_000
-        })
-    );
-    // Lawful packets after the failure are dropped, not grouped.
-    node.accept(&pkt(2_000, 2));
-    node.accept(&pkt(2_100, 2));
-    assert_eq!(node.stats().packets, 0);
-    assert_eq!(node.stats().late_packets, 1);
-    let err = node.finish().unwrap_err();
-    assert_eq!(
-        err,
-        ServeError::LateArrival {
-            time: 500,
-            watermark: 1_000
-        }
-    );
-}
-
-#[test]
 fn a_direct_late_arrival_is_typed_and_non_destructive() {
-    // On the fallible (non-sink) API a late arrival rejects that packet
-    // only: the node stays healthy and later lawful packets still join
-    // the flows they belong to.
+    // A late arrival rejects that packet only: the node stays healthy
+    // and later lawful packets still join the flows they belong to.
     let mut node = ServeNode::new(config(2, 8));
     node.ingest(&pkt(2_000, 3)).unwrap();
     node.advance_watermark(1_500).unwrap();

@@ -34,7 +34,6 @@ use crate::error::StoreError;
 use crate::reader::ChunkReader;
 use crate::writer::{ChunkWriter, PACKET_BYTES};
 use booters_netsim::flow::{KeyedGrouper, FLOW_GAP_SECS};
-use booters_netsim::packet::PacketSink;
 use booters_netsim::{Flow, SensorPacket, VictimKey};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -113,8 +112,7 @@ impl Default for SpillConfig {
     }
 }
 
-/// Counters describing how much work one (or several, via
-/// [`SpillStats::absorb`]) out-of-core grouping passes did.
+/// Counters describing how much work one out-of-core grouping pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpillStats {
     /// Packets pushed through the grouper.
@@ -127,17 +125,6 @@ pub struct SpillStats {
     pub run_chunks: usize,
     /// Largest in-memory buffer observed, in packets.
     pub peak_buf_packets: usize,
-}
-
-impl SpillStats {
-    /// Fold another pass's counters into this one (sums; peak is a max).
-    pub fn absorb(&mut self, other: &SpillStats) {
-        self.packets += other.packets;
-        self.spill_runs += other.spill_runs;
-        self.run_bytes += other.run_bytes;
-        self.run_chunks += other.run_chunks;
-        self.peak_buf_packets = self.peak_buf_packets.max(other.peak_buf_packets);
-    }
 }
 
 /// Result of [`SpillGrouper::finish`].
@@ -228,9 +215,6 @@ pub struct SpillGrouper {
     buf: Vec<SensorPacket>,
     runs: RunSet,
     stats: SpillStats,
-    /// First error hit while streaming through the infallible
-    /// [`PacketSink`] interface; surfaced by [`SpillGrouper::finish`].
-    deferred: Option<StoreError>,
 }
 
 impl SpillGrouper {
@@ -243,7 +227,6 @@ impl SpillGrouper {
             buf: Vec::new(),
             runs: RunSet::default(),
             stats: SpillStats::default(),
-            deferred: None,
         }
     }
 
@@ -331,9 +314,6 @@ impl SpillGrouper {
     /// Sort/merge/group everything pushed so far. Run files are removed
     /// before this returns (and on drop if it never runs).
     pub fn finish(mut self) -> Result<GroupOutcome, StoreError> {
-        if let Some(e) = self.deferred.take() {
-            return Err(e);
-        }
         let key = self.config.key;
         let mut flows = if self.runs.files.is_empty() {
             // Everything fit in the budget: sort in place and group —
@@ -355,19 +335,6 @@ impl SpillGrouper {
             flows,
             stats: self.stats,
         })
-    }
-}
-
-impl PacketSink for SpillGrouper {
-    /// Streaming-sink entry point: errors are deferred to
-    /// [`SpillGrouper::finish`].
-    fn accept(&mut self, p: &SensorPacket) {
-        if self.deferred.is_some() {
-            return;
-        }
-        if let Err(e) = self.push(p) {
-            self.deferred = Some(e);
-        }
     }
 }
 
@@ -713,11 +680,11 @@ mod tests {
     }
 
     #[test]
-    fn sink_interface_defers_errors_and_reports_stats() {
+    fn per_packet_push_reports_stats() {
         let trace = mixed_trace();
         let mut g = SpillGrouper::new(tiny_config(MIN_BUDGET_BYTES));
         for p in &trace {
-            g.accept(p);
+            g.push(p).unwrap();
         }
         assert_eq!(g.stats().packets, trace.len() as u64);
         let out = g.finish().unwrap();
@@ -760,30 +727,6 @@ mod tests {
         let out = group_out_of_core(&one, tiny_config(MIN_BUDGET_BYTES)).unwrap();
         assert_eq!(out.flows.len(), 1);
         assert_eq!(out.flows[0].total_packets, 1);
-    }
-
-    #[test]
-    fn stats_absorb_sums_and_maxes() {
-        let mut a = SpillStats {
-            packets: 10,
-            spill_runs: 2,
-            run_bytes: 100,
-            run_chunks: 3,
-            peak_buf_packets: 40,
-        };
-        let b = SpillStats {
-            packets: 5,
-            spill_runs: 1,
-            run_bytes: 50,
-            run_chunks: 2,
-            peak_buf_packets: 60,
-        };
-        a.absorb(&b);
-        assert_eq!(a.packets, 15);
-        assert_eq!(a.spill_runs, 3);
-        assert_eq!(a.run_bytes, 150);
-        assert_eq!(a.run_chunks, 5);
-        assert_eq!(a.peak_buf_packets, 60);
     }
 
     #[test]

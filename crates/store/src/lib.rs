@@ -12,9 +12,7 @@
 //!   protocol, sensor, ttl, source port), delta + zig-zag + LEB128
 //!   encoded per chunk, CRC-32 sealed, and indexed by a footer carrying
 //!   per-chunk zone maps (min/max time and victim) so scans can skip
-//!   chunks without decoding. [`ChunkWriter`] implements
-//!   [`booters_netsim::PacketSink`], so the simulation engine streams
-//!   straight to disk.
+//!   chunks without decoding.
 //! * **Out-of-core grouping** ([`SpillGrouper`]): an external sort that
 //!   holds at most `BOOTERS_STORE_BUDGET` bytes of packets in memory,
 //!   spills sorted runs as store files, k-way-merges them lowest-key

@@ -3,17 +3,13 @@
 //! [`ChunkWriter`] buffers packets up to the chunk capacity, encodes each
 //! full chunk with the columnar codec and appends it to the file, then
 //! seals the store with a CRC-protected footer index on
-//! [`ChunkWriter::finish`]. It implements
-//! [`booters_netsim::PacketSink`], so `Engine::simulate_attacks_batch_into`
-//! can stream a synthetic trace straight to disk without ever
-//! materialising it in RAM.
+//! [`ChunkWriter::finish`].
 
 use crate::chunk::{encode_chunk, ZoneMap, DEFAULT_CHUNK_CAPACITY};
 use crate::crc32::crc32;
 use crate::error::StoreError;
 use crate::reader::{FOOTER_VERSION, HEAD_MAGIC, TAIL_MAGIC};
 use crate::varint::encode_u64;
-use booters_netsim::packet::PacketSink;
 use booters_netsim::SensorPacket;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -68,9 +64,6 @@ pub struct ChunkWriter {
     chunk_capacity: usize,
     index: Vec<ChunkInfo>,
     packets: u64,
-    /// First error hit while streaming through the infallible
-    /// [`PacketSink`] interface; surfaced by [`ChunkWriter::finish`].
-    deferred: Option<StoreError>,
 }
 
 impl ChunkWriter {
@@ -95,7 +88,6 @@ impl ChunkWriter {
             chunk_capacity: chunk_capacity.max(1),
             index: Vec::new(),
             packets: 0,
-            deferred: None,
         })
     }
 
@@ -159,9 +151,6 @@ impl ChunkWriter {
     /// Flush the final partial chunk, write the footer index, and seal
     /// the file. Returns the store summary.
     pub fn finish(mut self) -> Result<StoreMeta, StoreError> {
-        if let Some(e) = self.deferred.take() {
-            return Err(e);
-        }
         self.flush_chunk()?;
         let mut footer = Vec::new();
         encode_u64(FOOTER_VERSION, &mut footer);
@@ -188,20 +177,6 @@ impl ChunkWriter {
             file_bytes,
             raw_bytes: self.packets * PACKET_BYTES as u64,
         })
-    }
-}
-
-impl PacketSink for ChunkWriter {
-    /// Streaming-sink entry point: errors are deferred to
-    /// [`ChunkWriter::finish`] (the engine's generation loop is
-    /// infallible by design).
-    fn accept(&mut self, p: &SensorPacket) {
-        if self.deferred.is_some() {
-            return;
-        }
-        if let Err(e) = self.push(p) {
-            self.deferred = Some(e);
-        }
     }
 }
 

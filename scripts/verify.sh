@@ -26,9 +26,10 @@ BOOTERS_THREADS=4 cargo test -q --workspace --offline
 
 # Third pass with a deliberately tiny storage budget: 64 KiB holds only a
 # few thousand packets, so every booters-store consumer that reads
-# SpillConfig::default() (engine-trace classification goldens, scenario
-# spill sinks) is forced through the spill-to-disk external sort and
-# k-way merge instead of the in-RAM fast path. Outputs must not change.
+# SpillConfig::default() (the engine-trace classification golden in
+# tests/flow_backends.rs among them) is forced through the spill-to-disk
+# external sort and k-way merge instead of the in-RAM fast path. Outputs
+# must not change.
 echo "==> cargo test (offline, BOOTERS_STORE_BUDGET=65536)"
 BOOTERS_STORE_BUDGET=65536 cargo test -q --workspace --offline
 
@@ -50,10 +51,10 @@ BOOTERS_PAR_MIN_ITEMS=1 BOOTERS_THREADS=4 \
 # the oracles in charge, at one thread and at four.
 echo "==> seeded goldens (offline, BOOTERS_SCALAR_KERNELS=1)"
 BOOTERS_SCALAR_KERNELS=1 \
-    cargo test -q --offline --test smoke_seeded --test store_equivalence --test par_invariance \
+    cargo test -q --offline --test smoke_seeded --test flow_backends --test par_invariance \
     --test packet_chain_golden
 BOOTERS_SCALAR_KERNELS=1 BOOTERS_THREADS=4 \
-    cargo test -q --offline --test smoke_seeded --test store_equivalence --test par_invariance \
+    cargo test -q --offline --test smoke_seeded --test flow_backends --test par_invariance \
     --test packet_chain_golden
 
 # Artifact-level kernel check: render Table 1 with the fast kernels, then
@@ -105,75 +106,38 @@ cargo run --release --offline -p booters-core --bin repro_report -- 0.02 >/dev/n
 test -s out/report.html || { echo "verify: out/report.html missing or empty" >&2; exit 1; }
 test -s out/report.md   || { echo "verify: out/report.md missing or empty" >&2; exit 1; }
 
-# Seventh pass: the streaming-equivalence contract (DESIGN.md §5g) at the
-# artifact level. repro_serve runs the full-packet chain through the batch
-# pipeline and the booters-serve streaming node, writes both renderings,
-# and asserts them equal in-process; cmp re-checks the written bytes here
-# so a broken artifact writer can't mask a divergence. BOOTERS_THREADS=4
-# puts the shard fan-out on real worker threads.
-echo "==> repro_serve smoke: streaming vs batch artifact diff (offline, scale 0.05, BOOTERS_THREADS=4)"
+# Seventh pass: the query engine at the artifact level. repro_query runs
+# canned pushdown queries (zone-map pruning, late materialization) over a
+# many-chunk store and writes the report and the weekly panel.
+# BOOTERS_THREADS=4 puts the per-chunk decode fan-out on real worker
+# threads. The backends' equivalence with in-memory flow grouping is
+# pinned on packet batches by tests/flow_backends.rs, which every
+# cargo test pass above runs.
+echo "==> repro_query smoke (offline, BOOTERS_THREADS=4)"
 BOOTERS_THREADS=4 \
-    cargo run --release --offline -p booters-bench --bin repro_serve -- 0.05 >/dev/null
-cmp out/table1.batch.txt out/table1.serve.txt || {
-    echo "verify: streaming Table 1 differs from the batch pipeline" >&2
-    exit 1
-}
-cmp out/table2.batch.txt out/table2.serve.txt || {
-    echo "verify: streaming Table 2 differs from the batch pipeline" >&2
-    exit 1
-}
-test -s out/serve.txt || { echo "verify: out/serve.txt missing or empty" >&2; exit 1; }
-
-# Eighth pass: the pushdown-equivalence contract (DESIGN.md §5h) at the
-# artifact level. repro_query runs the full-packet chain through the
-# batch pipeline and the booters-query scratch-store path (zone-map
-# pruning, late materialization), writes both renderings, and asserts
-# them equal in-process; cmp re-checks the written bytes here so a
-# broken artifact writer can't mask a divergence. BOOTERS_THREADS=4 puts
-# the per-chunk decode fan-out on real worker threads.
-echo "==> repro_query smoke: pushdown vs batch artifact diff (offline, scale 0.05, BOOTERS_THREADS=4)"
-BOOTERS_THREADS=4 \
-    cargo run --release --offline -p booters-bench --bin repro_query -- 0.05 >/dev/null
-cmp out/table1.qbatch.txt out/table1.query.txt || {
-    echo "verify: query-backed Table 1 differs from the batch pipeline" >&2
-    exit 1
-}
-cmp out/table2.qbatch.txt out/table2.query.txt || {
-    echo "verify: query-backed Table 2 differs from the batch pipeline" >&2
-    exit 1
-}
+    cargo run --release --offline -p booters-bench --bin repro_query >/dev/null
 test -s out/query.txt || { echo "verify: out/query.txt missing or empty" >&2; exit 1; }
 test -s out/query_panel.csv || { echo "verify: out/query_panel.csv missing or empty" >&2; exit 1; }
 
-# Ninth pass: the cache-coherence contract (DESIGN.md §5i). With an
+# Eighth pass: the cache-coherence contract (DESIGN.md §5i). With an
 # 8 MiB decoded-chunk cache budget, every store read may be served from
 # the cache — and nothing is allowed to change. The golden suites must
-# pass unchanged, and the repro_query artifacts must be byte-identical
-# to the cache-off run pass eight just wrote.
+# pass unchanged, and repro_query's weekly panel must be byte-identical
+# to the cache-off run the seventh pass just wrote.
 echo "==> seeded goldens (offline, BOOTERS_CACHE_BYTES=8388608, BOOTERS_THREADS=4)"
 BOOTERS_CACHE_BYTES=8388608 BOOTERS_THREADS=4 \
-    cargo test -q --offline --test smoke_seeded --test store_equivalence \
-    --test query_equivalence --test obs_golden
-echo "==> repro_query smoke: cached vs uncached artifact diff (offline, scale 0.05, BOOTERS_CACHE_BYTES=8388608)"
-cp out/table1.query.txt out/table1.nocache.txt
-cp out/table2.query.txt out/table2.nocache.txt
+    cargo test -q --offline --test smoke_seeded --test flow_backends --test obs_golden
+echo "==> repro_query smoke: cached vs uncached panel diff (offline, BOOTERS_CACHE_BYTES=8388608)"
+cp out/query_panel.csv out/query_panel.nocache.csv
 BOOTERS_CACHE_BYTES=8388608 BOOTERS_THREADS=4 \
-    cargo run --release --offline -p booters-bench --bin repro_query -- 0.05 >/dev/null
-cmp out/table1.nocache.txt out/table1.query.txt || {
-    echo "verify: query-backed Table 1 differs with the decoded-chunk cache on" >&2
+    cargo run --release --offline -p booters-bench --bin repro_query >/dev/null
+cmp out/query_panel.nocache.csv out/query_panel.csv || {
+    echo "verify: repro_query's weekly panel differs with the decoded-chunk cache on" >&2
     exit 1
 }
-cmp out/table2.nocache.txt out/table2.query.txt || {
-    echo "verify: query-backed Table 2 differs with the decoded-chunk cache on" >&2
-    exit 1
-}
-cmp out/table1.qbatch.txt out/table1.query.txt || {
-    echo "verify: cached query-backed Table 1 differs from the batch pipeline" >&2
-    exit 1
-}
-rm -f out/table1.nocache.txt out/table2.nocache.txt
+rm -f out/query_panel.nocache.csv
 
-# Tenth pass: the scenario-composition contract (DESIGN.md §5j) at the
+# Ninth pass: the scenario-composition contract (DESIGN.md §5j) at the
 # artifact level. repro_scenarios runs all eight built-in intervention
 # scenarios (scenarios/*.scn) plus the shockless baseline end-to-end —
 # simulate, observe, refit — and writes the cross-scenario comparison
@@ -203,7 +167,7 @@ for combo in "BOOTERS_THREADS=4" "BOOTERS_SCALAR_KERNELS=1" "BOOTERS_THREADS=4 B
 done
 rm -f out/scenario_summary.ref.csv out/scenario_coefficients.ref.csv
 
-# Eleventh pass: the end-to-end benchmark's own checks. bench_e2e/ is a
+# Tenth pass: the end-to-end benchmark's own checks. bench_e2e/ is a
 # separate Cargo workspace built from these crates by path; its self-tests
 # cover the metric readers and the layer accounting, and run the binary's
 # `paper` workload at both trace levels, whose warm-up must reproduce the

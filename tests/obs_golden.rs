@@ -9,9 +9,7 @@
 //! is its own process, like every integration-test binary) serialise on
 //! a local mutex and reset the registry at each step.
 
-use booting_the_booters::core::pipeline::{
-    build_dataset_query, build_dataset_serve, fit_global, PipelineConfig,
-};
+use booting_the_booters::core::pipeline::{fit_global, PipelineConfig};
 use booting_the_booters::core::detect::{detect_interventions, DetectOptions};
 use booting_the_booters::core::report::{table1, table2};
 use booting_the_booters::core::scenarios::{run_suite, ScenarioRunConfig};
@@ -21,8 +19,6 @@ use booting_the_booters::market::market::MarketConfig;
 use booting_the_booters::market::scn::builtin_scenarios;
 use booting_the_booters::obs;
 use booting_the_booters::par::{with_min_items, with_threads};
-use booting_the_booters::query::QueryConfig;
-use booting_the_booters::serve::ServeConfig;
 use booting_the_booters::timeseries::{Date, WeeklySeries};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -108,232 +104,6 @@ fn workload_counters_are_thread_count_invariant() {
     assert!(
         seq.contains_key("glm.irls_iterations"),
         "expected IRLS iteration counts in the workload set"
-    );
-}
-
-/// Full-packet scenario routed through the streaming (booters-serve)
-/// backend, over the paper's modelling window with a small weekly
-/// command sample — the same shape the serve-equivalence golden pins.
-fn render_streaming_tables() -> (String, String) {
-    let cal = Calibration {
-        scenario_start: Date::new(2016, 6, 6),
-        scenario_end: Date::new(2019, 4, 1),
-        ..Calibration::default()
-    };
-    let config = ScenarioConfig {
-        market: MarketConfig {
-            calibration: cal,
-            scale: 0.05,
-            seed: SMOKE_SEED,
-            ..MarketConfig::default()
-        },
-        fidelity: Fidelity::FullPackets { per_week: 4 },
-        ..ScenarioConfig::default()
-    };
-    let serve = ServeConfig {
-        shards: 4,
-        queue_capacity: 256,
-        ..ServeConfig::default()
-    };
-    let s = build_dataset_serve(config, serve).expect("streaming scenario");
-    assert!(s.serve_stats.as_ref().expect("serve path ran").packets > 0);
-    let cal = Calibration::default();
-    let cfg = PipelineConfig::default();
-    let fit = fit_global(&s.honeypot, &cal, &cfg).unwrap();
-    (table1(&fit), table2(&s.honeypot, &cal, &cfg).unwrap())
-}
-
-#[test]
-fn streaming_metrics_on_changes_no_output_bytes() {
-    let _g = OBS_LOCK.lock().unwrap();
-
-    obs::set_enabled(false);
-    obs::reset();
-    let (t1_off, t2_off) = render_streaming_tables();
-
-    obs::set_enabled(true);
-    obs::reset();
-    let (t1_on, t2_on) = render_streaming_tables();
-    let snap = obs::snapshot();
-    obs::set_enabled(false);
-    obs::reset();
-
-    assert_eq!(
-        t1_off, t1_on,
-        "streaming Table 1 must be byte-identical with BOOTERS_OBS on"
-    );
-    assert_eq!(
-        t2_off, t2_on,
-        "streaming Table 2 must be byte-identical with BOOTERS_OBS on"
-    );
-    // The streaming stages really were instrumented.
-    assert!(
-        snap.counter("serve.packets_grouped") > 0,
-        "expected grouped-packet counts recorded"
-    );
-    assert!(
-        snap.counter("serve.weeks_closed") > 0,
-        "expected week closes recorded"
-    );
-    assert!(
-        snap.spans.keys().any(|k| k.contains("serve.close_epoch")),
-        "expected the epoch-close span somewhere in the hierarchy: {:?}",
-        snap.spans.keys().collect::<Vec<_>>()
-    );
-}
-
-/// Streaming pipeline with metrics on under `threads` workers → merged
-/// workload counters.
-fn streaming_workload_at(threads: usize) -> BTreeMap<String, u64> {
-    obs::set_enabled(true);
-    obs::reset();
-    with_min_items(1, || {
-        with_threads(threads, || {
-            let (t1, t2) = render_streaming_tables();
-            assert!(!t1.is_empty() && !t2.is_empty());
-        })
-    });
-    let snap = obs::snapshot();
-    obs::set_enabled(false);
-    obs::reset();
-    snap.workload_counters()
-}
-
-#[test]
-fn streaming_workload_counters_are_thread_count_invariant() {
-    let _g = OBS_LOCK.lock().unwrap();
-    let seq = streaming_workload_at(1);
-    let par = streaming_workload_at(4);
-    assert!(!seq.is_empty(), "sequential streaming run recorded no counters");
-    assert_eq!(
-        seq, par,
-        "streaming workload counters must merge to identical totals at 1 and 4 threads"
-    );
-    assert!(
-        seq.contains_key("serve.packets_grouped"),
-        "expected serve intake counts in the workload set"
-    );
-    assert!(
-        seq.contains_key("serve.flows_closed"),
-        "expected flow-close counts in the workload set"
-    );
-}
-
-/// Full-packet scenario routed through the query (booters-query)
-/// backend, over the paper's modelling window with a small weekly
-/// command sample — the same shape the query-equivalence golden pins.
-fn render_query_tables() -> (String, String) {
-    let cal = Calibration {
-        scenario_start: Date::new(2016, 6, 6),
-        scenario_end: Date::new(2019, 4, 1),
-        ..Calibration::default()
-    };
-    let config = ScenarioConfig {
-        market: MarketConfig {
-            calibration: cal,
-            scale: 0.05,
-            seed: SMOKE_SEED,
-            ..MarketConfig::default()
-        },
-        fidelity: Fidelity::FullPackets { per_week: 4 },
-        ..ScenarioConfig::default()
-    };
-    let query = QueryConfig {
-        chunk_capacity: 512,
-        ..QueryConfig::default()
-    };
-    let s = build_dataset_query(config, query).expect("query-backed scenario");
-    assert!(s.query_stats.expect("query path ran").scans > 0);
-    let cal = Calibration::default();
-    let cfg = PipelineConfig::default();
-    let fit = fit_global(&s.honeypot, &cal, &cfg).unwrap();
-    (table1(&fit), table2(&s.honeypot, &cal, &cfg).unwrap())
-}
-
-#[test]
-fn query_metrics_on_changes_no_output_bytes() {
-    let _g = OBS_LOCK.lock().unwrap();
-
-    obs::set_enabled(false);
-    obs::reset();
-    let (t1_off, t2_off) = render_query_tables();
-    let snap_off = obs::snapshot();
-
-    obs::set_enabled(true);
-    obs::reset();
-    let (t1_on, t2_on) = render_query_tables();
-    let snap = obs::snapshot();
-    obs::set_enabled(false);
-    obs::reset();
-
-    assert_eq!(
-        t1_off, t1_on,
-        "query-backed Table 1 must be byte-identical with BOOTERS_OBS on"
-    );
-    assert_eq!(
-        t2_off, t2_on,
-        "query-backed Table 2 must be byte-identical with BOOTERS_OBS on"
-    );
-    // Off means off: no query.* counters leak from a disabled run.
-    assert!(
-        !snap_off.counters.keys().any(|k| k.starts_with("query.")),
-        "query.* counters recorded with BOOTERS_OBS off: {:?}",
-        snap_off.counters.keys().collect::<Vec<_>>()
-    );
-    // The query stages really were instrumented.
-    assert!(
-        snap.counter("query.scans") > 0,
-        "expected scan counts recorded"
-    );
-    assert!(
-        snap.counter("query.chunks_decoded") > 0,
-        "expected chunk-decode counts recorded"
-    );
-    assert!(
-        snap.counter("query.rows_returned") > 0,
-        "expected returned-row counts recorded"
-    );
-    assert!(
-        snap.spans.keys().any(|k| k.contains("query.scan")),
-        "expected the query scan span somewhere in the hierarchy: {:?}",
-        snap.spans.keys().collect::<Vec<_>>()
-    );
-}
-
-/// Query-backed pipeline with metrics on under `threads` workers →
-/// merged workload counters.
-fn query_workload_at(threads: usize) -> BTreeMap<String, u64> {
-    obs::set_enabled(true);
-    obs::reset();
-    with_min_items(1, || {
-        with_threads(threads, || {
-            let (t1, t2) = render_query_tables();
-            assert!(!t1.is_empty() && !t2.is_empty());
-        })
-    });
-    let snap = obs::snapshot();
-    obs::set_enabled(false);
-    obs::reset();
-    snap.workload_counters()
-}
-
-#[test]
-fn query_workload_counters_are_thread_count_invariant() {
-    let _g = OBS_LOCK.lock().unwrap();
-    let seq = query_workload_at(1);
-    let par = query_workload_at(4);
-    assert!(!seq.is_empty(), "sequential query run recorded no counters");
-    assert_eq!(
-        seq, par,
-        "query workload counters must merge to identical totals at 1 and 4 threads"
-    );
-    assert!(
-        seq.contains_key("query.scans"),
-        "expected scan counts in the workload set"
-    );
-    assert!(
-        seq.contains_key("query.rows_scanned"),
-        "expected scanned-row counts in the workload set"
     );
 }
 

@@ -2,8 +2,7 @@
 //!
 //! Packet synthesis, the honeypot fleet's reflect/absorb replay and flow
 //! grouping are each folded into an FNV-1a 64-bit digest: the batch
-//! path's time-sorted packets, the submission-order stream a sink sees,
-//! the single-command path's packets, the fleet counters, the grouped
+//! path's time-sorted packets, the single-command path's packets, the fleet counters, the grouped
 //! flows, and the honeypot series of one `Fidelity::FullPackets` run.
 //! Any change that moves one packet time, one RNG draw, one fleet
 //! decision or one flow moves a digest.
@@ -96,7 +95,7 @@ fn command(
 }
 
 /// Victims of the first batch's avoiding booters: one each, so their
-/// share of the sink stream can be counted per command.
+/// share of the batch's packets can be counted per command.
 fn avoiding_victim(i: u8) -> VictimAddr {
     VictimAddr::from_octets(25, 9, 9, i)
 }
@@ -150,26 +149,20 @@ fn batches() -> [Vec<AttackCommand>; 2] {
 fn batch_chain_digests() -> Vec<(&'static str, u64)> {
     let [first, second] = batches();
     let mut e = Engine::new(EngineConfig::default());
-    let mut sink: Vec<SensorPacket> = Vec::new();
-    let emitted = e.simulate_attacks_batch_into(&first, &mut sink);
-    assert_eq!(emitted as usize, sink.len());
+    let sorted_first = e.simulate_attacks_batch(&first);
     // At least one avoiding booter filtered every honeypot out: its
     // command contributes no packets at all.
     let empty = (0..6u8)
-        .filter(|&i| !sink.iter().any(|p| p.victim == avoiding_victim(i)))
+        .filter(|&i| !sorted_first.iter().any(|p| p.victim == avoiding_victim(i)))
         .count();
     assert!(empty >= 1, "no avoiding booter ended with an empty list");
-    let stream = packets_digest(&sink);
     let reflected_first = e.fleet().reflected_packets;
     let absorbed_first = e.fleet().absorbed_packets;
     let packets = e.simulate_attacks_batch(&second);
-    let mut sorted_first = sink.clone();
-    sorted_first.sort_by_key(|p| p.time);
     let mut all = sorted_first.clone();
     all.extend_from_slice(&packets);
     all.sort_by_key(|p| p.time);
     vec![
-        ("sink_stream", stream),
         ("reflected_first", reflected_first),
         ("absorbed_first", absorbed_first),
         ("batch_packets", packets_digest(&packets)),
@@ -181,8 +174,7 @@ fn batch_chain_digests() -> Vec<(&'static str, u64)> {
     ]
 }
 
-const BATCH_GOLDEN: [(&str, u64); 9] = [
-    ("sink_stream", 0xc166_2f39_1038_d5d4),
+const BATCH_GOLDEN: [(&str, u64); 8] = [
     ("reflected_first", 669),
     ("absorbed_first", 6531),
     ("batch_packets", 0x4202_7750_5216_f5cc),
