@@ -1,7 +1,8 @@
 //! Figure regeneration benchmarks: one per paper figure, timing the data
 //! extraction/rendering for each series the figures plot.
 
-use booters_bench::{pipeline_config, repro_config};
+use booters_bench::repro_config;
+use booters_core::pipeline::PipelineConfig;
 use booters_core::pipeline::fit_global;
 use booters_core::report::{
     fig1_csv, fig2_csv, fig3_csv, fig4_table, fig5_csv, fig6_csv, fig7_csv, fig8_csv,
@@ -19,7 +20,7 @@ const BENCH_SCALE: f64 = 0.02;
 fn bench_figures(c: &mut Criterion) {
     let scenario = Scenario::run(repro_config(BENCH_SCALE));
     let cal = Calibration::default();
-    let cfg = pipeline_config();
+    let cfg = PipelineConfig::default();
     let fit = fit_global(&scenario.honeypot, &cal, &cfg).unwrap();
     let mut group = c.benchmark_group("figures");
 

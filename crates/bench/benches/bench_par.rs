@@ -9,7 +9,8 @@
 //! only measure executor overhead. The determinism contract is what the
 //! test suite pins; these numbers pin the cost of it.
 
-use booters_bench::{pipeline_config, repro_config};
+use booters_bench::repro_config;
+use booters_core::pipeline::PipelineConfig;
 use booters_core::pipeline::fit_countries;
 use booters_core::scenario::Scenario;
 use booters_market::calibration::Calibration;
@@ -28,7 +29,7 @@ const THREADS: [usize; 4] = [1, 2, 4, 8];
 fn bench_country_fits(c: &mut Criterion) {
     let scenario = Scenario::run(repro_config(BENCH_SCALE));
     let cal = Calibration::default();
-    let cfg = pipeline_config();
+    let cfg = PipelineConfig::default();
     let countries = Calibration::table2_countries();
     let mut group = c.benchmark_group("country_fits");
     group.sample_size(10);

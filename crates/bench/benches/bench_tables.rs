@@ -2,7 +2,8 @@
 //! the full simulate → observe → fit → render chain at reduced scale,
 //! plus the Poisson-vs-NB ablation the paper's model choice rests on.
 
-use booters_bench::{pipeline_config, repro_config};
+use booters_bench::repro_config;
+use booters_core::pipeline::PipelineConfig;
 use booters_core::pipeline::{fit_global, fit_series, global_intervention_windows};
 use booters_core::report::{table1, table2, table3};
 use booters_core::scenario::Scenario;
@@ -19,7 +20,7 @@ const BENCH_SCALE: f64 = 0.02;
 fn bench_table1(c: &mut Criterion) {
     let scenario = Scenario::run(repro_config(BENCH_SCALE));
     let cal = Calibration::default();
-    let cfg = pipeline_config();
+    let cfg = PipelineConfig::default();
     c.bench_function("table1_fit_and_render", |b| {
         b.iter(|| {
             let fit = fit_global(&scenario.honeypot, &cal, &cfg).unwrap();
@@ -31,7 +32,7 @@ fn bench_table1(c: &mut Criterion) {
 fn bench_table2(c: &mut Criterion) {
     let scenario = Scenario::run(repro_config(BENCH_SCALE));
     let cal = Calibration::default();
-    let cfg = pipeline_config();
+    let cfg = PipelineConfig::default();
     let mut group = c.benchmark_group("tables");
     group.sample_size(10);
     group.bench_function("table2_eight_models", |b| {
@@ -52,7 +53,7 @@ fn bench_table3(c: &mut Criterion) {
 fn bench_poisson_ablation(c: &mut Criterion) {
     let scenario = Scenario::run(repro_config(BENCH_SCALE));
     let cal = Calibration::default();
-    let cfg = pipeline_config();
+    let cfg = PipelineConfig::default();
     let series = scenario
         .honeypot
         .global
@@ -94,7 +95,7 @@ fn bench_detection(c: &mut Criterion) {
         .global
         .window(Date::new(2016, 6, 6), Date::new(2019, 4, 1))
         .unwrap();
-    let cfg = pipeline_config();
+    let cfg = PipelineConfig::default();
     let mut group = c.benchmark_group("detection");
     group.sample_size(10);
     group.bench_function("detect_interventions_full_series", |b| {

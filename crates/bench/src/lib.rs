@@ -1,13 +1,11 @@
 #![warn(missing_docs)]
-//! Shared scaffolding for the table/figure regeneration binaries and the
-//! criterion benches.
+//! Shared scaffolding for the `repro` binary and the benches.
 //!
-//! Every `repro_*` binary accepts an optional scale argument (default
-//! 0.25): `cargo run --release -p booters-bench --bin repro_table1 -- 1.0`
+//! `repro` takes an optional `--scale` (default [`DEFAULT_SCALE`]):
+//! `cargo run --release -p booters-bench --bin repro -- --scale 1.0 all`
 //! runs at the paper's absolute volume. Output files land in `out/` under
 //! the workspace root.
 
-use booters_core::pipeline::PipelineConfig;
 use booters_core::scenario::{Fidelity, Scenario, ScenarioConfig};
 use booters_market::calibration::Calibration;
 use booters_market::market::MarketConfig;
@@ -17,17 +15,9 @@ use std::path::PathBuf;
 /// (scaling only shifts the model constant).
 pub const DEFAULT_SCALE: f64 = 0.25;
 
-/// Deterministic seed shared by all repro binaries so tables and figures
-/// come from the same simulated world.
+/// Deterministic seed of every repro run, so tables, figures and the
+/// run report come from the same simulated world.
 pub const REPRO_SEED: u64 = 0xB00735;
-
-/// Parse the scale argument.
-pub fn scale_from_args() -> f64 {
-    std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(DEFAULT_SCALE)
-}
 
 /// Standard scenario configuration for repro runs.
 pub fn repro_config(scale: f64) -> ScenarioConfig {
@@ -48,21 +38,14 @@ pub fn run_scenario(scale: f64) -> Scenario {
     Scenario::run(repro_config(scale))
 }
 
-/// The paper's pipeline configuration.
-pub fn pipeline_config() -> PipelineConfig {
-    PipelineConfig::default()
-}
-
 /// Write an artifact under `out/` (created on demand) and echo the path.
-pub fn write_artifact(name: &str, contents: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("out");
-    std::fs::create_dir_all(&dir).expect("create out/");
+pub fn write_artifact(name: &str, contents: &str) -> std::io::Result<PathBuf> {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../out");
+    std::fs::create_dir_all(&dir)?;
     let path = dir.join(name);
-    std::fs::write(&path, contents).expect("write artifact");
+    std::fs::write(&path, contents)?;
     eprintln!("wrote {}", path.display());
-    path
+    Ok(path)
 }
 
 #[cfg(test)]

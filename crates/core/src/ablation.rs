@@ -14,10 +14,12 @@
 //!   [`with_without_easter`] measures what it buys.
 
 use crate::datasets::HoneypotDataset;
-use crate::pipeline::{fit_series, global_intervention_windows, with_fit_workspace, PipelineConfig};
+use crate::pipeline::{
+    fit_series, global_intervention_windows, window_of, with_fit_workspace, PipelineConfig,
+    PipelineError,
+};
 use booters_glm::irls::IrlsOptions;
 use booters_glm::poisson::fit_poisson_with;
-use booters_glm::GlmError;
 use booters_market::calibration::Calibration;
 use booters_timeseries::design::{its_design, DesignConfig};
 use booters_timeseries::{Date, InterventionWindow};
@@ -48,12 +50,9 @@ pub fn kopp_style_short_window(
     ds: &HoneypotDataset,
     cal: &Calibration,
     cfg: &PipelineConfig,
-) -> Result<ShortWindowAblation, GlmError> {
+) -> Result<ShortWindowAblation, PipelineError> {
     // Full design (paper).
-    let series = ds
-        .global
-        .window(cfg.window_start, cfg.window_end)
-        .expect("window");
+    let series = window_of(&ds.global, "global", cfg.window_start, cfg.window_end)?;
     let full = fit_series(&series, &global_intervention_windows(cal), cfg)?;
     let full_pct = full
         .intervention_effects()
@@ -63,10 +62,7 @@ pub fn kopp_style_short_window(
         .mean_pct;
 
     // Kopp-style: Oct 2018 – end of Jan 2019, trend + dummy only.
-    let short_series = ds
-        .global
-        .window(Date::new(2018, 10, 1), Date::new(2019, 2, 4))
-        .expect("short window");
+    let short_series = window_of(&ds.global, "global", Date::new(2018, 10, 1), Date::new(2019, 2, 4))?;
     let window = InterventionWindow::immediate("Xmas 2018 event", Date::new(2018, 12, 19), 6);
     let mut short_cfg = cfg.clone();
     short_cfg.design = DesignConfig {
@@ -110,11 +106,8 @@ pub fn poisson_vs_negbin(
     ds: &HoneypotDataset,
     cal: &Calibration,
     cfg: &PipelineConfig,
-) -> Result<DispersionAblation, GlmError> {
-    let series = ds
-        .global
-        .window(cfg.window_start, cfg.window_end)
-        .expect("window");
+) -> Result<DispersionAblation, PipelineError> {
+    let series = window_of(&ds.global, "global", cfg.window_start, cfg.window_end)?;
     let windows = global_intervention_windows(cal);
     let nb = fit_series(&series, &windows, cfg)?;
     let design = its_design(&series, &windows, &cfg.design);
@@ -152,11 +145,8 @@ pub fn with_without_easter(
     ds: &HoneypotDataset,
     cal: &Calibration,
     cfg: &PipelineConfig,
-) -> Result<EasterAblation, GlmError> {
-    let series = ds
-        .global
-        .window(cfg.window_start, cfg.window_end)
-        .expect("window");
+) -> Result<EasterAblation, PipelineError> {
+    let series = window_of(&ds.global, "global", cfg.window_start, cfg.window_end)?;
     let windows = global_intervention_windows(cal);
     let with = fit_series(&series, &windows, cfg)?;
     let mut no_easter = cfg.clone();

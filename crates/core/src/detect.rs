@@ -16,9 +16,8 @@
 //! "drops correspond closely to \[police\] events" claim of the paper can
 //! be checked mechanically.
 
-use crate::pipeline::{fit_series, PipelineConfig};
+use crate::pipeline::{fit_series, PipelineConfig, PipelineError};
 use booters_glm::irls::lr_test;
-use booters_glm::GlmError;
 use booters_market::events;
 use booters_timeseries::{Date, InterventionWindow, WeeklySeries};
 
@@ -112,7 +111,7 @@ pub fn detect_interventions(
     series: &WeeklySeries,
     cfg: &PipelineConfig,
     opts: &DetectOptions,
-) -> Result<Vec<DetectedWindow>, GlmError> {
+) -> Result<Vec<DetectedWindow>, PipelineError> {
     let mut windows: Vec<InterventionWindow> = Vec::new();
     let mut detected: Vec<DetectedWindow> = Vec::new();
 
@@ -146,7 +145,7 @@ pub fn detect_interventions(
             .fit
             .inference
             .coef(&name)
-            .expect("candidate column present")
+            .ok_or_else(|| PipelineError::Argument(format!("fit has no `{name}` column")))?
             .coef;
         detected.push(DetectedWindow {
             start: series.week_date(start),

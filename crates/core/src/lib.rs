@@ -17,20 +17,23 @@
 //!   by likelihood ratio, and match against the §2 event timeline.
 //! * [`report`] — renderers for Table 1, Table 2, Table 3 and CSV series
 //!   for every figure.
+//! * [`artifacts`] — the registry of every `out/` artifact with its one
+//!   renderer over a shared run context; the `repro` binary (crate
+//!   `booters-bench`) writes them.
 //! * [`runreport`] — self-contained HTML/Markdown run reports combining
 //!   the manifest, [`booters_obs`] timings/metrics, every table and
-//!   figure, and the `BENCH_*.json` trajectory (see the `repro_report`
-//!   binary).
+//!   figure, and the `BENCH_*.json` trajectory (see `repro report`).
 //! * [`scenarios`] — cross-scenario intervention evaluation: run the
 //!   pipeline once per [`booters_market::ScenarioSpec`] (the paper's five
 //!   interventions plus successor-literature what-ifs) and compare the
-//!   outcomes against a shockless baseline (see the `repro_scenarios`
-//!   binary and `SCENARIOS.md`).
+//!   outcomes against a shockless baseline (see `repro scenarios` and
+//!   `SCENARIOS.md`).
 //! * [`verify`] — the §3 self-report validation suite (White's test,
 //!   D'Agostino K², prime-divisibility multiplier check, cross-dataset
 //!   correlation).
 
 pub mod ablation;
+pub mod artifacts;
 pub mod datasets;
 pub mod detect;
 pub mod pipeline;

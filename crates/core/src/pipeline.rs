@@ -13,6 +13,59 @@ use booters_netsim::Country;
 use booters_timeseries::design::{its_design, DesignConfig};
 use booters_timeseries::{Date, InterventionWindow, WeeklySeries};
 
+/// Why a pipeline step could not produce its model or artifact.
+#[derive(Debug)]
+pub enum PipelineError {
+    /// A dataset series does not cover the requested window.
+    Window {
+        /// Which series (`global`, a country or a protocol label).
+        series: String,
+        /// Requested window start.
+        start: Date,
+        /// Requested window end.
+        end: Date,
+    },
+    /// An argument or name outside its domain; the message names it.
+    Argument(String),
+    /// The model fit itself failed.
+    Fit(GlmError),
+}
+
+impl std::fmt::Display for PipelineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PipelineError::Window { series, start, end } => {
+                write!(f, "the {series} series does not cover the window {start} to {end}")
+            }
+            PipelineError::Argument(what) => f.write_str(what),
+            PipelineError::Fit(e) => write!(f, "model fit failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for PipelineError {}
+
+impl From<GlmError> for PipelineError {
+    fn from(e: GlmError) -> Self {
+        PipelineError::Fit(e)
+    }
+}
+
+/// `series` restricted to `[start, end)`, or a [`PipelineError::Window`]
+/// naming it as `name` when the series does not cover that window.
+pub fn window_of(
+    series: &WeeklySeries,
+    name: &str,
+    start: Date,
+    end: Date,
+) -> Result<WeeklySeries, PipelineError> {
+    series.window(start, end).ok_or_else(|| PipelineError::Window {
+        series: name.to_string(),
+        start,
+        end,
+    })
+}
+
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
@@ -207,12 +260,9 @@ pub fn fit_global(
     ds: &HoneypotDataset,
     cal: &Calibration,
     cfg: &PipelineConfig,
-) -> Result<GlobalModelResult, GlmError> {
-    let series = ds
-        .global
-        .window(cfg.window_start, cfg.window_end)
-        .expect("modelling window inside dataset");
-    fit_series(&series, &global_intervention_windows(cal), cfg)
+) -> Result<GlobalModelResult, PipelineError> {
+    let series = window_of(&ds.global, "global", cfg.window_start, cfg.window_end)?;
+    Ok(fit_series(&series, &global_intervention_windows(cal), cfg)?)
 }
 
 /// Result of one per-country model.
@@ -230,11 +280,8 @@ pub fn fit_country(
     cal: &Calibration,
     country: Country,
     cfg: &PipelineConfig,
-) -> Result<CountryResult, GlmError> {
-    let series = ds
-        .country(country)
-        .window(cfg.window_start, cfg.window_end)
-        .expect("modelling window inside dataset");
+) -> Result<CountryResult, PipelineError> {
+    let series = window_of(ds.country(country), country.label(), cfg.window_start, cfg.window_end)?;
     let model = fit_series(&series, &country_intervention_windows(cal, country), cfg)?;
     Ok(CountryResult { country, model })
 }
@@ -251,7 +298,7 @@ pub fn fit_countries(
     cal: &Calibration,
     countries: &[Country],
     cfg: &PipelineConfig,
-) -> Result<Vec<CountryResult>, GlmError> {
+) -> Result<Vec<CountryResult>, PipelineError> {
     booters_par::par_map_coarse(countries, |&country| fit_country(ds, cal, country, cfg))
         .into_iter()
         .collect()
@@ -317,11 +364,8 @@ pub fn fit_protocol(
     cal: &Calibration,
     protocol: booters_netsim::UdpProtocol,
     cfg: &PipelineConfig,
-) -> Result<ProtocolResult, GlmError> {
-    let series = ds
-        .protocol(protocol)
-        .window(cfg.window_start, cfg.window_end)
-        .expect("modelling window inside dataset");
+) -> Result<ProtocolResult, PipelineError> {
+    let series = window_of(ds.protocol(protocol), protocol.label(), cfg.window_start, cfg.window_end)?;
     let model = fit_series(&series, &global_intervention_windows(cal), cfg)?;
     Ok(ProtocolResult { protocol, model })
 }
@@ -350,9 +394,11 @@ pub fn trend_break_test(
     from: Date,
     to: Date,
     cfg: &PipelineConfig,
-) -> Result<TrendBreakTest, GlmError> {
+) -> Result<TrendBreakTest, PipelineError> {
     let design = its_design(series, windows, &cfg.design);
-    let time_col = design.column_index("time").expect("trend in design");
+    let time_col = design.column_index("time").ok_or_else(|| {
+        PipelineError::Argument("trend-break test needs a design with a trend term".into())
+    })?;
     // Append the interaction column: centred time within the window so the
     // main window level is captured separately by a level dummy.
     let n = series.len();
@@ -376,8 +422,9 @@ pub fn trend_break_test(
     let mut opts = cfg.negbin;
     opts.covariance = cfg.covariance;
     let fit = with_fit_workspace(|ws| fit_negbin_with(ws, &x, &y, &names, &opts))?;
-    let inter = fit.inference.coef("break_trend").expect("interaction");
-    let trend = fit.inference.coef("time").expect("trend");
+    let missing = |name: &str| PipelineError::Argument(format!("fit has no `{name}` column"));
+    let inter = fit.inference.coef("break_trend").ok_or_else(|| missing("break_trend"))?;
+    let trend = fit.inference.coef("time").ok_or_else(|| missing("time"))?;
     Ok(TrendBreakTest {
         interaction_coef: inter.coef,
         std_error: inter.std_error,
@@ -402,9 +449,16 @@ pub fn scan_duration(
     target: usize,
     candidates: &[usize],
     cfg: &PipelineConfig,
-) -> Result<(usize, f64), GlmError> {
-    assert!(target < windows.len(), "target window index out of range");
-    assert!(!candidates.is_empty(), "need at least one candidate duration");
+) -> Result<(usize, f64), PipelineError> {
+    if target >= windows.len() {
+        return Err(PipelineError::Argument(format!(
+            "target window {target} out of range for {} windows",
+            windows.len()
+        )));
+    }
+    if candidates.is_empty() {
+        return Err(PipelineError::Argument("no candidate durations to scan".into()));
+    }
     let profile = booters_par::par_map_coarse(candidates, |&d| {
         let mut ws = windows.to_vec();
         ws[target] = ws[target].with_duration(d);
@@ -412,13 +466,13 @@ pub fn scan_duration(
     })
     .into_iter()
     .collect::<Result<Vec<_>, _>>()?;
-    let mut best: Option<(usize, f64)> = None;
-    for (d, ll) in profile {
-        if best.is_none_or(|(_, b)| ll > b) {
-            best = Some((d, ll));
+    let mut best = profile[0];
+    for &(d, ll) in &profile[1..] {
+        if ll > best.1 {
+            best = (d, ll);
         }
     }
-    Ok(best.expect("at least one candidate"))
+    Ok(best)
 }
 
 #[cfg(test)]
@@ -702,5 +756,27 @@ mod tests {
         let fr = country_intervention_windows(&cal, Country::Fr);
         let xmas = fr.iter().find(|w| w.name == "Xmas 2018 event").unwrap();
         assert_eq!(xmas.duration_weeks, 10);
+    }
+
+    #[test]
+    fn a_dataset_short_of_the_modelling_window_is_a_window_error() {
+        let ds = HoneypotDataset::new(Date::new(2018, 1, 1), Date::new(2018, 6, 4));
+        let cal = Calibration::default();
+        let cfg = PipelineConfig::default();
+        let err = fit_global(&ds, &cal, &cfg).unwrap_err();
+        assert!(matches!(&err, PipelineError::Window { series, .. } if series == "global"), "{err}");
+        let err = fit_country(&ds, &cal, Country::Uk, &cfg).unwrap_err();
+        assert!(err.to_string().contains("UK series"), "{err}");
+    }
+
+    #[test]
+    fn scan_duration_rejects_empty_candidates_and_out_of_range_targets() {
+        let series = WeeklySeries::covering(Date::new(2018, 1, 1), Date::new(2018, 6, 4));
+        let windows = global_intervention_windows(&Calibration::default());
+        let cfg = PipelineConfig::default();
+        let err = scan_duration(&series, &windows, 0, &[], &cfg).unwrap_err();
+        assert!(matches!(err, PipelineError::Argument(_)), "{err}");
+        let err = scan_duration(&series, &windows, windows.len(), &[4], &cfg).unwrap_err();
+        assert!(err.to_string().contains(&format!("target window {}", windows.len())), "{err}");
     }
 }

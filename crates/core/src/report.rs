@@ -2,9 +2,9 @@
 //!
 //! The `table*` functions render text tables: [`table1`] and [`table3`]
 //! return the table directly, while [`table2`] refits per-country models
-//! and so returns `Result<String, GlmError>`. The `fig*` functions
+//! and so returns `Result<String, PipelineError>`. The `fig*` functions
 //! produce the data series the corresponding figure plots, so a plotting
-//! tool (or the `repro_*` binaries) can regenerate it — most return a
+//! tool (or the `repro` binary) can regenerate it — most return a
 //! CSV `String`, with three exceptions: [`fig4_table`] returns a
 //! [`CorrelationTable`] (render with its `render()` method),
 //! [`fig5_csv`] returns the CSV alongside the fitted [`Fig5Slopes`],
@@ -12,10 +12,10 @@
 
 use crate::datasets::{HoneypotDataset, SelfReportDataset};
 use crate::pipeline::{
-    fit_countries, fit_country, fit_global, EffectSize, GlobalModelResult, PipelineConfig,
+    fit_countries, fit_country, fit_global, CountryResult, EffectSize, GlobalModelResult,
+    PipelineConfig, PipelineError,
 };
 use booters_glm::summary::{negbin_summary, push_fixed, push_left};
-use booters_glm::GlmError;
 use booters_market::calibration::Calibration;
 use booters_market::events;
 use booters_netsim::{Country, UdpProtocol};
@@ -39,7 +39,7 @@ pub fn table2(
     ds: &HoneypotDataset,
     cal: &Calibration,
     cfg: &PipelineConfig,
-) -> Result<String, GlmError> {
+) -> Result<String, PipelineError> {
     let countries = Calibration::table2_countries();
     let fits = fit_countries(ds, cal, &countries, cfg)?;
     let overall = fit_global(ds, cal, cfg)?;
@@ -115,12 +115,16 @@ pub fn country_model_detail(
     cal: &Calibration,
     country: Country,
     cfg: &PipelineConfig,
-) -> Result<String, GlmError> {
-    let result = fit_country(ds, cal, country, cfg)?;
+) -> Result<String, PipelineError> {
+    Ok(country_detail_text(&fit_country(ds, cal, country, cfg)?))
+}
+
+/// The [`country_model_detail`] text of an already fitted country model.
+pub(crate) fn country_detail_text(result: &CountryResult) -> String {
     let d = result.model.diagnostics();
     let mut out = format!(
         "Per-country model: {} (victim country)\n\n",
-        country.label()
+        result.country.label()
     );
     out.push_str(&negbin_summary(&result.model.fit));
     out.push_str("\ndiagnostics: AIC ");
@@ -134,7 +138,7 @@ pub fn country_model_detail(
         "  joint-interventions p={:.2e}",
         d.interventions_joint_p
     );
-    Ok(out)
+    out
 }
 
 /// Table 3: share of attacks by country of victim at February snapshots.

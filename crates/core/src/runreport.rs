@@ -14,9 +14,9 @@
 //! [`RowAddressFactory`] (page size from `BOOTERS_QUERY_PAGE`, default
 //! 50) and a small inline pager walks the pages without reloading.
 //!
-//! Rendering is pure string → string: the binary
-//! (`crates/core/src/bin/repro_report.rs`) gathers the inputs, this
-//! module formats them, and nothing here touches the filesystem, which
+//! Rendering is pure string → string: `repro report`
+//! (`crates/bench/src/bin/repro.rs`) gathers the inputs, this module
+//! formats them, and nothing here touches the filesystem, which
 //! keeps every function unit-testable offline.
 
 use booters_obs::Snapshot;

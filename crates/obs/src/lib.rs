@@ -23,7 +23,7 @@
 //! Observability is **off by default**. It turns on when the
 //! `BOOTERS_OBS` environment variable is set to anything other than `0`
 //! (read once, at first use), or programmatically via [`set_enabled`]
-//! (used by `repro_report` and the golden tests).
+//! (used by `repro report` and the golden tests).
 //!
 //! ## Determinism of merged counters
 //!
@@ -95,7 +95,7 @@ pub fn enabled() -> bool {
 }
 
 /// Turn recording on or off programmatically, overriding `BOOTERS_OBS`.
-/// Used by `repro_report` (always wants timings) and by tests.
+/// Used by `repro report` (always wants timings) and by tests.
 pub fn set_enabled(on: bool) {
     ENABLED.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
 }

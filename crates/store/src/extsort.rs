@@ -230,11 +230,6 @@ impl SpillGrouper {
         }
     }
 
-    /// New grouper with the default (env-driven) configuration.
-    pub fn from_env() -> SpillGrouper {
-        SpillGrouper::new(SpillConfig::default())
-    }
-
     /// Counters so far (final counters come with [`SpillGrouper::finish`]).
     pub fn stats(&self) -> &SpillStats {
         &self.stats

@@ -57,26 +57,32 @@ BOOTERS_SCALAR_KERNELS=1 BOOTERS_THREADS=4 \
     cargo test -q --offline --test smoke_seeded --test flow_backends --test par_invariance \
     --test packet_chain_golden
 
-# Artifact-level kernel check: render Table 1 with the fast kernels, then
-# again with the scalar oracles, and require the written artifacts to be
-# byte-for-byte identical.
-echo "==> table1 artifact diff (fast kernels vs scalar oracles)"
-cargo run --release --offline -p booters-bench --bin repro_table1 >/dev/null
-cp out/table1.txt out/table1.fast.txt
-BOOTERS_SCALAR_KERNELS=1 \
-    cargo run --release --offline -p booters-bench --bin repro_table1 >/dev/null
-cmp out/table1.fast.txt out/table1.txt || {
-    echo "verify: table1 artifact differs between fast kernels and scalar oracles" >&2
-    exit 1
-}
-rm -f out/table1.fast.txt
+# Artifact-level determinism: every file `repro all` writes (it names
+# each on stderr as "wrote <path>") must be byte-for-byte identical with
+# the scalar kernel oracles in charge and at four threads.
+echo "==> repro all artifact diff (default vs scalar kernels vs 4 threads, offline)"
+REPRO="cargo run -q --release --offline -p booters-bench --bin repro --"
+ref=$(mktemp -d)
+$REPRO all >/dev/null 2>"$ref/log"
+sed -n 's/^wrote //p' "$ref/log" > "$ref/files"
+test -s "$ref/files" || { echo "verify: repro all wrote no artifacts" >&2; exit 1; }
+while read -r f; do cp "$f" "$ref/"; done < "$ref/files"
+for combo in "BOOTERS_SCALAR_KERNELS=1" "BOOTERS_THREADS=4"; do
+    env $combo $REPRO all >/dev/null 2>&1
+    while read -r f; do
+        cmp "$ref/$(basename "$f")" "$f" || {
+            echo "verify: $(basename "$f") differs under $combo" >&2
+            exit 1
+        }
+    done < "$ref/files"
+done
+rm -rf "$ref"
 
-# Golden pass: repro_all's Table 1/2 at the default seed and scale must
+# Golden pass: `repro all`'s Table 1/2 at the default seed and scale must
 # match bench_e2e/golden/ (read only here), the goldens the end-to-end
 # benchmark's `paper` warm-up checks. An output change that moves Table 1
 # or 2 fails CI here, not first when the benchmark next runs.
-echo "==> repro_all Table 1/2 vs bench_e2e/golden (offline)"
-cargo run --release --offline -p booters-bench --bin repro_all >/dev/null
+echo "==> repro all Table 1/2 vs bench_e2e/golden (offline)"
 for table in table1 table2; do
     cmp "out/$table.txt" "bench_e2e/golden/$table.txt" || {
         echo "verify: out/$table.txt differs from bench_e2e/golden/$table.txt" >&2
@@ -101,44 +107,42 @@ cargo test -q --doc --workspace --offline
 
 # Smoke the run-report renderer: a small-scale instrumented run must
 # produce non-empty self-contained HTML and Markdown reports.
-echo "==> repro_report smoke (offline, scale 0.02)"
-cargo run --release --offline -p booters-core --bin repro_report -- 0.02 >/dev/null
+echo "==> repro report smoke (offline, scale 0.02)"
+$REPRO --scale 0.02 report >/dev/null
 test -s out/report.html || { echo "verify: out/report.html missing or empty" >&2; exit 1; }
 test -s out/report.md   || { echo "verify: out/report.md missing or empty" >&2; exit 1; }
 
-# Seventh pass: the query engine at the artifact level. repro_query runs
+# Seventh pass: the query engine at the artifact level. `repro query` runs
 # canned pushdown queries (zone-map pruning, late materialization) over a
 # many-chunk store and writes the report and the weekly panel.
 # BOOTERS_THREADS=4 puts the per-chunk decode fan-out on real worker
 # threads. The backends' equivalence with in-memory flow grouping is
 # pinned on packet batches by tests/flow_backends.rs, which every
 # cargo test pass above runs.
-echo "==> repro_query smoke (offline, BOOTERS_THREADS=4)"
-BOOTERS_THREADS=4 \
-    cargo run --release --offline -p booters-bench --bin repro_query >/dev/null
+echo "==> repro query smoke (offline, BOOTERS_THREADS=4)"
+BOOTERS_THREADS=4 $REPRO query >/dev/null
 test -s out/query.txt || { echo "verify: out/query.txt missing or empty" >&2; exit 1; }
 test -s out/query_panel.csv || { echo "verify: out/query_panel.csv missing or empty" >&2; exit 1; }
 
 # Eighth pass: the cache-coherence contract (DESIGN.md §5i). With an
 # 8 MiB decoded-chunk cache budget, every store read may be served from
 # the cache — and nothing is allowed to change. The golden suites must
-# pass unchanged, and repro_query's weekly panel must be byte-identical
+# pass unchanged, and `repro query`'s weekly panel must be byte-identical
 # to the cache-off run the seventh pass just wrote.
 echo "==> seeded goldens (offline, BOOTERS_CACHE_BYTES=8388608, BOOTERS_THREADS=4)"
 BOOTERS_CACHE_BYTES=8388608 BOOTERS_THREADS=4 \
     cargo test -q --offline --test smoke_seeded --test flow_backends --test obs_golden
-echo "==> repro_query smoke: cached vs uncached panel diff (offline, BOOTERS_CACHE_BYTES=8388608)"
+echo "==> repro query smoke: cached vs uncached panel diff (offline, BOOTERS_CACHE_BYTES=8388608)"
 cp out/query_panel.csv out/query_panel.nocache.csv
-BOOTERS_CACHE_BYTES=8388608 BOOTERS_THREADS=4 \
-    cargo run --release --offline -p booters-bench --bin repro_query >/dev/null
+BOOTERS_CACHE_BYTES=8388608 BOOTERS_THREADS=4 $REPRO query >/dev/null
 cmp out/query_panel.nocache.csv out/query_panel.csv || {
-    echo "verify: repro_query's weekly panel differs with the decoded-chunk cache on" >&2
+    echo "verify: repro query's weekly panel differs with the decoded-chunk cache on" >&2
     exit 1
 }
 rm -f out/query_panel.nocache.csv
 
 # Ninth pass: the scenario-composition contract (DESIGN.md §5j) at the
-# artifact level. repro_scenarios runs all eight built-in intervention
+# artifact level. `repro scenarios` runs all eight built-in intervention
 # scenarios (scenarios/*.scn) plus the shockless baseline end-to-end —
 # simulate, observe, refit — and writes the cross-scenario comparison
 # artifacts. Those must be byte-identical across thread counts and with
@@ -149,13 +153,13 @@ rm -f out/query_panel.nocache.csv
 echo "==> scenario goldens (offline, scn parser + market + suite byte-identity)"
 cargo test -q --offline --test scenario_suite --test market_golden
 cargo test -q --offline -p booters-market --test scn
-echo "==> repro_scenarios artifact diff (threads 1/4 x fast/scalar, offline, scale 0.02)"
-cargo run --release --offline -p booters-core --bin repro_scenarios -- 0.02 >/dev/null
+echo "==> repro scenarios artifact diff (threads 1/4 x fast/scalar, offline, scale 0.02)"
+$REPRO --scale 0.02 scenarios >/dev/null
 test -s out/scenarios.txt || { echo "verify: out/scenarios.txt missing or empty" >&2; exit 1; }
 cp out/scenario_summary.csv out/scenario_summary.ref.csv
 cp out/scenario_coefficients.csv out/scenario_coefficients.ref.csv
 for combo in "BOOTERS_THREADS=4" "BOOTERS_SCALAR_KERNELS=1" "BOOTERS_THREADS=4 BOOTERS_SCALAR_KERNELS=1"; do
-    env $combo cargo run --release --offline -p booters-core --bin repro_scenarios -- 0.02 >/dev/null
+    env $combo $REPRO --scale 0.02 scenarios >/dev/null
     cmp out/scenario_summary.ref.csv out/scenario_summary.csv || {
         echo "verify: scenario summary differs under $combo" >&2
         exit 1

@@ -19,7 +19,7 @@
 //! | [`glm`] | OLS, Poisson and NB2 regression with full inference |
 //! | [`netsim`] | packet-level UDP reflection + hopscotch honeypot simulator |
 //! | [`market`] | agent-based booter market with the §2 intervention timeline |
-//! | [`core`] | scenario runner, datasets, the §4 pipeline, table/figure renderers |
+//! | [`core`] | scenario runner, datasets, the §4 pipeline, the artifact registry and its renderers |
 //! | [`par`] | deterministic parked thread-pool driving the simulate→group→fit hot paths |
 //! | [`store`] | chunked columnar on-disk packet store + out-of-core flow grouping |
 //! | [`obs`] | zero-dependency span timers + metric counters, off by default (`BOOTERS_OBS=1`) |
@@ -30,7 +30,7 @@
 //! any `BOOTERS_THREADS` setting (see DESIGN.md, "Determinism contract").
 //! Observability never changes results either: with `BOOTERS_OBS=1` the
 //! same bytes come out, plus per-stage timings and metric totals that the
-//! `repro_report` binary renders into `out/report.html` / `out/report.md`
+//! `repro report` command renders into `out/report.html` / `out/report.md`
 //! (see DESIGN.md §5e, "Observability contract").
 //!
 //! ## Quickstart
