@@ -98,7 +98,7 @@ fn candidate_runs(
         }
     }
     // Deepest cumulative drop first.
-    runs.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("finite depth"));
+    runs.sort_by(|a, b| a.2.total_cmp(&b.2));
     runs
 }
 

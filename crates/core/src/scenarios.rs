@@ -16,9 +16,8 @@
 //! (DESIGN.md §5b/§5j), so suite outputs are byte-stable goldens —
 //! pinned in `tests/scenario_suite.rs` and by `scripts/verify.sh`.
 
-use crate::pipeline::{fit_series, EffectSize, PipelineConfig};
+use crate::pipeline::{fit_series, window_of, EffectSize, PipelineConfig, PipelineError};
 use crate::scenario::{observe_honeypot, Fidelity, ScenarioConfig};
-use booters_glm::GlmError;
 use booters_market::calibration::Calibration;
 use booters_market::market::MarketConfig;
 use booters_market::scn::builtin_scenarios;
@@ -76,7 +75,7 @@ pub struct ScenarioOutcome {
 pub fn run_scenario(
     spec: &ScenarioSpec,
     cfg: &ScenarioRunConfig,
-) -> Result<ScenarioOutcome, GlmError> {
+) -> Result<ScenarioOutcome, PipelineError> {
     let mut outcomes = run_specs(&[spec], cfg)?;
     Ok(outcomes.remove(0))
 }
@@ -95,7 +94,7 @@ pub struct ScenarioSuite {
 pub fn run_suite(
     specs: &[ScenarioSpec],
     cfg: &ScenarioRunConfig,
-) -> Result<ScenarioSuite, GlmError> {
+) -> Result<ScenarioSuite, PipelineError> {
     let baseline = ScenarioSpec::baseline();
     let all: Vec<&ScenarioSpec> = std::iter::once(&baseline).chain(specs).collect();
     let mut outcomes = run_specs(&all, cfg)?;
@@ -103,11 +102,12 @@ pub fn run_suite(
     Ok(ScenarioSuite { baseline, outcomes })
 }
 
-/// The series one scenario's fits read: the modelling-window global
-/// series, then one per Table 2 country.
+/// The series one scenario's fits read, over the modelling window: the
+/// global series and one per Table 2 country.
 struct Observed {
     windows: Vec<InterventionWindow>,
-    series: Vec<WeeklySeries>,
+    global: WeeklySeries,
+    countries: Vec<WeeklySeries>,
 }
 
 /// What one fit contributes to an outcome.
@@ -128,13 +128,15 @@ struct FitSummary {
 ///    wait for the slowest unit is one fit, not one scenario.
 ///
 /// Outcomes come back in submission order, and a failure reports the
-/// earliest spec's error, never whichever fit failed first on the
-/// clock: the outcomes are bit-identical at every thread count
-/// (DESIGN.md §5b).
+/// first error in a fixed order — every spec's observation, then every
+/// global fit, then every country fit, each in submission order — never
+/// whichever failed first on the clock: the outcomes are bit-identical
+/// at every thread count (DESIGN.md §5b). A modelling window outside a
+/// scenario's dataset is a [`PipelineError::Window`].
 fn run_specs(
     specs: &[&ScenarioSpec],
     cfg: &ScenarioRunConfig,
-) -> Result<Vec<ScenarioOutcome>, GlmError> {
+) -> Result<Vec<ScenarioOutcome>, PipelineError> {
     let (from, to) = (cfg.pipeline.window_start, cfg.pipeline.window_end);
     let countries = Calibration::table2_countries();
     let observed = {
@@ -150,22 +152,30 @@ fn run_specs(
                 fidelity: Fidelity::Aggregate,
                 ..ScenarioConfig::default()
             });
-            let series = std::iter::once(&honeypot.global)
-                .chain(countries.iter().map(|&c| honeypot.country(c)))
-                .map(|s| s.window(from, to).expect("modelling window inside dataset"))
-                .collect();
-            Observed {
+            Ok(Observed {
                 windows: spec.windows(),
-                series,
-            }
+                global: window_of(&honeypot.global, "global", from, to)?,
+                countries: countries
+                    .iter()
+                    .map(|&c| window_of(honeypot.country(c), c.label(), from, to))
+                    .collect::<Result<_, _>>()?,
+            })
         })
+        .into_iter()
+        .collect::<Result<Vec<_>, PipelineError>>()?
     };
 
+    // Every global series, then every country series, spec by spec.
     let jobs: Vec<(&Observed, &WeeklySeries)> = observed
         .iter()
-        .flat_map(|o| o.series.iter().map(move |s| (o, s)))
+        .map(|o| (o, &o.global))
+        .chain(
+            observed
+                .iter()
+                .flat_map(|o| o.countries.iter().map(move |s| (o, s))),
+        )
         .collect();
-    let mut fits = booters_par::par_map_coarse(&jobs, |&(o, series)| {
+    let mut global_fits = booters_par::par_map_coarse(&jobs, |&(o, series)| {
         let m = fit_series(series, &o.windows, &cfg.pipeline)?;
         Ok(FitSummary {
             trend: m.fit.inference.coef("time").map_or(f64::NAN, |c| c.coef),
@@ -174,35 +184,32 @@ fn run_specs(
         })
     })
     .into_iter()
-    .collect::<Result<Vec<_>, GlmError>>()?
-    .into_iter();
+    .collect::<Result<Vec<_>, PipelineError>>()?;
+    let mut country_fits = global_fits.split_off(observed.len()).into_iter();
 
     Ok(specs
         .iter()
         .zip(observed)
-        .map(|(spec, o)| {
-            let global = fits.next().expect("one fit per series");
-            let country_effects = countries
+        .zip(global_fits)
+        .map(|((spec, o), global)| ScenarioOutcome {
+            spec: (*spec).clone(),
+            windows: o.windows,
+            total_attacks: o.global.values().iter().sum(),
+            weekly: o.global,
+            trend: global.trend,
+            alpha: global.alpha,
+            effects: global.effects,
+            country_effects: countries
                 .iter()
-                .map(|&c| (c, fits.next().expect("one fit per series").effects))
-                .collect();
-            let weekly = o.series.into_iter().next().expect("global series");
-            ScenarioOutcome {
-                spec: (*spec).clone(),
-                windows: o.windows,
-                total_attacks: weekly.values().iter().sum(),
-                weekly,
-                trend: global.trend,
-                alpha: global.alpha,
-                effects: global.effects,
-                country_effects,
-            }
+                .zip(country_fits.by_ref())
+                .map(|(&c, fit)| (c, fit.effects))
+                .collect(),
         })
         .collect())
 }
 
 /// Run the eight built-in scenarios (see `SCENARIOS.md`).
-pub fn run_builtin_suite(cfg: &ScenarioRunConfig) -> Result<ScenarioSuite, GlmError> {
+pub fn run_builtin_suite(cfg: &ScenarioRunConfig) -> Result<ScenarioSuite, PipelineError> {
     run_suite(&builtin_scenarios(), cfg)
 }
 
@@ -340,6 +347,21 @@ mod tests {
             scale: 0.02,
             ..ScenarioRunConfig::default()
         }
+    }
+
+    #[test]
+    fn a_window_outside_the_dataset_is_a_typed_error() {
+        let cfg = ScenarioRunConfig {
+            pipeline: PipelineConfig {
+                window_start: booters_timeseries::Date::new(2030, 1, 7),
+                window_end: booters_timeseries::Date::new(2031, 1, 6),
+                ..PipelineConfig::default()
+            },
+            ..quick_cfg()
+        };
+        let is_window_error = |e: PipelineError| matches!(e, PipelineError::Window { series, .. } if series == "global");
+        assert!(run_scenario(&ScenarioSpec::baseline(), &cfg).is_err_and(is_window_error));
+        assert!(run_suite(&[], &cfg).is_err_and(is_window_error));
     }
 
     #[test]

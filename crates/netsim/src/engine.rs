@@ -19,11 +19,11 @@
 //!   asserts the two paths agree.
 
 use crate::addr::VictimAddr;
-use crate::packet::SensorPacket;
-use crate::protocol::UdpProtocol;
 use crate::attribution::BooterFingerprint;
-use crate::flow::{sort_flows, Flow, KeyedGrouper, VictimKey};
-use crate::reflector::{SensorConfig, SensorFleet};
+use crate::flow::{group_logs, sort_flows, Flow, VictimKey};
+use crate::packet::{CommandLog, SensorPacket};
+use crate::protocol::UdpProtocol;
+use crate::reflector::{ReplayOrder, SensorConfig, SensorFleet};
 use crate::scanner::{run_scan, ScannerKind};
 use booters_testkit::rngs::StdRng;
 use booters_testkit::{Rng, SeedableRng};
@@ -205,9 +205,10 @@ impl Engine {
         let st = self.list_for(cmd.booter, cmd.protocol, cmd.time, cmd.avoids_honeypots);
         let honeypots = Arc::clone(&st.honeypots);
         let logged = st.logged_per_sensor(cmd, &config);
-        let generated = generate_packets(cmd, &honeypots, logged, &mut self.rng);
-        self.fleet.handle_command(&generated);
-        order_command_log(cmd, generated)
+        let mut packets = Vec::with_capacity(honeypots.len() * logged as usize);
+        let log = draw_log(cmd, &honeypots, logged, &mut self.rng, Some(&mut packets));
+        self.fleet.handle_command(&log, ReplayOrder::Generation);
+        order_command_log(cmd, packets)
     }
 
     /// Deterministic parallel batch generation: the packet logs for many
@@ -219,13 +220,14 @@ impl Engine {
     /// 1. **Prepare (sequential).** Reflector lists are resolved through
     ///    the shared engine RNG in submission order — exactly the draws a
     ///    sequential loop would make — and one batch seed is drawn.
-    /// 2. **Synthesise (parallel).** Each command's packets are generated
+    /// 2. **Synthesise (parallel).** Each command's packets are drawn
     ///    from its own RNG stream, split off the batch seed by submission
     ///    index ([`booters_par::stream_seed`]), and put in time order;
     ///    results merge in submission order.
     /// 3. **Replay (sequential).** Each command's log passes through the
-    ///    fleet's reflect/absorb machinery ([`SensorFleet::handle_command`])
-    ///    in submission order, and the merged log is stably sorted by time.
+    ///    fleet's reflect/absorb machinery in time order
+    ///    ([`SensorFleet::handle_command`]), in submission order, and the
+    ///    merged log is stably sorted by time.
     ///
     /// Note the per-command jitter streams differ from those of repeated
     /// [`Engine::simulate_attack_packets`] calls (which interleave one
@@ -234,27 +236,42 @@ impl Engine {
     /// two paths — a test pins that.
     pub fn simulate_attacks_batch(&mut self, cmds: &[AttackCommand]) -> Vec<SensorPacket> {
         booters_obs::span!("synthesize_batch");
-        let mut packets = concat_logs(self.synthesize_batch(cmds, None));
+        let done = self.synthesize_batch(cmds, |&(_, cmd, ref honeypots, logged), rng| {
+            let mut packets = Vec::with_capacity(honeypots.len() * logged as usize);
+            let log = draw_log(cmd, honeypots, logged, rng, Some(&mut packets));
+            (log, order_command_log(cmd, packets))
+        });
+        let mut packets = Vec::with_capacity(done.iter().map(|(log, _)| log.offsets.len()).sum());
+        for (_, log_packets) in done {
+            packets.extend(log_packets);
+        }
         packets.sort_by_key(|p| p.time);
         packets
     }
 
     /// The batch's flows: exactly
     /// `group_flows_par(&self.simulate_attacks_batch(cmds), key)`, with
-    /// the same engine draws and fleet replay, but without building or
-    /// sorting the batch's whole packet trace.
+    /// the same engine draws and fleet replay, but without building any
+    /// packet of the batch.
     ///
-    /// Each command's pool task groups its own log, which has a single
-    /// grouping key, right after ordering it. Commands that share a key
-    /// are then merged stably by time, ties in submission order, and
-    /// grouped again. That is the exact subsequence the global stable
-    /// time sort gives that key, and no flow crosses keys, so
-    /// [`sort_flows`] yields the same flows (DESIGN.md §5k).
-    /// Per-command grouping runs inside the `synthesize_batch` span;
-    /// only the merge and the canonical sort count under `group`.
+    /// Each command's pool task keeps only its packets' offsets
+    /// ([`CommandLog`]) and groups them straight away. The commands that
+    /// share a grouping key (canonical victim and protocol) are grouped
+    /// again from the union of their offsets. No flow crosses keys and a
+    /// key's flows depend only on its packets' times and sensors, so
+    /// [`sort_flows`] yields the trace path's flows (DESIGN.md §5k).
+    /// Per-command grouping runs inside the `synthesize_batch` span; only
+    /// the shared keys and the canonical sort count under `group`.
     pub fn simulate_attack_flows(&mut self, cmds: &[AttackCommand], key: VictimKey) -> Vec<Flow> {
         let synth = booters_obs::span("synthesize_batch");
-        let mut logs = self.synthesize_batch(cmds, Some(key));
+        let group = |logs: &[&CommandLog]| {
+            group_logs(key.canonical(logs[0].victim), logs[0].protocol, logs)
+        };
+        let mut done = self.synthesize_batch(cmds, |&(_, cmd, ref honeypots, logged), rng| {
+            let log = draw_log(cmd, honeypots, logged, rng, None);
+            let flows = group(&[&log]);
+            (log, flows)
+        });
         drop(synth);
         booters_obs::span!("group");
         // Commands in key order, submission order within a key.
@@ -263,51 +280,67 @@ impl Engine {
         order.sort_by_key(grouping_key);
         let mut flows = Vec::new();
         for same_key in order.chunk_by(|a, b| grouping_key(a) == grouping_key(b)) {
-            let mut take = |i: &usize| std::mem::take(&mut logs[*i]);
             if let [only] = same_key {
-                flows.append(&mut take(only).flows);
+                flows.append(&mut done[*only].1);
             } else {
-                let mut merged = concat_logs(same_key.iter().map(take).collect());
-                merged.sort_by_key(|p| p.time);
-                flows.append(&mut group_log(&merged, key));
+                let logs: Vec<&CommandLog> = same_key.iter().map(|&i| &done[i].0).collect();
+                flows.append(&mut group(&logs));
             }
         }
         sort_flows(&mut flows);
         flows
     }
 
-    /// The three phases of a batch (see [`Engine::simulate_attacks_batch`]):
-    /// each command's time-ordered log, in submission order, after the
-    /// fleet has replayed it — and, given a grouping key, the log's flows.
-    fn synthesize_batch(&mut self, cmds: &[AttackCommand], group: Option<VictimKey>) -> Vec<CommandLog> {
+    /// The three phases of a batch (see [`Engine::simulate_attacks_batch`]).
+    /// In phase 2, `synthesize` runs in the pool on each command, given
+    /// as `(submission index, command, honeypot list, packets logged per
+    /// honeypot)` with its own RNG stream, and returns the command's log
+    /// ([`draw_log`]) with whatever else it made of the draws. Returns
+    /// those pairs in submission order, once the fleet has replayed each
+    /// log.
+    fn synthesize_batch<'c, T, F>(
+        &mut self,
+        cmds: &'c [AttackCommand],
+        synthesize: F,
+    ) -> Vec<(CommandLog, T)>
+    where
+        T: Send,
+        F: Fn(&Prepared<'c>, &mut StdRng) -> (CommandLog, T) + Sync,
+    {
         let config = self.config;
         // Phase 1: sequential, stateful — same draw order at any thread
         // count.
         let batch_seed: u64 = self.rng.gen();
-        let prepared: Vec<(u64, &AttackCommand, Arc<[u32]>, u32)> = (0u64..)
-            .zip(cmds)
+        let prepared: Vec<Prepared<'c>> = cmds
+            .iter()
+            .enumerate()
             .map(|(i, cmd)| {
                 let st = self.list_for(cmd.booter, cmd.protocol, cmd.time, cmd.avoids_honeypots);
-                (i, cmd, Arc::clone(&st.honeypots), st.logged_per_sensor(cmd, &config))
+                (
+                    i,
+                    cmd,
+                    Arc::clone(&st.honeypots),
+                    st.logged_per_sensor(cmd, &config),
+                )
             })
             .collect();
         // Phase 2: parallel, pure, one pool item per command — a command
-        // costs about eight times the wake-up of a parked helper.
-        let logs = booters_par::par_map_coarse(&prepared, |(i, cmd, honeypots, logged)| {
-            let mut rng = StdRng::seed_from_u64(booters_par::stream_seed(batch_seed, *i));
-            let packets = order_command_log(cmd, generate_packets(cmd, honeypots, *logged, &mut rng));
-            let flows = group.map_or_else(Vec::new, |key| group_log(&packets, key));
-            CommandLog { packets, flows }
+        // costs several times the wake-up of a parked helper.
+        let done = booters_par::par_map_coarse(&prepared, |p| {
+            synthesize(
+                p,
+                &mut StdRng::seed_from_u64(booters_par::stream_seed(batch_seed, p.0 as u64)),
+            )
         });
         // Phase 3: sequential replay in submission order, one fleet pass
         // per command.
-        for log in &logs {
-            self.fleet.handle_command(&log.packets);
+        for (log, _) in &done {
+            self.fleet.handle_command(log, ReplayOrder::Time);
         }
-        let emitted: usize = logs.iter().map(|l| l.packets.len()).sum();
+        let emitted: usize = done.iter().map(|(log, _)| log.offsets.len()).sum();
         booters_obs::counter_add("netsim.packets_emitted", emitted as u64);
         booters_obs::counter_add("netsim.commands_simulated", cmds.len() as u64);
-        logs
+        done
     }
 
     /// Generate white-hat / background scan noise over `[from, to)`:
@@ -355,66 +388,59 @@ impl Engine {
     }
 }
 
-/// One command's share of a batch: its time-ordered packet log and, when
-/// the batch groups, the log's flows.
-#[derive(Default)]
-struct CommandLog {
-    packets: Vec<SensorPacket>,
-    flows: Vec<Flow>,
-}
+/// A batch command after phase 1: `(submission index, command, honeypot
+/// list, packets logged per honeypot)`.
+type Prepared<'c> = (usize, &'c AttackCommand, Arc<[u32]>, u32);
 
-/// The batch's packets, command by command in submission order.
-fn concat_logs(logs: Vec<CommandLog>) -> Vec<SensorPacket> {
-    let mut packets = Vec::with_capacity(logs.iter().map(|l| l.packets.len()).sum());
-    for log in logs {
-        packets.extend(log.packets);
-    }
-    packets
-}
-
-/// Flows of a time-ordered log whose packets share one grouping key.
-fn group_log(packets: &[SensorPacket], key: VictimKey) -> Vec<Flow> {
-    let mut grouper = KeyedGrouper::new(key);
-    for p in packets {
-        grouper.push(p);
-    }
-    grouper.finish()
-}
-
-/// One command's packet log in generation order: honeypot by honeypot,
-/// `logged` packets each, the *k*-th spread to slot `⌊k·dur/logged⌋` of
-/// the attack with jitter below the slot width so flow grouping sees
-/// realistic spacing. Each packet draws its jitter, TTL and source port
-/// from `rng`, in that order — the single-command path passes the
-/// engine's shared stream, the batch path a per-command one.
-fn generate_packets<R: Rng + ?Sized>(
+/// Draw one command's log: honeypot by honeypot, `logged` packets each,
+/// the *k*-th spread to slot `⌊k·dur/logged⌋` of the attack with jitter
+/// below the slot width so flow grouping sees realistic spacing. Each
+/// packet draws its jitter, TTL and source port from `rng`, in that
+/// order — the single-command path passes the engine's shared stream, the
+/// batch path a per-command one. Given `packets`, each packet is also
+/// pushed there in generation order; without it the TTL and source port
+/// are drawn and dropped, so the stream stays the same.
+fn draw_log<R: Rng + ?Sized>(
     cmd: &AttackCommand,
-    honeypots: &[u32],
+    honeypots: &Arc<[u32]>,
     logged: u32,
     rng: &mut R,
-) -> Vec<SensorPacket> {
-    let mut packets = Vec::with_capacity(honeypots.len() * logged as usize);
+    mut packets: Option<&mut Vec<SensorPacket>>,
+) -> CommandLog {
+    let mut offsets = Vec::with_capacity(honeypots.len() * logged as usize);
     let dur = cmd.duration_secs.max(1) as u64;
     let slots = logged.max(1) as u64;
     let jitter_span = (dur / slots).max(1);
     let fp = BooterFingerprint::for_booter(cmd.booter);
-    for &sensor in honeypots {
+    for &sensor in honeypots.iter() {
         for k in 0..logged as u64 {
-            let time = cmd.time + k * dur / slots + rng.gen_range(0..jitter_span);
-            packets.push(SensorPacket {
-                time,
-                sensor,
-                victim: cmd.victim,
-                protocol: cmd.protocol,
-                ttl: fp.observed_ttl(rng),
-                src_port: fp.source_port(rng),
-            });
+            // Below `dur`, so it fits in a `u32` (DESIGN.md §5k).
+            let offset = (k * dur / slots + rng.gen_range(0..jitter_span)) as u32;
+            let ttl = fp.observed_ttl(rng);
+            let src_port = fp.source_port(rng);
+            offsets.push(offset);
+            if let Some(packets) = packets.as_deref_mut() {
+                packets.push(SensorPacket {
+                    time: cmd.time + offset as u64,
+                    sensor,
+                    victim: cmd.victim,
+                    protocol: cmd.protocol,
+                    ttl,
+                    src_port,
+                });
+            }
         }
     }
-    packets
+    CommandLog {
+        start: cmd.time,
+        victim: cmd.victim,
+        protocol: cmd.protocol,
+        honeypots: Arc::clone(honeypots),
+        offsets,
+    }
 }
 
-/// Put a log from [`generate_packets`] for `cmd` in time order: the
+/// Put the packets from [`draw_log`] for `cmd` in time order: the
 /// result equals `packets.sort_by_key(|p| p.time)`, ties kept in input
 /// order.
 ///
@@ -661,11 +687,60 @@ mod tests {
             let duration = if short { 1 + duration % 40 } else { duration };
             let mut c = cmd(1_000, UdpProtocol::Dns, 3);
             c.duration_secs = duration;
-            let honeypots: Vec<u32> = (0..sensors).collect();
-            let packets = generate_packets(&c, &honeypots, logged, &mut StdRng::seed_from_u64(seed));
+            let honeypots: Arc<[u32]> = (0..sensors).collect();
+            let mut packets = Vec::new();
+            draw_log(&c, &honeypots, logged, &mut StdRng::seed_from_u64(seed), Some(&mut packets));
             let mut expected = packets.clone();
             expected.sort_by_key(|p| p.time);
             booters_testkit::prop_assert_eq!(order_command_log(&c, packets), expected);
+        }
+
+        fn each_sensors_offsets_never_decrease(
+            duration in 1u32..20_000,
+            short in booters_testkit::any::<bool>(),
+            sensors in 0u32..70,
+            logged in 0u32..30,
+            seed in booters_testkit::any::<u64>(),
+        ) {
+            let duration = if short { 1 + duration % 40 } else { duration };
+            let mut c = cmd(1_000, UdpProtocol::Dns, 3);
+            c.duration_secs = duration;
+            let honeypots: Arc<[u32]> = (0..sensors).collect();
+            let log = draw_log(&c, &honeypots, logged, &mut StdRng::seed_from_u64(seed), None);
+            booters_testkit::prop_assert_eq!(log.offsets.len(), (sensors * logged) as usize);
+            for (_, run) in log.runs() {
+                booters_testkit::prop_assert!(run.windows(2).all(|w| w[0] <= w[1]), "{:?}", run);
+                booters_testkit::prop_assert!(run.iter().all(|&o| o < duration), "{:?}", run);
+            }
+        }
+
+        fn offset_grouping_equals_flow_grouper(
+            parts in booters_testkit::strategy::prop::collection::vec(
+                (0u64..3_000, 1u32..20_000, 0usize..3, 0u32..60, 0u32..30),
+                1..4,
+            ),
+            seed in booters_testkit::any::<u64>(),
+        ) {
+            // Commands on one key: short ones put slots on one second,
+            // medium ones span just over the 15-minute gap, long sparse
+            // ones split into several flows, and gaps under 15 minutes
+            // merge commands.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut time = 1_000;
+            let mut packets = Vec::new();
+            let mut logs = Vec::new();
+            for &(gap, duration, class, sensors, logged) in &parts {
+                time += gap;
+                let mut c = cmd(time, UdpProtocol::Dns, 3);
+                c.duration_secs = [1 + duration % 40, 900 + duration % 3_000, duration][class];
+                let honeypots: Arc<[u32]> = (0..sensors).map(|s| s * 7 % 60).collect();
+                logs.push(draw_log(&c, &honeypots, logged, &mut rng, Some(&mut packets)));
+            }
+            packets.sort_by_key(|p| p.time);
+            let logs: Vec<&CommandLog> = logs.iter().collect();
+            let mut flows = group_logs(logs[0].victim, logs[0].protocol, &logs);
+            sort_flows(&mut flows);
+            booters_testkit::prop_assert_eq!(flows, crate::flow::group_flows_par(&packets, VictimKey::ByIp));
         }
     }
 

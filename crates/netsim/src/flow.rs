@@ -7,7 +7,7 @@
 //! if not then we classify the event as a scan."
 
 use crate::addr::VictimAddr;
-use crate::packet::SensorPacket;
+use crate::packet::{CommandLog, SensorPacket};
 use crate::protocol::UdpProtocol;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -67,15 +67,15 @@ pub enum FlowClass {
     Scan,
 }
 
-/// Hasher for the grouping maps: one splitmix64 finaliser per written
-/// word instead of SipHash's per-lookup setup. Flow keys and sensor ids
-/// come from the simulator or from decoded store chunks, not from an
-/// attacker, so DoS-resistant hashing buys nothing on this per-packet
-/// path; and every grouped output is put in canonical order
-/// ([`sort_flows`]) or compared as a map, so the hasher never changes a
-/// result.
+/// Hasher for the grouping and fleet maps: one splitmix64 finaliser per
+/// written word instead of SipHash's per-lookup setup. Flow keys, victims
+/// and sensor ids come from the simulator or from decoded store chunks,
+/// not from an attacker, so DoS-resistant hashing buys nothing on these
+/// per-packet paths; and every grouped output is put in canonical order
+/// ([`sort_flows`]) or compared as a map, and no fleet map is iterated
+/// into an output, so the hasher never changes a result.
 #[derive(Debug, Default, Clone, Copy)]
-struct SplitMixHasher(u64);
+pub(crate) struct SplitMixHasher(u64);
 
 impl std::hash::Hasher for SplitMixHasher {
     fn finish(&self) -> u64 {
@@ -89,6 +89,16 @@ impl std::hash::Hasher for SplitMixHasher {
     }
 
     fn write_u32(&mut self, v: u32) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    // A derived `Hash` on a field-less enum such as `UdpProtocol` writes
+    // its discriminant as an `isize`: one round, not eight byte rounds.
+    fn write_isize(&mut self, v: isize) {
         self.write_u64(v as u64);
     }
 
@@ -166,10 +176,107 @@ impl OpenFlow {
     }
 }
 
+/// The flows of command logs that share one grouping key — `victim`, the
+/// canonical victim under the grouper's [`VictimKey`], and `protocol` —
+/// in time order: exactly [`FlowGrouper`]'s flows over the logs' packets
+/// in time order.
+///
+/// The gap rule and the per-sensor counts depend only on the multiset of
+/// `(time, sensor)`, so the packets need no order. Packets that span
+/// less than [`FLOW_GAP_SECS`] are one flow. Otherwise each packet falls
+/// in a [`FLOW_GAP_SECS`]-wide bucket of the span: two times in one
+/// bucket are closer than the gap, so the flows can only break between
+/// one non-empty bucket's last time and the next one's first, and each
+/// bucket's least and largest time give every flow bound (DESIGN.md §5k).
+///
+/// Each log's honeypot ids must be distinct and each honeypot's offsets
+/// non-decreasing, as [`CommandLog`] documents; debug builds check both.
+pub(crate) fn group_logs(
+    victim: VictimAddr,
+    protocol: UdpProtocol,
+    logs: &[&CommandLog],
+) -> Vec<Flow> {
+    let Some(base) = logs
+        .iter()
+        .filter(|l| !l.offsets.is_empty())
+        .map(|l| l.start)
+        .min()
+    else {
+        return Vec::new();
+    };
+    // Each honeypot's packets as `(sensor, shift, offsets)`: their times
+    // from `base` are `shift + offset`, never decreasing, so a run's first
+    // is its least and its last its largest.
+    let runs = || {
+        logs.iter().flat_map(move |l| {
+            l.runs()
+                .map(move |(sensor, run)| (sensor, l.start - base, run))
+        })
+    };
+    debug_assert!(logs.iter().all(|l| l.is_well_formed()));
+    let (first, last) = runs().fold((u64::MAX, 0), |(first, last), (_, shift, run)| {
+        (
+            first.min(shift + run[0] as u64),
+            last.max(shift + run[run.len() - 1] as u64),
+        )
+    });
+    let mut bounds: Vec<(u64, u64)> = Vec::new();
+    let mut extend = |t: u64| match bounds.last_mut() {
+        Some((_, end)) if t - *end < FLOW_GAP_SECS => *end = t,
+        _ => bounds.push((t, t)),
+    };
+    if last - first < FLOW_GAP_SECS {
+        // No gap fits in the span: one flow.
+        extend(first);
+        extend(last);
+    } else {
+        let mut buckets = vec![(u64::MAX, 0); ((last - first) / FLOW_GAP_SECS) as usize + 1];
+        for (_, shift, run) in runs() {
+            for &offset in run {
+                let t = shift + offset as u64;
+                let (least, largest) = &mut buckets[((t - first) / FLOW_GAP_SECS) as usize];
+                *least = (*least).min(t);
+                *largest = (*largest).max(t);
+            }
+        }
+        for &(least, largest) in buckets.iter().filter(|b| b.0 != u64::MAX) {
+            extend(least);
+            extend(largest);
+        }
+    }
+    // A single flow holds every honeypot, the common case.
+    let sensors = if bounds.len() == 1 { runs().count() } else { 0 };
+    let mut flows: Vec<Flow> = bounds
+        .into_iter()
+        .map(|(start, end)| Flow {
+            victim,
+            protocol,
+            start: base + start,
+            end: base + end,
+            total_packets: 0,
+            per_sensor: HashMap::with_capacity(sensors),
+        })
+        .collect();
+    for (sensor, shift, run) in runs() {
+        if let [flow] = flows.as_mut_slice() {
+            flow.total_packets += run.len() as u64;
+            *flow.per_sensor.entry(sensor).or_insert(0) += run.len() as u32;
+            continue;
+        }
+        for &offset in run {
+            let time = base + shift + offset as u64;
+            let i = flows.partition_point(|f| f.start <= time) - 1;
+            let flow = &mut flows[i];
+            flow.total_packets += 1;
+            *flow.per_sensor.entry(sensor).or_insert(0) += 1;
+        }
+    }
+    flows
+}
+
 /// Grouper for a stream whose packets arrive key by key: each
 /// `(canonical victim, protocol)` key's packets contiguous and in
-/// non-decreasing time order, as in a key-sorted store run or one
-/// command's time-ordered log. It holds at most one open flow and swaps
+/// non-decreasing time order, as in a key-sorted store run. It holds at most one open flow and swaps
 /// it out when the key changes or the 15-minute gap closes it, so it
 /// needs no per-packet lookup of the flow key. On such a stream its
 /// flows are exactly [`FlowGrouper`]'s: both run one definition of the

@@ -50,6 +50,56 @@ pub struct SensorPacket {
     pub src_port: u16,
 }
 
+/// One command's sensor log in compact form: what the fleet replay and
+/// flow grouping need of it, without the per-packet TTL and source port.
+///
+/// The command starts at `start`. Its *k*-th packet on `honeypots[pos]`
+/// arrives `offsets[pos · logged + k]` seconds later, for every honeypot
+/// and `k < logged` (generation order: honeypot by honeypot, slot by
+/// slot). The engine's generator keeps each honeypot's offsets
+/// non-decreasing in `k` and its honeypot ids distinct (DESIGN.md §5k);
+/// the replay and grouping kernels rely on both, and check them with
+/// [`CommandLog::is_well_formed`] in debug builds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CommandLog {
+    /// Command start time, seconds since scenario start.
+    pub start: u64,
+    /// The spoofed source (= victim) address.
+    pub victim: VictimAddr,
+    /// Protocol.
+    pub protocol: UdpProtocol,
+    /// The booter's honeypot list, in list order.
+    pub honeypots: std::sync::Arc<[u32]>,
+    /// Arrival offsets from `start`, honeypot-major.
+    pub offsets: Vec<u32>,
+}
+
+impl CommandLog {
+    /// Each honeypot with its packets' offsets, in list order. Empty
+    /// when the log holds no packet.
+    pub fn runs(&self) -> impl Iterator<Item = (u32, &[u32])> + '_ {
+        let logged = self.offsets.len() / self.honeypots.len().max(1);
+        self.honeypots
+            .iter()
+            .copied()
+            .zip(self.offsets.chunks_exact(logged.max(1)))
+    }
+
+    /// True when every honeypot has the same number of packets, the
+    /// honeypot ids are distinct and each honeypot's offsets never
+    /// decrease: the shape the replay and grouping kernels assume.
+    pub fn is_well_formed(&self) -> bool {
+        let mut ids = self.honeypots.to_vec();
+        ids.sort_unstable();
+        let logged = self.offsets.len() / self.honeypots.len().max(1);
+        self.offsets.len() == logged * self.honeypots.len()
+            && ids.windows(2).all(|w| w[0] != w[1])
+            && self
+                .runs()
+                .all(|(_, run)| run.windows(2).all(|w| w[0] <= w[1]))
+    }
+}
+
 impl SpoofedRequest {
     /// The response traffic this request would generate if reflected in
     /// full: request bytes times the protocol's amplification factor.

@@ -13,12 +13,14 @@
 //!   white-hat-derived reflector lists.
 
 use crate::addr::VictimAddr;
-use crate::packet::SensorPacket;
+use crate::flow::SplitMixHasher;
+use crate::packet::CommandLog;
 use crate::protocol::UdpProtocol;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// Per-victim reflection state on one sensor.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct VictimState {
     /// Packets reflected so far in the current window.
     reflected: u32,
@@ -26,8 +28,50 @@ struct VictimState {
     window_start: u64,
 }
 
+/// What a sensor's rate limiter did with one packet to a victim that is
+/// not blocklisted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Admit {
+    /// Reflected, still under the limit.
+    Reflected,
+    /// Reflected, and this packet reached the limit: the victim is
+    /// reported fleet-wide.
+    Reported,
+    /// Over the limit: logged but absorbed.
+    Absorbed,
+}
+
+impl VictimState {
+    /// The state a sensor opens for a victim at its first packet.
+    fn opened_at(time: u64) -> VictimState {
+        VictimState {
+            reflected: 0,
+            window_start: time,
+        }
+    }
+
+    /// Rate-limit one packet arriving at `time`.
+    fn admit(&mut self, time: u64, config: &SensorConfig) -> Admit {
+        if time.saturating_sub(self.window_start) >= config.window_secs {
+            self.reflected = 0;
+            self.window_start = time;
+        }
+        if self.reflected < config.reflect_limit {
+            self.reflected += 1;
+            // Hitting the limit identifies a victim under attack.
+            if self.reflected == config.reflect_limit {
+                Admit::Reported
+            } else {
+                Admit::Reflected
+            }
+        } else {
+            Admit::Absorbed
+        }
+    }
+}
+
 /// Configuration of the honeypot fleet.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SensorConfig {
     /// Number of honeypot sensors.
     pub sensors: u32,
@@ -48,19 +92,33 @@ impl Default for SensorConfig {
     }
 }
 
+/// Fleet maps hash with [`SplitMixHasher`]: keys come from the simulator,
+/// and nothing iterates these maps into an output.
+type FleetMap<K, V> = HashMap<K, V, BuildHasherDefault<SplitMixHasher>>;
+
 /// The honeypot fleet with its shared victim blocklist.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SensorFleet {
     config: SensorConfig,
     /// Fleet-wide blocklist: once a victim is reported, no sensor reflects
     /// to it (but all keep logging).
-    blocklist: HashMap<(VictimAddr, UdpProtocol), u64>,
+    blocklist: FleetMap<(VictimAddr, UdpProtocol), u64>,
     /// Per-(sensor, victim, protocol) rate-limit state.
-    state: HashMap<(u32, VictimAddr, UdpProtocol), VictimState>,
+    state: FleetMap<(u32, VictimAddr, UdpProtocol), VictimState>,
     /// Total packets reflected (i.e. actually amplified towards victims).
     pub reflected_packets: u64,
     /// Total packets absorbed (logged but not reflected).
     pub absorbed_packets: u64,
+}
+
+/// The order in which [`SensorFleet::handle_command`] replays a log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReplayOrder {
+    /// Generation order, honeypot by honeypot and slot by slot: the
+    /// single-command path.
+    Generation,
+    /// Stable time order, ties in generation order: a batch.
+    Time,
 }
 
 /// What the fleet did with one incoming spoofed packet.
@@ -81,8 +139,8 @@ impl SensorFleet {
     pub fn new(config: SensorConfig) -> SensorFleet {
         SensorFleet {
             config,
-            blocklist: HashMap::new(),
-            state: HashMap::new(),
+            blocklist: FleetMap::default(),
+            state: FleetMap::default(),
             reflected_packets: 0,
             absorbed_packets: 0,
         }
@@ -111,71 +169,103 @@ impl SensorFleet {
             self.absorbed_packets += 1;
             return SensorAction::Absorbed;
         }
-        self.rate_limit(sensor, time, victim, protocol).0
-    }
-
-    /// Replay logged attack packets through the fleet, in slice order:
-    /// the same state and counters as calling [`SensorFleet::handle_packet`]
-    /// on each packet in turn (none from white-hat scanners).
-    ///
-    /// Built for one command's log, where every packet shares a victim
-    /// and protocol: the blocklist is consulted once per run of packets
-    /// with the same victim and protocol, rate-limit state is touched
-    /// only until the run's victim is reported — about the first 241 of
-    /// a typical 1,440-packet log — and the rest of the run is counted as
-    /// absorbed in bulk. That is exact because a blocklisted victim's
-    /// packets never reach the rate-limit state.
-    pub fn handle_command(&mut self, packets: &[SensorPacket]) {
-        for run in packets.chunk_by(|a, b| a.victim == b.victim && a.protocol == b.protocol) {
-            let (victim, protocol) = (run[0].victim, run[0].protocol);
-            let mut replayed = 0;
-            if !self.is_blocklisted(victim, protocol) {
-                for p in run {
-                    replayed += 1;
-                    if self.rate_limit(p.sensor, p.time, victim, protocol).1 {
-                        break;
-                    }
-                }
-            }
-            self.absorbed_packets += (run.len() - replayed) as u64;
-        }
-    }
-
-    /// Rate-limit one packet to a victim that is not blocklisted. Returns
-    /// the action and whether this packet tripped the limit, reporting
-    /// the victim fleet-wide.
-    fn rate_limit(
-        &mut self,
-        sensor: u32,
-        time: u64,
-        victim: VictimAddr,
-        protocol: UdpProtocol,
-    ) -> (SensorAction, bool) {
-        let entry = self
+        let st = self
             .state
             .entry((sensor, victim, protocol))
-            .or_insert(VictimState {
-                reflected: 0,
-                window_start: time,
-            });
-        if time.saturating_sub(entry.window_start) >= self.config.window_secs {
-            entry.reflected = 0;
-            entry.window_start = time;
-        }
-        if entry.reflected < self.config.reflect_limit {
-            entry.reflected += 1;
-            self.reflected_packets += 1;
-            // Hitting the limit identifies a victim under attack: report
-            // fleet-wide so every sensor absorbs from now on.
-            let reported = entry.reflected == self.config.reflect_limit;
-            if reported {
-                self.blocklist.insert((victim, protocol), time);
+            .or_insert(VictimState::opened_at(time));
+        match st.admit(time, &self.config) {
+            Admit::Absorbed => {
+                self.absorbed_packets += 1;
+                SensorAction::Absorbed
             }
-            (SensorAction::Reflected, reported)
-        } else {
-            self.absorbed_packets += 1;
-            (SensorAction::Absorbed, false)
+            admit => {
+                self.reflected_packets += 1;
+                if admit == Admit::Reported {
+                    self.blocklist.insert((victim, protocol), time);
+                }
+                SensorAction::Reflected
+            }
         }
+    }
+
+    /// Replay one command's log through the fleet: the same state,
+    /// blocklist and counters as calling [`SensorFleet::handle_packet`]
+    /// on each of its packets in `order` (none from white-hat scanners).
+    ///
+    /// The replay works sensor by sensor, not packet by packet. Rate-limit
+    /// state is per `(sensor, victim, protocol)`, and until the victim is
+    /// reported only the packet that reports it touches the blocklist, so
+    /// each sensor's packets run independently up to the report. Each
+    /// sensor's packets come in slot order in either replay order, since
+    /// its offsets never decrease in `k`. The report happens at the
+    /// first packet in replay order at which some sensor, run alone,
+    /// reaches the limit: the least `(time, pos, k)` in time order, the
+    /// least `(pos, k)` in generation order. Each sensor then replays its
+    /// packets up to that one, one map entry per sensor, and the rest
+    /// of the log is absorbed: a reported victim's packets never reach
+    /// the rate-limit state (DESIGN.md §5k).
+    ///
+    /// The log's honeypot ids must be distinct and each honeypot's
+    /// offsets non-decreasing ([`CommandLog::is_well_formed`]); debug
+    /// builds check both.
+    pub fn handle_command(&mut self, log: &CommandLog, order: ReplayOrder) {
+        debug_assert!(log.is_well_formed(), "malformed command log");
+        let (victim, protocol) = (log.victim, log.protocol);
+        let total = log.offsets.len() as u64;
+        if self.blocklist.contains_key(&(victim, protocol)) {
+            self.absorbed_packets += total;
+            return;
+        }
+        let at = |pos: usize, k: usize, offset: u32| match order {
+            ReplayOrder::Time => (offset, pos, k),
+            ReplayOrder::Generation => (0, pos, k),
+        };
+        // Pass 1: the reporting packet, as (order key, time).
+        let mut report: Option<((u32, usize, usize), u64)> = None;
+        for (pos, (sensor, run)) in log.runs().enumerate() {
+            let mut st = self.state.get(&(sensor, victim, protocol)).copied();
+            for (k, &offset) in run.iter().enumerate() {
+                if report.is_some_and(|(r, _)| at(pos, k, offset) > r) {
+                    break;
+                }
+                let time = log.start + offset as u64;
+                let st = st.get_or_insert(VictimState::opened_at(time));
+                if st.admit(time, &self.config) == Admit::Reported {
+                    report = Some((at(pos, k, offset), time));
+                    break;
+                }
+            }
+        }
+        // Pass 2: each sensor's packets up to the report.
+        let mut replayed = 0;
+        for (pos, (sensor, run)) in log.runs().enumerate() {
+            let n = match report {
+                None => run.len(),
+                Some((r, _)) => run
+                    .iter()
+                    .enumerate()
+                    .take_while(|&(k, &offset)| at(pos, k, offset) <= r)
+                    .count(),
+            };
+            if n == 0 {
+                continue;
+            }
+            let st = self
+                .state
+                .entry((sensor, victim, protocol))
+                .or_insert(VictimState::opened_at(log.start + run[0] as u64));
+            for &offset in &run[..n] {
+                match st.admit(log.start + offset as u64, &self.config) {
+                    Admit::Absorbed => self.absorbed_packets += 1,
+                    _ => self.reflected_packets += 1,
+                }
+            }
+            replayed += n as u64;
+        }
+        if let Some((_, time)) = report {
+            self.blocklist.insert((victim, protocol), time);
+        }
+        self.absorbed_packets += total - replayed;
     }
 
     /// True when the victim has been reported fleet-wide.
@@ -303,5 +393,32 @@ mod tests {
         assert_eq!(f.handle_packet(0, 100, victim(), UdpProtocol::Dns, false), SensorAction::Reflected);
         assert_eq!(f.handle_packet(0, 101, victim(), UdpProtocol::Dns, false), SensorAction::Reflected);
         assert!(!f.is_blocklisted(victim(), UdpProtocol::Dns));
+    }
+
+    fn log(honeypots: &[u32], offsets: &[u32]) -> CommandLog {
+        CommandLog {
+            start: 0,
+            victim: victim(),
+            protocol: UdpProtocol::Dns,
+            honeypots: honeypots.into(),
+            offsets: offsets.to_vec(),
+        }
+    }
+
+    #[test]
+    fn only_generator_shaped_logs_are_well_formed() {
+        assert!(log(&[], &[]).is_well_formed());
+        assert!(log(&[3, 1], &[0, 0, 5, 7]).is_well_formed());
+        assert!(!log(&[3, 1], &[0, 0, 7, 5]).is_well_formed(), "a run decreases");
+        assert!(!log(&[3, 3], &[0, 1, 0, 1]).is_well_formed(), "an id repeats");
+        assert!(!log(&[3, 1], &[0, 1, 2]).is_well_formed(), "runs differ in length");
+        assert!(!log(&[], &[4]).is_well_formed(), "packets without honeypots");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "malformed command log")]
+    fn replaying_a_malformed_log_panics_in_debug_builds() {
+        fleet().handle_command(&log(&[3, 3], &[0, 1, 0, 1]), ReplayOrder::Time);
     }
 }

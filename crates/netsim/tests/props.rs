@@ -2,7 +2,8 @@
 //! invariants, classification rules, addressing and the engine.
 
 use booters_netsim::flow::{FlowGrouper, FLOW_GAP_SECS};
-use booters_netsim::reflector::{SensorConfig, SensorFleet};
+use booters_netsim::packet::CommandLog;
+use booters_netsim::reflector::{ReplayOrder, SensorConfig, SensorFleet};
 use booters_netsim::{
     classify_flows, group_flows_par, sort_flows, AttackCommand, Country, Engine, EngineConfig, Flow, FlowClass,
     SensorPacket, UdpProtocol, VictimAddr, VictimKey,
@@ -166,20 +167,29 @@ forall! {
     }
 }
 
-/// A command's log laid out as the engine lays it out: `sensors` honeypots
-/// in generation order, `logged` packets each, the *k*-th at slot
+/// A command's log laid out as the engine lays it out: its honeypots in
+/// list order, `logged` packets each, the *k*-th at slot
 /// `⌊k·dur/logged⌋` plus a jitter below the slot width — so durations
-/// shorter than `logged` put several slots on one second.
-fn command_log(cmd: &AttackCommand, sensors: u32, logged: u64, seed: u64) -> Vec<SensorPacket> {
+/// shorter than `logged` put several slots on one second. Returned in
+/// compact form and as packets in generation order.
+fn command_log(
+    cmd: &AttackCommand,
+    honeypots: &[u32],
+    logged: u64,
+    seed: u64,
+) -> (CommandLog, Vec<SensorPacket>) {
     let mut rng = SplitMix64::new(seed);
     let dur = cmd.duration_secs.max(1) as u64;
     let slots = logged.max(1);
     let jitter_span = (dur / slots).max(1);
+    let mut offsets = Vec::new();
     let mut packets = Vec::new();
-    for sensor in 0..sensors {
+    for &sensor in honeypots {
         for k in 0..logged {
+            let offset = k * dur / slots + rng.next_u64() % jitter_span;
+            offsets.push(offset as u32);
             packets.push(SensorPacket {
-                time: cmd.time + k * dur / slots + rng.next_u64() % jitter_span,
+                time: cmd.time + offset,
                 sensor,
                 victim: cmd.victim,
                 protocol: cmd.protocol,
@@ -188,7 +198,34 @@ fn command_log(cmd: &AttackCommand, sensors: u32, logged: u64, seed: u64) -> Vec
             });
         }
     }
-    packets
+    let log = CommandLog {
+        start: cmd.time,
+        victim: cmd.victim,
+        protocol: cmd.protocol,
+        honeypots: honeypots.into(),
+        offsets,
+    };
+    (log, packets)
+}
+
+/// Replay `log` into `bulk` with [`SensorFleet::handle_command`] and its
+/// packets into `each` one [`SensorFleet::handle_packet`] at a time, in
+/// `order`: generation order, or stably sorted by time.
+fn replay_both(
+    bulk: &mut SensorFleet,
+    each: &mut SensorFleet,
+    log: &CommandLog,
+    packets: &[SensorPacket],
+    order: ReplayOrder,
+) {
+    bulk.handle_command(log, order);
+    let mut packets = packets.to_vec();
+    if order == ReplayOrder::Time {
+        packets.sort_by_key(|p| p.time);
+    }
+    for p in &packets {
+        each.handle_packet(p.sensor, p.time, p.victim, p.protocol, false);
+    }
 }
 
 fn command_at(time: u64, duration_secs: u32, victim: VictimAddr, protocol: UdpProtocol) -> AttackCommand {
@@ -238,51 +275,32 @@ forall! {
     fn handle_command_equals_per_packet_replay(
         limit in 1u32..8,
         window in 30u64..4_000,
-        commands in prop::collection::vec((0u8..3, 0usize..2, 1u32..400, 0u32..8, 0u64..40), 1..12),
+        commands in prop::collection::vec(
+            ((0u8..3, 0usize..2, 0usize..3), (1u32..6_000, any::<bool>()), any::<u8>(), 0u64..40),
+            1..12,
+        ),
+        by_time in any::<bool>(),
         seed in any::<u64>(),
     ) {
+        let order = if by_time { ReplayOrder::Time } else { ReplayOrder::Generation };
         let config = SensorConfig { sensors: 8, reflect_limit: limit, window_secs: window };
         let mut bulk = SensorFleet::new(config);
         let mut each = SensorFleet::new(config);
         let mut now = 0u64;
-        let mut logs = Vec::new();
-        for (i, &(v, p, duration, sensors, logged)) in commands.iter().enumerate() {
-            now += 200 * (i as u64 % 3);
-            let victim = VictimAddr::from_octets(25, 5, 5, v);
-            let cmd = command_at(now, duration, victim, UdpProtocol::ALL[p]);
-            // The batch replays time-ordered logs, the single-command path
-            // generation order.
-            let mut log = command_log(&cmd, sensors, logged, seed ^ i as u64);
-            if i % 2 == 0 {
-                log.sort_by_key(|p| p.time);
-            }
-            logs.push(log);
-        }
-        // One mixed slice too: runs of several victims back to back.
-        logs.push(logs.concat());
-        for (i, log) in logs.iter().enumerate() {
-            bulk.handle_command(log);
-            for p in log {
-                each.handle_packet(p.sensor, p.time, p.victim, p.protocol, false);
-            }
+        for (i, &((v, p, gap), (duration, short), mask, logged)) in commands.iter().enumerate() {
+            // A victim comes back at once, inside its rate-limit window,
+            // or after it; short commands put several slots on a second,
+            // long ones slots wider than the window.
+            now += [0, 200, 5_000][gap];
+            let duration = if short { 1 + duration % 40 } else { duration };
+            let honeypots: Vec<u32> = (0..8).filter(|s| mask >> s & 1 == 1).collect();
+            let cmd = command_at(now, duration, VictimAddr::from_octets(25, 5, 5, v), UdpProtocol::ALL[p]);
+            let (log, packets) = command_log(&cmd, &honeypots, logged, seed ^ i as u64);
+            replay_both(&mut bulk, &mut each, &log, &packets, order);
+            prop_assert_eq!(&bulk, &each, "command {}", i);
             if i % 4 == 3 {
-                bulk.expire_blocklist(now + i as u64 * 1_000, 2_000);
-                each.expire_blocklist(now + i as u64 * 1_000, 2_000);
-            }
-            prop_assert_eq!(bulk.reflected_packets, each.reflected_packets);
-            prop_assert_eq!(bulk.absorbed_packets, each.absorbed_packets);
-        }
-        // Same blocklist and rate-limit state: every probe is treated alike.
-        for v in 0u8..3 {
-            for &protocol in &UdpProtocol::ALL[..2] {
-                let victim = VictimAddr::from_octets(25, 5, 5, v);
-                prop_assert_eq!(bulk.is_blocklisted(victim, protocol), each.is_blocklisted(victim, protocol));
-                for sensor in 0..8 {
-                    prop_assert_eq!(
-                        bulk.handle_packet(sensor, now + 100, victim, protocol, false),
-                        each.handle_packet(sensor, now + 100, victim, protocol, false)
-                    );
-                }
+                bulk.expire_blocklist(now + 1_000, 2_000);
+                each.expire_blocklist(now + 1_000, 2_000);
             }
         }
     }
@@ -296,6 +314,98 @@ forall! {
         let mut flows = grouper.finish();
         sort_flows(&mut flows);
         prop_assert_eq!(flows, siphash_grouper(&packets, key));
+    }
+}
+
+/// The fleet after each command of a named case, with the command's log.
+type Steps = [(CommandLog, SensorFleet)];
+
+fn blocked(fleet: &SensorFleet) -> bool {
+    fleet.is_blocklisted(VictimAddr::from_octets(25, 5, 5, 1), UdpProtocol::Ldap)
+}
+
+fn packets(steps: &Steps) -> u64 {
+    steps.iter().map(|(log, _)| log.offsets.len() as u64).sum()
+}
+
+#[test]
+fn handle_command_covers_the_named_cases() {
+    let all: Vec<u32> = (0..8).collect();
+    // (name, rate window, commands as (start, duration, honeypots,
+    // logged), what makes the case the case its name gives).
+    type Case = (
+        &'static str,
+        u64,
+        Vec<(u64, u32, Vec<u32>, u64)>,
+        fn(&Steps) -> bool,
+    );
+    let cases: [Case; 6] = [
+        (
+            "state left inside the window trips the second command",
+            3_600,
+            vec![(0, 300, all.clone(), 3), (100, 300, all.clone(), 3)],
+            |steps| !blocked(&steps[0].1) && blocked(&steps[1].1),
+        ),
+        (
+            "slots wider than the window reset it at every packet",
+            60,
+            vec![(0, 1_000, all.clone(), 4)],
+            |steps| !blocked(&steps[0].1) && steps[0].1.reflected_packets == packets(steps),
+        ),
+        (
+            "fewer packets than the limit never trip",
+            3_600,
+            vec![(0, 300, all.clone(), 4)],
+            |steps| !blocked(&steps[0].1) && steps[0].1.reflected_packets == packets(steps),
+        ),
+        (
+            "an empty honeypot list changes nothing",
+            3_600,
+            vec![(0, 300, Vec::new(), 24)],
+            |steps| steps[0].1.reflected_packets + steps[0].1.absorbed_packets == 0,
+        ),
+        (
+            "a duration shorter than the log ties slots",
+            3_600,
+            vec![(0, 5, all.clone(), 24)],
+            |steps| steps[0].0.offsets.windows(2).any(|w| w[0] == w[1]) && blocked(&steps[0].1),
+        ),
+        (
+            "an already blocklisted victim absorbs everything",
+            3_600,
+            vec![(0, 300, all.clone(), 24), (400, 300, all.clone(), 24)],
+            |steps| {
+                let (before, after) = (&steps[0].1, &steps[1].1);
+                blocked(before)
+                    && after.absorbed_packets - before.absorbed_packets
+                        == steps[1].0.offsets.len() as u64
+            },
+        ),
+    ];
+    for order in [ReplayOrder::Time, ReplayOrder::Generation] {
+        for (name, window, commands, is_the_case) in &cases {
+            let config = SensorConfig {
+                sensors: 8,
+                reflect_limit: 5,
+                window_secs: *window,
+            };
+            let mut bulk = SensorFleet::new(config);
+            let mut each = SensorFleet::new(config);
+            let mut steps = Vec::new();
+            for (i, (start, duration, honeypots, logged)) in commands.iter().enumerate() {
+                let cmd = command_at(
+                    *start,
+                    *duration,
+                    VictimAddr::from_octets(25, 5, 5, 1),
+                    UdpProtocol::Ldap,
+                );
+                let (log, packets) = command_log(&cmd, honeypots, *logged, i as u64);
+                replay_both(&mut bulk, &mut each, &log, &packets, order);
+                assert_eq!(bulk, each, "{name} ({order:?}), command {i}");
+                steps.push((log, bulk.clone()));
+            }
+            assert!(is_the_case(&steps), "{name} ({order:?})");
+        }
     }
 }
 
@@ -350,17 +460,8 @@ fn assert_flows_equal_grouped_trace(history: &[AttackCommand], cmds: &[AttackCom
             });
             let case = format!("threads={threads} min_items={min_items:?}");
             prop_assert_eq!(&flows, &expected, "{}", case);
-            let fleet = flows_path.fleet();
-            prop_assert_eq!(fleet.reflected_packets, expected_fleet.reflected_packets, "{}", case);
-            prop_assert_eq!(fleet.absorbed_packets, expected_fleet.absorbed_packets, "{}", case);
-            for c in cmds {
-                prop_assert_eq!(
-                    fleet.is_blocklisted(c.victim, c.protocol),
-                    expected_fleet.is_blocklisted(c.victim, c.protocol),
-                    "{}",
-                    case
-                );
-            }
+            // The whole fleet: counters, rate-limit entries, blocklist times.
+            prop_assert_eq!(flows_path.fleet(), expected_fleet, "{}", case);
         }
     }
 }
