@@ -24,6 +24,17 @@ use booters_market::calibration::Calibration;
 use booters_timeseries::design::{its_design, DesignConfig};
 use booters_timeseries::{Date, InterventionWindow};
 
+/// The intervention the Kopp-style and dispersion ablations measure.
+const XMAS: &str = "Xmas 2018 event";
+
+/// The error for a model without the [`XMAS`] term, which a calibration
+/// that lacks the Xmas 2018 intervention produces.
+fn no_xmas(model: &str) -> PipelineError {
+    PipelineError::Argument(format!(
+        "the {model} has no `{XMAS}` term: the calibration lacks the Xmas 2018 intervention"
+    ))
+}
+
 /// Result of the Kopp-style ablation on the Xmas2018 effect.
 #[derive(Debug, Clone, Copy)]
 pub struct ShortWindowAblation {
@@ -57,13 +68,13 @@ pub fn kopp_style_short_window(
     let full_pct = full
         .intervention_effects()
         .into_iter()
-        .find(|e| e.name == "Xmas 2018 event")
-        .expect("xmas in model")
+        .find(|e| e.name == XMAS)
+        .ok_or_else(|| no_xmas("full model"))?
         .mean_pct;
 
     // Kopp-style: Oct 2018 – end of Jan 2019, trend + dummy only.
     let short_series = window_of(&ds.global, "global", Date::new(2018, 10, 1), Date::new(2019, 2, 4))?;
-    let window = InterventionWindow::immediate("Xmas 2018 event", Date::new(2018, 12, 19), 6);
+    let window = InterventionWindow::immediate(XMAS, Date::new(2018, 12, 19), 6);
     let mut short_cfg = cfg.clone();
     short_cfg.design = DesignConfig {
         seasonal: false,
@@ -75,8 +86,8 @@ pub fn kopp_style_short_window(
     let short_pct = short
         .intervention_effects()
         .into_iter()
-        .find(|e| e.name == "Xmas 2018 event")
-        .expect("xmas in short model")
+        .find(|e| e.name == XMAS)
+        .ok_or_else(|| no_xmas("short-window model"))?
         .mean_pct;
 
     Ok(ShortWindowAblation {
@@ -121,11 +132,19 @@ pub fn poisson_vs_negbin(
             0.95,
         )
     })?;
-    let xmas = "Xmas 2018 event";
     Ok(DispersionAblation {
         alpha: nb.fit.alpha,
-        poisson_se: po.inference.coef(xmas).expect("xmas").std_error,
-        negbin_se: nb.fit.inference.coef(xmas).expect("xmas").std_error,
+        poisson_se: po
+            .inference
+            .coef(XMAS)
+            .ok_or_else(|| no_xmas("Poisson model"))?
+            .std_error,
+        negbin_se: nb
+            .fit
+            .inference
+            .coef(XMAS)
+            .ok_or_else(|| no_xmas("NB2 model"))?
+            .std_error,
         poisson_aic: po.fit.aic(0),
         negbin_aic: nb.fit.fit.aic(1),
     })
@@ -162,6 +181,7 @@ pub fn with_without_easter(
 mod tests {
     use super::*;
     use crate::scenario::{Fidelity, Scenario, ScenarioConfig};
+    use booters_market::events::EventId;
     use booters_market::market::MarketConfig;
 
     fn scenario() -> Scenario {
@@ -188,6 +208,25 @@ mod tests {
             a.short_window_pct,
             a.full_model_pct
         );
+    }
+
+    #[test]
+    fn a_calibration_without_xmas_is_an_argument_error() {
+        let s = scenario();
+        let mut cal = Calibration::default();
+        cal.interventions.retain(|ic| ic.id != EventId::Xmas2018);
+        let cfg = PipelineConfig::default();
+        for result in [
+            kopp_style_short_window(&s.honeypot, &cal, &cfg).map(|_| ()),
+            poisson_vs_negbin(&s.honeypot, &cal, &cfg).map(|_| ()),
+        ] {
+            match result {
+                Err(PipelineError::Argument(msg)) => {
+                    assert!(msg.contains("lacks the Xmas 2018 intervention"), "{msg}")
+                }
+                other => panic!("expected an argument error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

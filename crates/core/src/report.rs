@@ -70,7 +70,9 @@ pub fn table2(
             let eff = model_effects
                 .iter()
                 .find(|e| e.name == ev.name)
-                .expect("intervention present");
+                .ok_or_else(|| {
+                    PipelineError::Argument(format!("a Table 2 model has no `{}` term", ev.name))
+                })?;
             push_fixed(&mut out, eff.mean_pct, 15, 0);
             out.push('%');
             push_fixed(&mut cis, eff.lo_pct, 8, 0);
@@ -625,6 +627,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn table2_without_xmas_renders_the_other_interventions() {
+        let s = scenario();
+        let mut cal = Calibration::default();
+        cal.interventions
+            .retain(|ic| ic.id != events::EventId::Xmas2018);
+        let t2 = table2(&s.honeypot, &cal, &PipelineConfig::default()).unwrap();
+        assert!(!t2.contains("Xmas 2018 event"));
+        assert!(t2.contains("Hackforums shuts down SST"));
+        // 4 interventions × 4 lines + headers.
+        assert!(t2.lines().count() >= 20, "{} lines", t2.lines().count());
     }
 
     #[test]

@@ -93,8 +93,7 @@ impl Scenario {
         booters_obs::span!("simulate");
         let cal_start = config.market.calibration.scenario_start;
         let cal_end = config.market.calibration.scenario_end;
-        let mut sim = MarketSim::new(config.market.clone());
-        let mut observer = Observer::new(&config);
+        let sim = MarketSim::new(config.market.clone());
 
         let mut ground_truth = HoneypotDataset::new(cal_start, cal_end);
         let sr_start = config.selfreport_start.week_start();
@@ -106,8 +105,7 @@ impl Scenario {
         let mut births = booters_timeseries::WeeklySeries::zeros(sr_start, sr_weeks);
 
         let mut weeks = Vec::with_capacity(n_weeks_total);
-        while let Some(out) = sim.step() {
-            observer.observe_week(&out, sim.population().booters());
+        let honeypot = observe_market(&config, sim, |out| {
             record_ground_truth(&mut ground_truth, &out);
 
             // --- self-report scrape -------------------------------------
@@ -125,11 +123,10 @@ impl Scenario {
             }
 
             weeks.push(out);
-            booters_obs::counter_add("core.weeks_simulated", 1);
-        }
+        });
 
         Scenario {
-            honeypot: observer.honeypot,
+            honeypot,
             ground_truth,
             selfreport: SelfReportDataset {
                 start: sr_start,
@@ -161,12 +158,59 @@ impl Scenario {
 /// Opens no `simulate` span of its own: the scenario suite observes
 /// several markets at once and times that whole phase as one span.
 pub fn observe_honeypot(config: ScenarioConfig) -> HoneypotDataset {
-    let mut sim = MarketSim::new(config.market.clone());
-    let mut observer = Observer::new(&config);
-    while let Some(out) = sim.step() {
-        observer.observe_week(&out, sim.population().booters());
-        booters_obs::counter_add("core.weeks_simulated", 1);
-    }
+    let sim = MarketSim::new(config.market.clone());
+    observe_market(&config, sim, drop)
+}
+
+/// One market week as it crosses from the market stage to the observer:
+/// the week's output and the booters born while stepping it.
+struct MarketWeek {
+    out: WeekOutput,
+    born: Vec<Booter>,
+}
+
+/// The one driver loop of both [`Scenario::run`] and
+/// [`observe_honeypot`]: step `sim` to its end, observe every week, then
+/// hand the week to `each`, and return the observed dataset.
+///
+/// The market steps on the `booters-par` stage thread while this thread
+/// observes (`booters_par::pipeline`; at one thread, the interleaved
+/// loop). The two share no state. The observer reads only each week's
+/// output and three booter fields fixed at spawn (`id`,
+/// `avoids_honeypots`, `protocols`), so it works from a mirror of the
+/// population grown by each week's births instead of the live one. The
+/// population only grows and a booter's id is its index, so the mirror
+/// holds the same booter at every index the observer looks up, and every
+/// output is the interleaved loop's to the bit (DESIGN.md §5j).
+fn observe_market(
+    config: &ScenarioConfig,
+    mut sim: MarketSim,
+    mut each: impl FnMut(WeekOutput),
+) -> HoneypotDataset {
+    let mut observer = Observer::new(config);
+    let mut sent = 0;
+    let mut booters: Vec<Booter> = Vec::new();
+    booters_par::pipeline(
+        || {
+            let out = sim.step()?;
+            let born = sim.population().booters()[sent..].to_vec();
+            sent += born.len();
+            Some(MarketWeek { out, born })
+        },
+        |MarketWeek { out, born }| {
+            booters.extend(born);
+            debug_assert!(
+                out.booter_attacks
+                    .iter()
+                    .all(|&(id, _)| booters.get(id as usize).is_some_and(|b| b.id == id)),
+                "week {}: a booter attacked before its birth reached the observer",
+                out.week
+            );
+            observer.observe_week(&out, &booters);
+            booters_obs::counter_add("core.weeks_simulated", 1);
+            each(out);
+        },
+    );
     observer.honeypot
 }
 

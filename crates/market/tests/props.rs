@@ -4,6 +4,8 @@
 
 use booters_market::concentration::{herfindahl, top_k_share};
 use booters_market::market::{sample_binomial, sample_multinomial, MarketConfig, MarketSim};
+use booters_market::scn::builtin_scenarios;
+use booters_market::shocks::ScenarioSpec;
 use booters_market::Calibration;
 use booters_timeseries::Date;
 use booters_testkit::strategy::prop;
@@ -91,5 +93,54 @@ forall! {
                 prop_assert!(*c < u64::MAX / 2);
             }
         }
+    }
+}
+
+forall! {
+    #![cases(20)]
+
+    /// The premises of the scenario observer's population mirror
+    /// (DESIGN.md §5j): after every step the population has only grown,
+    /// each booter's id is its index, and the fields the observer reads
+    /// (`avoids_honeypots`, `protocols`) still hold their values at
+    /// spawn — for the paper's own history, the shockless baseline and
+    /// every built-in scenario, whose rebrands and displacements rework
+    /// the population.
+    fn population_only_grows_and_keeps_observed_fields_from_spawn(
+        seed in any::<u64>(),
+        which in 0usize..10,
+    ) {
+        let scenario = match which {
+            0 => None,
+            1 => Some(ScenarioSpec::baseline()),
+            k => Some(builtin_scenarios().swap_remove(k - 2)),
+        };
+        let mut sim = MarketSim::new(MarketConfig {
+            scale: 0.01,
+            seed,
+            scenario,
+            ..MarketConfig::default()
+        });
+        let mut at_spawn = Vec::new();
+        loop {
+            let booters = sim.population().booters();
+            prop_assert!(booters.len() >= at_spawn.len(), "the population shrank");
+            for (i, b) in booters.iter().enumerate() {
+                prop_assert_eq!(b.id as usize, i, "a booter's id is its index");
+            }
+            for (b, (avoids, protocols)) in booters.iter().zip(&at_spawn) {
+                prop_assert_eq!(b.avoids_honeypots, *avoids, "booter {} avoids_honeypots", b.id);
+                prop_assert_eq!(&b.protocols, protocols, "booter {} protocols", b.id);
+            }
+            at_spawn.extend(
+                booters[at_spawn.len()..]
+                    .iter()
+                    .map(|b| (b.avoids_honeypots, b.protocols.clone())),
+            );
+            if sim.step().is_none() {
+                break;
+            }
+        }
+        prop_assert!(at_spawn.len() > 46, "no booter was born in {} weeks", sim.n_weeks());
     }
 }

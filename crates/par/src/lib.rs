@@ -36,6 +36,16 @@
 //! runs its batch alone on that thread. `DESIGN.md` §5b has the life
 //! cycle and the safety argument.
 //!
+//! ## The stage
+//!
+//! [`pipeline`] is the one two-stage primitive: it runs a producer on a
+//! process-wide stage thread, started once and parked between runs like
+//! the helpers, and hands its items to the caller in batches through a
+//! bounded queue, so the caller's work overlaps the producer's. With
+//! fewer than two threads, inside a pool worker, or while another run
+//! owns the stage, it is the interleaved loop on the calling thread.
+//! `DESIGN.md` §5b has the life cycle, batching and panic semantics.
+//!
 //! ## Thread-count resolution
 //!
 //! [`threads`] resolves, in priority order: a scoped [`with_threads`]
@@ -80,11 +90,13 @@
 pub mod kernels;
 mod pool;
 mod seed;
+mod stage;
 mod workers;
 
 pub use kernels::{scalar_kernels, with_scalar_kernels};
 pub use pool::{par_for_each, par_map, par_map_coarse, par_map_collect, par_map_indexed};
 pub use seed::stream_seed;
+pub use stage::pipeline;
 
 use std::cell::Cell;
 use std::sync::OnceLock;

@@ -59,15 +59,18 @@ BOOTERS_SCALAR_KERNELS=1 BOOTERS_THREADS=4 \
 
 # Artifact-level determinism: every file `repro all` writes (it names
 # each on stderr as "wrote <path>") must be byte-for-byte identical with
-# the scalar kernel oracles in charge and at four threads.
-echo "==> repro all artifact diff (default vs scalar kernels vs 4 threads, offline)"
+# the scalar kernel oracles in charge, at four threads and at one. On a
+# multi-core host the default run steps the market on the booters-par
+# stage thread while the caller observes; BOOTERS_THREADS=1 runs the
+# interleaved loop, so the diff covers both sides of the pipeline.
+echo "==> repro all artifact diff (default vs scalar kernels vs 4 threads vs 1 thread, offline)"
 REPRO="cargo run -q --release --offline -p booters-bench --bin repro --"
 ref=$(mktemp -d)
 $REPRO all >/dev/null 2>"$ref/log"
 sed -n 's/^wrote //p' "$ref/log" > "$ref/files"
 test -s "$ref/files" || { echo "verify: repro all wrote no artifacts" >&2; exit 1; }
 while read -r f; do cp "$f" "$ref/"; done < "$ref/files"
-for combo in "BOOTERS_SCALAR_KERNELS=1" "BOOTERS_THREADS=4"; do
+for combo in "BOOTERS_SCALAR_KERNELS=1" "BOOTERS_THREADS=4" "BOOTERS_THREADS=1"; do
     env $combo $REPRO all >/dev/null 2>&1
     while read -r f; do
         cmp "$ref/$(basename "$f")" "$f" || {

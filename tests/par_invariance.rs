@@ -9,9 +9,10 @@
 
 use booting_the_booters::core::pipeline::{fit_countries, fit_global, PipelineConfig};
 use booting_the_booters::core::report::table1;
-use booting_the_booters::core::scenario::{Fidelity, Scenario, ScenarioConfig};
+use booting_the_booters::core::scenario::{observe_honeypot, Fidelity, Scenario, ScenarioConfig};
 use booting_the_booters::market::calibration::Calibration;
 use booting_the_booters::market::market::MarketConfig;
+use booting_the_booters::market::scn::builtin_scenarios;
 use booting_the_booters::netsim::{
     classify_flows, classify_flows_par, sort_flows, Flow, FlowClass, SensorPacket, UdpProtocol,
     VictimAddr,
@@ -91,45 +92,90 @@ forall! {
     }
 }
 
-/// A short full-packet scenario: the whole measurement chain (packet
-/// synthesis, 15-minute-gap grouping, classification) on an 8-week window.
-fn full_packet_scenario(seed: u64) -> Scenario {
-    let mut cal = Calibration::default();
-    cal.scenario_start = Date::new(2018, 9, 3);
-    cal.scenario_end = Date::new(2018, 10, 29);
-    Scenario::run(ScenarioConfig {
+/// Every output of a scenario run — honeypot and ground-truth series,
+/// the self-report scrape and the raw market weeks — as text. `{:?}`
+/// prints each f64 in its shortest round-trip form, so equal text means
+/// equal bits.
+fn whole<T: std::fmt::Debug>(run: &T) -> String {
+    format!("{run:?}")
+}
+
+/// A scenario configuration over `start..end` at scale 0.01.
+fn short_config(seed: u64, start: Date, end: Date, fidelity: Fidelity) -> ScenarioConfig {
+    ScenarioConfig {
         market: MarketConfig {
-            calibration: cal,
+            calibration: Calibration {
+                scenario_start: start,
+                scenario_end: end,
+                ..Calibration::default()
+            },
             scale: 0.01,
             seed,
             ..MarketConfig::default()
         },
-        fidelity: Fidelity::FullPackets { per_week: 30 },
+        fidelity,
         ..ScenarioConfig::default()
-    })
+    }
+}
+
+/// A short full-packet scenario: the whole measurement chain (packet
+/// synthesis, 15-minute-gap grouping, classification) on an 8-week window.
+fn full_packet_scenario(seed: u64) -> Scenario {
+    Scenario::run(short_config(
+        seed,
+        Date::new(2018, 9, 3),
+        Date::new(2018, 10, 29),
+        Fidelity::FullPackets { per_week: 30 },
+    ))
 }
 
 forall! {
     #![cases(3)]
 
     fn full_packet_scenario_is_thread_count_invariant(seed in 1u64..1_000_000) {
-        let reference: Vec<u64> = with_threads(1, || full_packet_scenario(seed))
-            .honeypot
-            .global
-            .values()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        prop_assert!(!reference.is_empty());
+        let reference = with_threads(1, || full_packet_scenario(seed));
+        prop_assert!(reference.honeypot.global.total() > 0.0);
+        let reference = whole(&reference);
         for threads in [2, 4, 8] {
-            let parallel: Vec<u64> = with_threads(threads, || full_packet_scenario(seed))
-                .honeypot
-                .global
-                .values()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            prop_assert_eq!(&parallel, &reference, "weekly counts at {} threads", threads);
+            let parallel = whole(&with_threads(threads, || full_packet_scenario(seed)));
+            prop_assert!(parallel == reference, "scenario differs at {} threads", threads);
+        }
+    }
+
+    fn aggregate_and_sampled_scenarios_are_thread_count_invariant(seed in 1u64..1_000_000) {
+        // One year around Xmas 2018: the market stepped on the stage thread
+        // from two threads up, interleaved with the observer at one.
+        for fidelity in [Fidelity::Aggregate, Fidelity::PacketSampled { per_week: 200 }] {
+            let config = short_config(seed, Date::new(2018, 6, 4), Date::new(2019, 4, 1), fidelity);
+            let reference = with_threads(1, || Scenario::run(config.clone()));
+            prop_assert!(reference.honeypot.global.total() > 0.0);
+            let reference = whole(&reference);
+            for threads in [2, 4, 8] {
+                let parallel = whole(&with_threads(threads, || Scenario::run(config.clone())));
+                prop_assert!(parallel == reference, "{:?} differs at {} threads", fidelity, threads);
+            }
+        }
+    }
+
+    fn observe_honeypot_on_a_rebrand_is_thread_count_invariant(seed in 1u64..1_000_000) {
+        // A takedown, then a rebrand that revives the closed booter: the
+        // population the observer mirrors is reworked mid-run.
+        let spec = builtin_scenarios()
+            .into_iter()
+            .find(|s| s.name == "rebrand_migration")
+            .expect("built-in rebrand scenario");
+        for fidelity in [Fidelity::Aggregate, Fidelity::FullPackets { per_week: 8 }] {
+            let mut config =
+                short_config(seed, Date::new(2017, 8, 7), Date::new(2017, 11, 27), fidelity);
+            config.market.scenario = Some(spec.clone());
+            let reference = whole(&with_threads(1, || observe_honeypot(config.clone())));
+            let full = with_threads(1, || Scenario::run(config.clone()));
+            prop_assert!(full.honeypot.global.total() > 0.0);
+            prop_assert!(whole(&full.honeypot) == reference, "{:?}: the two drivers differ", fidelity);
+            for threads in [2, 4, 8] {
+                let parallel = whole(&with_threads(threads, || observe_honeypot(config.clone())));
+                prop_assert!(parallel == reference, "{:?} differs at {} threads", fidelity, threads);
+            }
         }
     }
 }
