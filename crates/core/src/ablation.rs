@@ -121,17 +121,21 @@ pub fn poisson_vs_negbin(
     let series = window_of(&ds.global, "global", cfg.window_start, cfg.window_end)?;
     let windows = global_intervention_windows(cal);
     let nb = fit_series(&series, &windows, cfg)?;
-    let design = its_design(&series, &windows, &cfg.design);
-    let po = with_fit_workspace(|ws| {
-        fit_poisson_with(
-            ws,
-            &design.x,
-            series.values(),
-            &design.names,
-            &IrlsOptions::default(),
-            0.95,
-        )
-    })?;
+    let po = {
+        // A model fit like `fit_series`'s, timed and counted as one.
+        booters_obs::span!("fit");
+        let design = its_design(&series, &windows, &cfg.design);
+        with_fit_workspace(|ws| {
+            fit_poisson_with(
+                ws,
+                &design.x,
+                series.values(),
+                &design.names,
+                &IrlsOptions::default(),
+                0.95,
+            )
+        })?
+    };
     Ok(DispersionAblation {
         alpha: nb.fit.alpha,
         poisson_se: po

@@ -395,6 +395,7 @@ pub fn trend_break_test(
     to: Date,
     cfg: &PipelineConfig,
 ) -> Result<TrendBreakTest, PipelineError> {
+    booters_obs::span!("fit");
     let design = its_design(series, windows, &cfg.design);
     let time_col = design.column_index("time").ok_or_else(|| {
         PipelineError::Argument("trend-break test needs a design with a trend term".into())

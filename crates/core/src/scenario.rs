@@ -18,9 +18,9 @@
 //!   classification. Use on short windows.
 
 use crate::datasets::{CounterHistory, HoneypotDataset, SelfReportDataset};
-use booters_market::commands::{booter_by_id, commands_for_week};
+use booters_market::commands::commands_for_week_with;
 use booters_market::market::{sample_binomial, MarketConfig, MarketSim, WeekOutput};
-use booters_market::Booter;
+use booters_market::BooterTraits;
 use booters_netsim::flow::{FlowClass, VictimKey};
 use booters_netsim::{AttackCommand, Country, Engine, EngineConfig, UdpProtocol, VictimAddr};
 use booters_timeseries::Date;
@@ -122,7 +122,12 @@ impl Scenario {
                 }
             }
 
-            weeks.push(out);
+            // Kept as a copy made on this thread. From two threads up the
+            // week's vectors were allocated on the market's stage thread
+            // (DESIGN.md §5b); dropping them here gives them back to the
+            // stage's allocator, which reuses them for the next weeks
+            // instead of growing its own heap.
+            weeks.push(out.clone());
         });
 
         Scenario {
@@ -162,11 +167,17 @@ pub fn observe_honeypot(config: ScenarioConfig) -> HoneypotDataset {
     observe_market(&config, sim, drop)
 }
 
-/// One market week as it crosses from the market stage to the observer:
-/// the week's output and the booters born while stepping it.
-struct MarketWeek {
-    out: WeekOutput,
-    born: Vec<Booter>,
+/// What crosses from the market stage to the observer, in order: the
+/// traits of each booter as it is born, then the output of the week that
+/// bore it. Births travel inside the hand-off's batches rather than in a
+/// small vector per week, which this thread would free: with such a
+/// vector a two-thread run took up to twice as long, most likely because
+/// the allocator's per-thread cache hands a freed block back to this
+/// thread's next allocation, inside the stage's heap beside memory the
+/// stage writes (DESIGN.md §5b).
+enum FromMarket {
+    Born(BooterTraits),
+    Week(WeekOutput),
 }
 
 /// The one driver loop of both [`Scenario::run`] and
@@ -176,39 +187,46 @@ struct MarketWeek {
 /// The market steps on the `booters-par` stage thread while this thread
 /// observes (`booters_par::pipeline`; at one thread, the interleaved
 /// loop). The two share no state. The observer reads only each week's
-/// output and three booter fields fixed at spawn (`id`,
-/// `avoids_honeypots`, `protocols`), so it works from a mirror of the
-/// population grown by each week's births instead of the live one. The
-/// population only grows and a booter's id is its index, so the mirror
-/// holds the same booter at every index the observer looks up, and every
-/// output is the interleaved loop's to the bit (DESIGN.md §5j).
+/// output and, of each booter, its id and the [`BooterTraits`] fixed at
+/// spawn, so it works from a mirror of those traits grown by each
+/// booter's birth instead of the live population. The population only
+/// grows and a booter's id is its index, so the mirror holds the right
+/// booter's traits at every index the observer looks up, and every output
+/// is the interleaved loop's to the bit (DESIGN.md §5j).
 fn observe_market(
     config: &ScenarioConfig,
     mut sim: MarketSim,
     mut each: impl FnMut(WeekOutput),
 ) -> HoneypotDataset {
     let mut observer = Observer::new(config);
+    // Booters whose traits have been sent, and the week stepped but not
+    // yet sent.
     let mut sent = 0;
-    let mut booters: Vec<Booter> = Vec::new();
+    let mut stepped = None;
+    let mut traits: Vec<BooterTraits> = Vec::new();
     booters_par::pipeline(
-        || {
-            let out = sim.step()?;
-            let born = sim.population().booters()[sent..].to_vec();
-            sent += born.len();
-            Some(MarketWeek { out, born })
+        || loop {
+            if let Some(booter) = sim.population().booters().get(sent) {
+                sent += 1;
+                return Some(FromMarket::Born(booter.traits()));
+            }
+            if let Some(out) = stepped.take() {
+                return Some(FromMarket::Week(out));
+            }
+            stepped = Some(sim.step()?);
         },
-        |MarketWeek { out, born }| {
-            booters.extend(born);
-            debug_assert!(
-                out.booter_attacks
-                    .iter()
-                    .all(|&(id, _)| booters.get(id as usize).is_some_and(|b| b.id == id)),
-                "week {}: a booter attacked before its birth reached the observer",
-                out.week
-            );
-            observer.observe_week(&out, &booters);
-            booters_obs::counter_add("core.weeks_simulated", 1);
-            each(out);
+        |item| match item {
+            FromMarket::Born(t) => traits.push(t),
+            FromMarket::Week(out) => {
+                debug_assert!(
+                    out.booter_attacks.iter().all(|&(id, _)| (id as usize) < traits.len()),
+                    "week {}: a booter attacked before its birth reached the observer",
+                    out.week
+                );
+                observer.observe_week(&out, &traits);
+                booters_obs::counter_add("core.weeks_simulated", 1);
+                each(out);
+            }
         },
     );
     observer.honeypot
@@ -240,18 +258,20 @@ impl<'c> Observer<'c> {
     /// Observe one market week: measure the week's coverage rate at the
     /// configured fidelity, thin every country×protocol cell at that
     /// rate into the honeypot dataset, then age the engine's state.
-    fn observe_week(&mut self, out: &WeekOutput, booters: &[Booter]) {
-        let rate = self.coverage_rate(out, booters);
+    /// `traits` holds each booter's traits at the index equal to its id.
+    fn observe_week(&mut self, out: &WeekOutput, traits: &[BooterTraits]) {
+        let rate = self.coverage_rate(out, traits);
         self.thin_week(out, rate);
         self.engine.maintain(out.week as u64 * 7 * 86_400);
     }
 
-    fn coverage_rate(&mut self, out: &WeekOutput, booters: &[Booter]) -> f64 {
+    fn coverage_rate(&mut self, out: &WeekOutput, traits: &[BooterTraits]) -> f64 {
         let engine = &mut self.engine;
+        let avoids = |id: u32| traits.get(id as usize).map(|t| t.avoids_honeypots);
         match self.config.fidelity {
-            Fidelity::Aggregate => coverage_rate_aggregate(engine, out, booters),
+            Fidelity::Aggregate => coverage_rate_aggregate(engine, out, traits),
             Fidelity::PacketSampled { per_week } => {
-                let cmds = commands_for_week(out, booters, &mut self.rng, per_week);
+                let cmds = commands_for_week_with(out, avoids, &mut self.rng, per_week);
                 if cmds.is_empty() {
                     1.0
                 } else {
@@ -260,7 +280,7 @@ impl<'c> Observer<'c> {
                 }
             }
             Fidelity::FullPackets { per_week } => {
-                let cmds = commands_for_week(out, booters, &mut self.rng, per_week);
+                let cmds = commands_for_week_with(out, avoids, &mut self.rng, per_week);
                 full_packet_rate(engine, &cmds)
             }
         }
@@ -308,11 +328,8 @@ fn record_ground_truth(truth: &mut HoneypotDataset, out: &WeekOutput) {
 
 /// Aggregate fidelity: probe the engine once per (booter, week) with a
 /// representative command and weight by the booter's attack volume.
-fn coverage_rate_aggregate(
-    engine: &mut Engine,
-    out: &WeekOutput,
-    booters: &[Booter],
-) -> f64 {
+/// `traits` holds each booter's traits at the index equal to its id.
+fn coverage_rate_aggregate(engine: &mut Engine, out: &WeekOutput, traits: &[BooterTraits]) -> f64 {
     let week_time = out.week as u64 * 7 * 86_400;
     let mut commanded = 0u64;
     let mut observed = 0u64;
@@ -320,19 +337,19 @@ fn coverage_rate_aggregate(
         if *attacks == 0 {
             continue;
         }
-        let Some(b) = booter_by_id(booters, *id) else {
+        let Some(b) = traits.get(*id as usize) else {
             commanded += attacks;
             observed += attacks; // new entrant this week: honest default
             continue;
         };
-        let protocol = b.protocols.first().copied().unwrap_or(UdpProtocol::Ldap);
+        let protocol = b.first_protocol.unwrap_or(UdpProtocol::Ldap);
         let probe = AttackCommand {
             time: week_time,
             victim: VictimAddr::from_octets(25, 0, 0, 1),
             protocol,
             duration_secs: 300,
             packets_per_second: 50_000,
-            booter: b.id,
+            booter: *id,
             avoids_honeypots: b.avoids_honeypots,
         };
         commanded += attacks;
@@ -484,5 +501,26 @@ mod tests {
         let a = Scenario::run(small_config(Fidelity::Aggregate));
         let b = Scenario::run(small_config(Fidelity::Aggregate));
         assert_eq!(a.honeypot.global.values(), b.honeypot.global.values());
+    }
+
+    /// The observer's traits mirror draws the same commands as the live
+    /// population, week by week (both consume the same RNG stream).
+    #[test]
+    fn the_traits_mirror_draws_the_live_populations_commands() {
+        let cfg = small_config(Fidelity::Aggregate);
+        let mut sim = MarketSim::new(cfg.market.clone());
+        let mut traits: Vec<BooterTraits> = Vec::new();
+        let (mut live_rng, mut mirror_rng) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
+        let mut attributed = 0;
+        while let Some(out) = sim.step() {
+            let booters = sim.population().booters();
+            traits.extend(booters[traits.len()..].iter().map(booters_market::Booter::traits));
+            let live = booters_market::commands::commands_for_week(&out, booters, &mut live_rng, 40);
+            let avoids = |id: u32| traits.get(id as usize).map(|t| t.avoids_honeypots);
+            let mirror = commands_for_week_with(&out, avoids, &mut mirror_rng, 40);
+            assert_eq!(live, mirror, "week {}", out.week);
+            attributed += live.iter().filter(|c| c.booter != 0).count();
+        }
+        assert!(attributed > 0, "no command was attributed to a booter");
     }
 }

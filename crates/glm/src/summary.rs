@@ -67,16 +67,40 @@ pub fn push_fixed(out: &mut String, v: f64, width: usize, prec: usize) {
     // integer digit, then the sign (kept for negative zero, as std does).
     let mut buf = [b' '; 32];
     let mut at = buf.len();
-    let mut digits = 0;
-    while n > 0 || digits <= prec {
-        if digits == prec && prec > 0 {
-            at -= 1;
-            buf[at] = b'.';
+    if prec == 0 {
+        // Whole numbers (the figures' counts, most of what is rendered):
+        // two digits per division.
+        const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+            2021222324252627282930313233343536373839\
+            4041424344454647484950515253545556575859\
+            6061626364656667686970717273747576777879\
+            8081828384858687888990919293949596979899";
+        while n >= 100 {
+            let pair = (n % 100) as usize * 2;
+            n /= 100;
+            at -= 2;
+            buf[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
         }
-        at -= 1;
-        buf[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-        digits += 1;
+        if n >= 10 {
+            let pair = n as usize * 2;
+            at -= 2;
+            buf[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+        } else {
+            at -= 1;
+            buf[at] = b'0' + n as u8;
+        }
+    } else {
+        let mut digits = 0;
+        while n > 0 || digits <= prec {
+            if digits == prec {
+                at -= 1;
+                buf[at] = b'.';
+            }
+            at -= 1;
+            buf[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            digits += 1;
+        }
     }
     if bits >> 63 == 1 {
         at -= 1;

@@ -67,7 +67,26 @@ pub struct Booter {
     pub protocols: Vec<UdpProtocol>,
 }
 
+/// What an observer of the market reads of a booter: fields fixed when
+/// the booter spawns, so a copy taken at birth stays exact for the
+/// booter's whole life.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BooterTraits {
+    /// [`Booter::avoids_honeypots`].
+    pub avoids_honeypots: bool,
+    /// The first of [`Booter::protocols`], if any.
+    pub first_protocol: Option<UdpProtocol>,
+}
+
 impl Booter {
+    /// The fields an observer reads (see [`BooterTraits`]).
+    pub fn traits(&self) -> BooterTraits {
+        BooterTraits {
+            avoids_honeypots: self.avoids_honeypots,
+            first_protocol: self.protocols.first().copied(),
+        }
+    }
+
     /// Record `n` attacks performed this week.
     pub fn record_attacks(&mut self, n: u64) {
         self.true_total += n;

@@ -44,6 +44,23 @@ pub fn commands_for_week(
     rng: &mut StdRng,
     limit: usize,
 ) -> Vec<AttackCommand> {
+    commands_for_week_with(
+        out,
+        |id| booter_by_id(booters, id).map(|b| b.avoids_honeypots),
+        rng,
+        limit,
+    )
+}
+
+/// [`commands_for_week`] with the booters given as a lookup from id to
+/// the booter's honeypot-avoidance flag (`None`: no such booter), for an
+/// observer that keeps its own record of the population.
+pub fn commands_for_week_with(
+    out: &WeekOutput,
+    avoids_honeypots: impl Fn(u32) -> Option<bool>,
+    rng: &mut StdRng,
+    limit: usize,
+) -> Vec<AttackCommand> {
     let total = out.total;
     if total == 0 {
         return Vec::new();
@@ -53,11 +70,11 @@ pub fn commands_for_week(
     // represented proportionally.
     let keep = n as f64 / total as f64;
 
-    // Booter lookup for attribution draws: ids are indices.
-    let alive: Vec<(&Booter, f64)> = out
+    // The attacking booters known to the lookup, for attribution draws.
+    let alive: Vec<((u32, bool), f64)> = out
         .booter_attacks
         .iter()
-        .filter_map(|&(id, cnt)| booter_by_id(booters, id).map(|b| (b, cnt as f64)))
+        .filter_map(|&(id, cnt)| avoids_honeypots(id).map(|a| ((id, a), cnt as f64)))
         .collect();
     let booter_total: f64 = alive.iter().map(|(_, c)| c).sum();
 
@@ -83,14 +100,14 @@ pub fn commands_for_week(
                 let (booter, avoids) = if booter_total > 0.0 && !alive.is_empty() {
                     let mut pick = rng.gen::<f64>() * booter_total;
                     let mut chosen = alive[alive.len() - 1].0;
-                    for (b, c) in &alive {
-                        if pick < *c {
+                    for &(b, c) in &alive {
+                        if pick < c {
                             chosen = b;
                             break;
                         }
                         pick -= c;
                     }
-                    (chosen.id, chosen.avoids_honeypots)
+                    chosen
                 } else {
                     (0, false)
                 };

@@ -45,7 +45,7 @@ pub mod protocol_mix;
 pub mod scn;
 pub mod shocks;
 
-pub use booter::{Booter, BooterState, SizeClass};
+pub use booter::{Booter, BooterState, BooterTraits, SizeClass};
 pub use calibration::Calibration;
 pub use events::{EventId, EventKind, InterventionEvent};
 pub use market::{MarketSim, MarketConfig, WeekOutput};

@@ -203,7 +203,11 @@ where
         }
         work();
     };
-    crate::workers::run(workers - 1, &helper_job, &work);
+    match crate::workers::HELPERS.claim(workers - 1) {
+        Some(claim) => claim.run(&helper_job, &work),
+        // Another dispatch owns the helpers: the whole batch runs here.
+        None => work(),
+    }
 
     let Collected { mut tagged, mut panics } = done.into_inner().unwrap_or_else(PoisonError::into_inner);
     if !panics.is_empty() {

@@ -1,25 +1,25 @@
 //! The two-stage pipeline behind [`pipeline`]: one process-wide stage
 //! thread produces items while the caller consumes them.
 //!
-//! The stage thread is started the first time a pipeline needs it and
-//! then lives for the rest of the process, parked on a condition
-//! variable between runs, like the pool's helpers ([`crate::workers`]).
-//! A run publishes one job, a borrowed closure that calls `produce` until
-//! it returns `None` and sends the items in batches of [`BATCH`] through
-//! a `std::sync::mpsc::sync_channel` of at most [`DEPTH`] batches. The
-//! caller receives the batches and calls `consume` on each item, in
-//! produce order. A side that waits for the other parks in the channel,
-//! never polls, so a host that gives the run only one core pays a
-//! wake-up per batch and nothing more.
+//! The stage is a one-thread [`Crew`] of its own: started the first time
+//! a pipeline needs it, then parked between runs for the rest of the
+//! process, with the pool's helpers' life cycle ([`crate::workers`]). A
+//! run's job calls `produce` until it returns `None` and sends the items
+//! in batches of [`BATCH`] through a `std::sync::mpsc::sync_channel` of at
+//! most [`DEPTH`] batches. The caller receives the batches and calls
+//! `consume` on each item, in produce order. A side that waits for the
+//! other parks in the channel, never polls, so a host that gives the run
+//! only one core pays a wake-up per batch and nothing more.
 //!
 //! One run owns the stage at a time. A run from another OS thread that
 //! finds it busy, a run on one thread (`threads() < 2`) and a run inside
 //! a pool worker take the interleaved loop on the calling thread, which
 //! is the sequential fallback of every `par_*` entry point.
 
+use crate::workers::Crew;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Items per hand-off. A batch amortises the wake-up of the side that
 /// waits (a few microseconds) over several items.
@@ -30,37 +30,11 @@ const BATCH: usize = 8;
 /// `(DEPTH + 1) · BATCH` items ahead.
 const DEPTH: usize = 2;
 
-/// A run's producer loop as the stage sees it. The real closure borrows
-/// the caller's stack; [`pipeline`] erases that lifetime (see its SAFETY
-/// argument).
-type Job = dyn FnMut() + Send;
+/// The stage thread.
+static STAGE: Crew = Crew::new("booters-par-stage");
 
-/// The stage's life cycle, guarded by one mutex.
-struct State {
-    /// True while a run owns the stage.
-    busy: bool,
-    /// The published job, until the stage takes it or its run withdraws
-    /// it.
-    job: Option<&'static mut Job>,
-    /// True while the stage runs a job it took.
-    running: bool,
-    /// True once the stage thread exists.
-    started: bool,
-}
-
-static STATE: Mutex<State> = Mutex::new(State {
-    busy: false,
-    job: None,
-    running: false,
-    started: false,
-});
-/// The parked stage waits here for a job.
-static WORK: Condvar = Condvar::new();
-/// A finishing run waits here for the stage to finish its job.
-static DONE: Condvar = Condvar::new();
-
-/// No code panics while holding [`STATE`] or a run's panic slot, so a
-/// poisoned lock still guards consistent state.
+/// Producers catch their own panics, so a poisoned lock still guards
+/// consistent state.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -89,27 +63,25 @@ where
     P: FnMut() -> Option<T> + Send,
     C: FnMut(T),
 {
-    let interleaved = |produce: &mut P, consume: &mut C| {
+    // Inside a pool worker, `threads()` is 1.
+    let claim = if crate::threads() < 2 { None } else { STAGE.claim(1) };
+    let Some(claim) = claim else {
         while let Some(item) = produce() {
             consume(item);
         }
+        return;
     };
-    if crate::threads() < 2 {
-        return interleaved(&mut produce, &mut consume);
-    }
-    let mut st = lock(&STATE);
-    if st.busy || !(st.started || spawn_stage()) {
-        drop(st);
-        return interleaved(&mut produce, &mut consume);
-    }
-    st.started = true;
 
     let (send, receive) = mpsc::sync_channel::<Vec<T>>(DEPTH);
-    let mut send = Some(send);
     let failed = Mutex::new(None);
     let scalar_kernels = crate::scalar_kernels();
-    let mut job = || {
+    // A crew runs `Fn` jobs; the lock lends the one stage thread the
+    // producer's `&mut`.
+    let producer = Mutex::new((Some(send), &mut produce));
+    let job = || {
         crate::kernels::inherit_kernels(scalar_kernels);
+        let mut producer = lock(&producer);
+        let (send, produce) = &mut *producer;
         // Dropped when the job ends, which ends the caller's receive
         // loop once it has every batch.
         let Some(send) = send.take() else { return };
@@ -117,7 +89,7 @@ where
             let mut batch = Vec::with_capacity(BATCH);
             let mut last = false;
             while batch.len() < BATCH {
-                match catch_unwind(AssertUnwindSafe(&mut produce)) {
+                match catch_unwind(AssertUnwindSafe(&mut **produce)) {
                     Ok(Some(item)) => batch.push(item),
                     Ok(None) => {
                         last = true;
@@ -136,82 +108,15 @@ where
             }
         }
     };
-    // SAFETY: the stage dereferences the erased reference only after
-    // taking it out of `st.job` under the lock, and then counts itself
-    // in `st.running` until it has finished with it. `Release` below
-    // withdraws a job the stage has not taken and otherwise blocks until
-    // `st.running` is false, and it runs when this function leaves by any
-    // path, unwinding included. So `job`, and everything it borrows,
-    // outlives every use the stage makes of it, and the stage has no
-    // access to it while this thread might touch it again.
-    let erased =
-        unsafe { std::mem::transmute::<&mut (dyn FnMut() + Send), &'static mut Job>(&mut job) };
-    st.busy = true;
-    st.job = Some(erased);
-    drop(st);
-    WORK.notify_one();
-
-    /// Waits out the stage's job and frees the stage on drop.
-    struct Release;
-    impl Drop for Release {
-        fn drop(&mut self) {
-            let mut st = lock(&STATE);
-            st.job = None;
-            while st.running {
-                st = DONE.wait(st).unwrap_or_else(PoisonError::into_inner);
-            }
-            st.busy = false;
+    // The caller owns `receive`, so a panic in `consume` drops it before
+    // the claim waits for the stage: a stage blocked on a full channel
+    // then fails its send and ends its job.
+    claim.run(&job, move || {
+        for batch in receive {
+            batch.into_iter().for_each(&mut consume);
         }
-    }
-    let release = Release;
-    // Bound after `release`, so a panic in `consume` drops it first: a
-    // stage blocked on a full channel then fails its send and ends its
-    // loop before `release` waits for it.
-    let receive = receive;
-    for batch in &receive {
-        batch.into_iter().for_each(&mut consume);
-    }
-    drop(receive);
-    drop(release);
+    });
     if let Some(payload) = failed.into_inner().unwrap_or_else(PoisonError::into_inner) {
         resume_unwind(payload);
-    }
-}
-
-/// Start the stage thread; false when the OS refuses a thread (runs then
-/// take the interleaved loop).
-fn spawn_stage() -> bool {
-    std::thread::Builder::new()
-        .name("booters-par-stage".into())
-        .spawn(stage_loop)
-        .is_ok()
-}
-
-/// The stage's whole life: wait for a job, run it, flush its metrics,
-/// report done, repeat.
-fn stage_loop() {
-    // Everything the stage runs is pool work: `par_*` calls made by a
-    // producer take the sequential path instead of contending with the
-    // caller's dispatches for the helpers.
-    let _in_pool = crate::enter_pool();
-    loop {
-        let job = {
-            let mut st = lock(&STATE);
-            loop {
-                if let Some(job) = st.job.take() {
-                    st.running = true;
-                    break job;
-                }
-                st = WORK.wait(st).unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        // Jobs catch their producer's panics themselves; this only keeps
-        // the stage alive, and `running` honest, if one ever escapes.
-        let _ = catch_unwind(AssertUnwindSafe(job));
-        // Before reporting done: the caller may snapshot the registry as
-        // soon as the run returns.
-        booters_obs::flush();
-        lock(&STATE).running = false;
-        DONE.notify_all();
     }
 }

@@ -357,22 +357,44 @@ impl MultiplierCheck {
 /// not evidence of forgery), so runs are broken only by a non-zero,
 /// non-divisible value.
 pub fn prime_multiplier_check(series: &[u64]) -> MultiplierCheck {
-    let mut longest_runs = Vec::with_capacity(PRIMES_BELOW_50.len());
-    for &p in &PRIMES_BELOW_50 {
-        let mut best = 0usize;
-        let mut run = 0usize;
+    /// The longest run of values divisible by `P`. A constant divisor
+    /// compiles to a multiplication instead of a 64-bit division, which
+    /// was most of the check's cost.
+    fn longest_run<const P: u64>(series: &[u64]) -> usize {
+        let (mut best, mut run) = (0, 0);
         for &v in series {
-            if v % p == 0 {
+            if v % P == 0 {
                 run += 1;
                 best = best.max(run);
             } else {
                 run = 0;
             }
         }
-        longest_runs.push((p, best));
+        best
     }
+    const RUNS: [fn(&[u64]) -> usize; PRIMES_BELOW_50.len()] = [
+        longest_run::<{ PRIMES_BELOW_50[0] }>,
+        longest_run::<{ PRIMES_BELOW_50[1] }>,
+        longest_run::<{ PRIMES_BELOW_50[2] }>,
+        longest_run::<{ PRIMES_BELOW_50[3] }>,
+        longest_run::<{ PRIMES_BELOW_50[4] }>,
+        longest_run::<{ PRIMES_BELOW_50[5] }>,
+        longest_run::<{ PRIMES_BELOW_50[6] }>,
+        longest_run::<{ PRIMES_BELOW_50[7] }>,
+        longest_run::<{ PRIMES_BELOW_50[8] }>,
+        longest_run::<{ PRIMES_BELOW_50[9] }>,
+        longest_run::<{ PRIMES_BELOW_50[10] }>,
+        longest_run::<{ PRIMES_BELOW_50[11] }>,
+        longest_run::<{ PRIMES_BELOW_50[12] }>,
+        longest_run::<{ PRIMES_BELOW_50[13] }>,
+        longest_run::<{ PRIMES_BELOW_50[14] }>,
+    ];
     MultiplierCheck {
-        longest_runs,
+        longest_runs: PRIMES_BELOW_50
+            .iter()
+            .zip(RUNS)
+            .map(|(&p, run)| (p, run(series)))
+            .collect(),
         len: series.len(),
     }
 }
@@ -579,6 +601,33 @@ mod tests {
         let check = prime_multiplier_check(&series);
         let seven = check.longest_runs.iter().find(|&&(p, _)| p == 7).unwrap();
         assert_eq!(seven.1, 4);
+    }
+
+    #[test]
+    fn multiplier_check_equals_division_by_each_prime() {
+        // Multiples of products of small primes, zeros and arbitrary
+        // 64-bit values, against the plain runtime-divisor loop.
+        let mut r = rng();
+        for len in [0usize, 1, 7, 200] {
+            let series: Vec<u64> = (0..len)
+                .map(|i| match i % 5 {
+                    0 => 0,
+                    1 => r.gen(),
+                    2 => u64::MAX - r.gen_range(0u64..50),
+                    _ => PRIMES_BELOW_50[r.gen_range(0usize..15)] * r.gen_range(0..u64::MAX / 47),
+                })
+                .collect();
+            let check = prime_multiplier_check(&series);
+            assert_eq!(check.len, len);
+            for (&p, &(q, run)) in PRIMES_BELOW_50.iter().zip(&check.longest_runs) {
+                let (mut best, mut cur) = (0, 0);
+                for &v in &series {
+                    cur = if v % p == 0 { cur + 1 } else { 0 };
+                    best = best.max(cur);
+                }
+                assert_eq!((q, run), (p, best), "len={len}");
+            }
+        }
     }
 
     #[test]
