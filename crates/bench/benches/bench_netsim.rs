@@ -1,5 +1,5 @@
 //! Netsim benchmarks: packet generation, flow grouping throughput, and
-//! the fast observation path.
+//! the fast observation path with its weekly list rescans.
 //!
 //! Run with `BENCH_JSON=BENCH_netsim.json cargo bench --offline -p
 //! booters-bench --bench bench_netsim` to append to the recorded
@@ -38,6 +38,35 @@ fn bench_would_observe(c: &mut Criterion) {
             let mut engine = Engine::new(EngineConfig::default());
             let observed = cmds.iter().filter(|c| engine.would_observe(c)).count();
             black_box(observed)
+        })
+    });
+    group.finish();
+}
+
+/// A year of the Aggregate observer's probes: each of 200 booters (every
+/// ninth avoiding the honeypots) probed once a week, so every probe after
+/// the first rescans the booter's list.
+fn bench_weekly_rescans(c: &mut Criterion) {
+    const WEEK: u64 = 7 * 86_400;
+    let probes: Vec<AttackCommand> = (0..52u64)
+        .flat_map(|week| {
+            (0..200u32).map(move |i| AttackCommand {
+                time: week * WEEK + u64::from(i) * 60,
+                victim: VictimAddr::from_octets(25, 4, i as u8, 1),
+                protocol: UdpProtocol::ALL[i as usize % UdpProtocol::ALL.len()],
+                duration_secs: 300,
+                packets_per_second: 50_000,
+                booter: i,
+                avoids_honeypots: i % 9 == 0,
+            })
+        })
+        .collect();
+    let mut group = c.benchmark_group("netsim");
+    group.throughput(Throughput::Elements(probes.len() as u64));
+    group.bench_function("weekly_rescan_probes", |b| {
+        b.iter(|| {
+            let mut engine = Engine::new(EngineConfig::default());
+            black_box(probes.iter().filter(|c| engine.would_observe(c)).count())
         })
     });
     group.finish();
@@ -163,6 +192,7 @@ fn bench_attribution(c: &mut Criterion) {
 bench_group!(
     benches,
     bench_would_observe,
+    bench_weekly_rescans,
     bench_packet_generation,
     bench_flow_grouping,
     bench_full_packets_week,

@@ -15,7 +15,7 @@ use crate::pipeline::{
     fit_countries, fit_country, fit_global, CountryResult, EffectSize, GlobalModelResult,
     PipelineConfig, PipelineError,
 };
-use booters_glm::summary::{negbin_summary, push_fixed, push_left};
+use booters_glm::summary::{negbin_summary, push_fixed, push_left, push_whole};
 use booters_market::calibration::Calibration;
 use booters_market::events;
 use booters_netsim::{Country, UdpProtocol};
@@ -201,7 +201,8 @@ pub fn fig1_csv(ds: &HoneypotDataset) -> String {
             .find(|(d, _)| *d == date)
             .map(|(_, n)| *n)
             .unwrap_or("");
-        let _ = write!(out, "{date},");
+        date.push_iso(&mut out);
+        out.push(',');
         push_fixed(&mut out, v, 0, 0);
         out.push(',');
         out.push_str(label);
@@ -222,7 +223,8 @@ pub fn fig2_csv(result: &GlobalModelResult) -> String {
     let mut out = String::from("week,observed,fitted,intervention_active\n");
     for (i, (date, v)) in result.series.iter().enumerate() {
         let active = dummies.iter().any(|d| d[i] == 1.0);
-        let _ = write!(out, "{date},");
+        date.push_iso(&mut out);
+        out.push(',');
         push_fixed(&mut out, v, 0, 0);
         out.push(',');
         push_fixed(&mut out, fitted[i], 0, 0);
@@ -251,7 +253,7 @@ pub fn fig3_csv(ds: &HoneypotDataset) -> String {
     out.push('\n');
     let columns = countries.map(|c| ds.country(c).values());
     for (i, (date, _)) in ds.global.iter().enumerate() {
-        let _ = write!(out, "{date}");
+        date.push_iso(&mut out);
         for column in &columns {
             out.push(',');
             push_fixed(&mut out, column[i], 0, 0);
@@ -296,7 +298,8 @@ pub fn fig5_csv(ds: &HoneypotDataset) -> (String, Fig5Slopes) {
     for i in 0..uk.len() {
         let date = uk.week_date(i);
         let active = date >= nca.date.week_start() && date < nca_end;
-        let _ = write!(out, "{date},");
+        date.push_iso(&mut out);
+        out.push(',');
         push_fixed(&mut out, us.get(i), 0, 1);
         out.push(',');
         push_fixed(&mut out, uk.get(i), 0, 1);
@@ -372,7 +375,7 @@ pub fn fig6_csv(ds: &HoneypotDataset) -> String {
     out.push('\n');
     let columns = UdpProtocol::ALL.map(|p| ds.protocol(p).values());
     for (i, (date, _)) in ds.global.iter().enumerate() {
-        let _ = write!(out, "{date}");
+        date.push_iso(&mut out);
         for column in &columns {
             out.push(',');
             push_fixed(&mut out, column[i], 0, 0);
@@ -441,26 +444,30 @@ pub fn fig7_csv(sr: &SelfReportDataset, n_weeks: usize) -> String {
     let mut out = String::from("week");
     for &id in &ids {
         out.push_str(",booter_");
-        push_fixed(&mut out, id.into(), 0, 0);
+        push_whole(&mut out, id.into());
     }
     out.push('\n');
-    // One cursor per booter over its increments, in week order.
-    let mut columns: Vec<_> = sr
-        .all_increments()
-        .map(Iterator::peekable)
-        .collect();
-    out.reserve(n_weeks * (11 + 2 * ids.len()));
+    // Week-major grid of the increments, filled one booter at a time:
+    // one pass over each counter history instead of a cursor step per
+    // cell.
+    let cols = ids.len();
+    let mut grid = vec![0u64; n_weeks * cols];
+    for (col, increments) in sr.all_increments().enumerate() {
+        for (week, inc) in increments.take_while(|&(week, _)| week < n_weeks) {
+            grid[week * cols + col] = inc;
+        }
+    }
+    out.reserve(n_weeks * (11 + 2 * cols));
     let mut monday = sr.start;
     for w in 0..n_weeks {
-        let _ = write!(out, "{monday}");
-        for column in &mut columns {
-            match column.next_if(|&(week, _)| week == w) {
-                Some((_, inc)) if inc != 0 => {
-                    out.push(',');
-                    push_fixed(&mut out, inc as f64, 0, 0);
-                }
-                // Most booters report nothing in most weeks.
-                _ => out.push_str(",0"),
+        monday.push_iso(&mut out);
+        for &inc in &grid[w * cols..(w + 1) * cols] {
+            // Most booters report nothing in most weeks.
+            if inc == 0 {
+                out.push_str(",0");
+            } else {
+                out.push(',');
+                push_whole(&mut out, inc);
             }
         }
         out.push('\n');

@@ -4,7 +4,7 @@
 use booters_glm::irls::{fit_irls, IrlsOptions};
 use booters_glm::negbin::{fit_negbin, NegBinOptions};
 use booters_glm::ols::fit_simple;
-use booters_glm::summary::push_fixed;
+use booters_glm::summary::{push_fixed, push_whole};
 use booters_glm::{LogLink, NegBin2, PoissonFamily};
 use booters_linalg::Matrix;
 use booters_stats::special::digamma;
@@ -249,5 +249,14 @@ forall! {
             push_fixed(&mut fast, v, width, prec);
             prop_assert_eq!(fast, format!("{v:>width$.prec$}"));
         }
+    }
+
+    fn push_whole_matches_to_string(n in any::<u64>(), digits in 0u32..20) {
+        // Every digit count, not only the 19- and 20-digit values most
+        // random words have.
+        let n = if digits == 0 { n } else { n % 10u64.pow(digits) };
+        let mut fast = String::from("x");
+        push_whole(&mut fast, n);
+        prop_assert_eq!(fast, format!("x{n}"));
     }
 }

@@ -24,7 +24,7 @@ use crate::flow::{group_logs, sort_flows, Flow, VictimKey};
 use crate::packet::{CommandLog, SensorPacket};
 use crate::protocol::UdpProtocol;
 use crate::reflector::{ReplayOrder, SensorConfig, SensorFleet};
-use crate::scanner::{run_scan, ScannerKind};
+use crate::scanner::{draw_scan, Found, ScannerKind};
 use booters_testkit::rngs::StdRng;
 use booters_testkit::{Rng, SeedableRng};
 use std::collections::hash_map::Entry;
@@ -121,25 +121,46 @@ impl ListState {
     }
 }
 
+/// The two honeypot lists nearly every scan yields — the whole fleet
+/// and none — shared by every booter that holds one, so a rescan that
+/// finds one of them only bumps a reference count.
+#[derive(Debug)]
+struct SharedLists {
+    whole_fleet: Arc<[u32]>,
+    none: Arc<[u32]>,
+}
+
 /// Scan for a booter's reflector list. Avoiding booters fingerprint the
 /// fleet: with probability 1−leak the scan filters every honeypot out,
 /// so per-attack coverage for these booters ≈ the leak rate (vDOS'
-/// 'SUDP' was seen at 9%).
+/// 'SUDP' was seen at 9%). A list is built only when the scan missed a
+/// sensor, which takes a `scan_effort` below 0.25.
 fn scan_list(
     config: &EngineConfig,
-    sensors: u32,
+    shared: &SharedLists,
     protocol: UdpProtocol,
     avoids: bool,
     now: u64,
     rng: &mut StdRng,
 ) -> ListState {
-    let mut list = run_scan(protocol, ScannerKind::Booter, config.scan_effort, sensors, rng);
-    if avoids && rng.gen::<f64>() >= config.avoidance_leak {
-        list.honeypots.clear();
-    }
+    let leak = avoids.then_some(config.avoidance_leak);
+    let sensors = shared.whole_fleet.len() as u32;
+    let (real_reflectors, found) = draw_scan(
+        protocol,
+        ScannerKind::Booter,
+        config.scan_effort,
+        sensors,
+        leak,
+        rng,
+    );
+    let honeypots = match found {
+        Found::None => Arc::clone(&shared.none),
+        Found::All => Arc::clone(&shared.whole_fleet),
+        Found::Some(ids) => ids.into(),
+    };
     ListState {
-        honeypots: list.honeypots.into(),
-        real_reflectors: list.real_reflectors,
+        honeypots,
+        real_reflectors,
         refreshed_at: now,
     }
 }
@@ -150,14 +171,20 @@ pub struct Engine {
     config: EngineConfig,
     fleet: SensorFleet,
     rng: StdRng,
+    shared: SharedLists,
     lists: HashMap<(u32, UdpProtocol), ListState>,
 }
 
 impl Engine {
     /// Create an engine.
     pub fn new(config: EngineConfig) -> Engine {
+        let fleet = SensorFleet::new(config.sensors);
         Engine {
-            fleet: SensorFleet::new(config.sensors),
+            shared: SharedLists {
+                whole_fleet: (0..fleet.sensor_count()).collect(),
+                none: Arc::new([]),
+            },
+            fleet,
             rng: StdRng::seed_from_u64(config.seed),
             config,
             lists: HashMap::new(),
@@ -172,8 +199,8 @@ impl Engine {
     /// The booter's current reflector list for a protocol, rescanning if
     /// stale.
     fn list_for(&mut self, booter: u32, protocol: UdpProtocol, now: u64, avoids: bool) -> &ListState {
-        let Engine { config, fleet, rng, lists } = self;
-        let mut scan = || scan_list(config, fleet.sensor_count(), protocol, avoids, now, rng);
+        let Engine { config, shared, rng, lists, .. } = self;
+        let mut scan = || scan_list(config, shared, protocol, avoids, now, rng);
         match lists.entry((booter, protocol)) {
             Entry::Occupied(e) => {
                 let st = e.into_mut();
@@ -480,6 +507,7 @@ mod tests {
     use super::*;
     use crate::addr::Country;
     use crate::flow::{classify_flows, FlowClass};
+    use crate::scanner::run_scan;
 
     fn cmd(time: u64, protocol: UdpProtocol, booter: u32) -> AttackCommand {
         AttackCommand {
@@ -741,6 +769,50 @@ mod tests {
             let mut flows = group_logs(logs[0].victim, logs[0].protocol, &logs);
             sort_flows(&mut flows);
             booters_testkit::prop_assert_eq!(flows, crate::flow::group_flows_par(&packets, VictimKey::ByIp));
+        }
+    }
+
+    booters_testkit::forall! {
+        #![cases(256)]
+
+        fn rescans_make_run_scans_draws_and_share_the_whole_fleet(
+            effort in 0.001f64..=1.0,
+            low in booters_testkit::any::<bool>(),
+            leak in 0.0f64..=1.0,
+            avoids in booters_testkit::any::<bool>(),
+            sensors in 0u32..=80,
+            seed in booters_testkit::any::<u64>(),
+        ) {
+            // Half the cases below 0.25, where scans miss sensors.
+            let scan_effort = if low { effort * 0.25 } else { effort };
+            let protocol = UdpProtocol::ALL[(seed % 10) as usize];
+            let mut e = Engine::new(EngineConfig {
+                sensors: SensorConfig { sensors, ..SensorConfig::default() },
+                scan_effort,
+                avoidance_leak: leak,
+                seed,
+                ..EngineConfig::default()
+            });
+            let mut oracle = e.rng.clone();
+            // The first probe scans; each one a week later rescans.
+            for week in 0..4u64 {
+                let st = e.list_for(3, protocol, week * 7 * 86_400, avoids).clone();
+                let mut expected =
+                    run_scan(protocol, ScannerKind::Booter, scan_effort, sensors, &mut oracle);
+                if avoids && oracle.gen::<f64>() >= leak {
+                    expected.honeypots.clear();
+                }
+                booters_testkit::prop_assert_eq!(&st.honeypots[..], &expected.honeypots[..]);
+                booters_testkit::prop_assert_eq!(st.real_reflectors, expected.real_reflectors);
+                booters_testkit::prop_assert_eq!(&e.rng, &oracle);
+                if st.honeypots.len() == sensors as usize {
+                    let whole = Arc::ptr_eq(&st.honeypots, &e.shared.whole_fleet);
+                    let none = Arc::ptr_eq(&st.honeypots, &e.shared.none);
+                    booters_testkit::prop_assert!(whole || (sensors == 0 && none));
+                } else if st.honeypots.is_empty() {
+                    booters_testkit::prop_assert!(Arc::ptr_eq(&st.honeypots, &e.shared.none));
+                }
+            }
         }
     }
 

@@ -54,7 +54,51 @@ pub fn run_scan<R: Rng + ?Sized>(
     sensor_count: u32,
     rng: &mut R,
 ) -> ReflectorList {
-    assert!(scan_effort > 0.0 && scan_effort <= 1.0, "scan_effort={scan_effort}");
+    let (real_reflectors, found) = draw_scan(protocol, kind, scan_effort, sensor_count, None, rng);
+    let honeypots = match found {
+        Found::None => Vec::new(),
+        Found::All => (0..sensor_count).collect(),
+        Found::Some(ids) => ids,
+    };
+    ReflectorList {
+        protocol,
+        real_reflectors,
+        honeypots,
+    }
+}
+
+/// The honeypot sensors one scan kept in its list.
+#[derive(Debug)]
+pub(crate) enum Found {
+    /// No sensor: a white-hat scan, a scan that missed every sensor, or a
+    /// list an avoiding booter filtered.
+    None,
+    /// Every sensor of the fleet, `0..sensor_count`.
+    All,
+    /// Some but not all sensors, ascending.
+    Some(Vec<u32>),
+}
+
+/// The draws of one scan, in their fixed order: the normal draw for the
+/// real reflectors found, then (booter scans only) one uniform per
+/// sensor, then, given an `avoidance_leak`, the avoiding booter's draw —
+/// with probability 1−leak it filters every honeypot out.
+///
+/// At the default scan effort every sensor is found: that scan returns
+/// [`Found::All`] and allocates nothing. Ids are collected only once a
+/// sensor has been missed (DESIGN.md §5k).
+pub(crate) fn draw_scan<R: Rng + ?Sized>(
+    protocol: UdpProtocol,
+    kind: ScannerKind,
+    scan_effort: f64,
+    sensor_count: u32,
+    avoidance_leak: Option<f64>,
+    rng: &mut R,
+) -> (usize, Found) {
+    assert!(
+        scan_effort > 0.0 && scan_effort <= 1.0,
+        "scan_effort={scan_effort}"
+    );
     let population = protocol.real_reflector_population();
     // Binomial draw approximated by per-unit Bernoulli on a capped sample
     // for efficiency at large populations.
@@ -65,20 +109,30 @@ pub fn run_scan<R: Rng + ?Sized>(
         let draw = expected + sd * booters_sample_normal(rng);
         draw.round().clamp(0.0, population as f64) as usize
     };
-    let honeypots = match kind {
-        ScannerKind::WhiteHat => Vec::new(),
+    let found = match kind {
+        ScannerKind::WhiteHat => Found::None,
         ScannerKind::Booter => {
             // Honeypots answer eagerly, so a booter scan finds (almost) the
             // whole fleet even at moderate effort.
             let p_each = (scan_effort * 4.0).min(1.0);
-            (0..sensor_count).filter(|_| rng.gen::<f64>() < p_each).collect()
+            let mut partial: Option<Vec<u32>> = None;
+            for sensor in 0..sensor_count {
+                let hit = rng.gen::<f64>() < p_each;
+                match (&mut partial, hit) {
+                    (Some(ids), true) => ids.push(sensor),
+                    (Some(_), false) | (None, true) => {}
+                    (None, false) => partial = Some((0..sensor).collect()),
+                }
+            }
+            match partial {
+                None => Found::All,
+                Some(ids) if ids.is_empty() => Found::None,
+                Some(ids) => Found::Some(ids),
+            }
         }
     };
-    ReflectorList {
-        protocol,
-        real_reflectors: real_found,
-        honeypots,
-    }
+    let avoided = avoidance_leak.is_some_and(|leak| rng.gen::<f64>() >= leak);
+    (real_found, if avoided { Found::None } else { found })
 }
 
 /// Standard normal draw (kept local to avoid a stats dependency here).
@@ -148,6 +202,65 @@ mod tests {
     fn zero_effort_rejected() {
         let mut r = rng();
         run_scan(UdpProtocol::Dns, ScannerKind::Booter, 0.0, 10, &mut r);
+    }
+
+    /// The scan as first written, kept as the reference: the found ids
+    /// collected one draw at a time, then cleared by an avoiding
+    /// booter's draw.
+    fn reference_scan(
+        protocol: UdpProtocol,
+        scan_effort: f64,
+        sensors: u32,
+        avoidance_leak: Option<f64>,
+        rng: &mut StdRng,
+    ) -> (usize, Vec<u32>) {
+        let population = protocol.real_reflector_population();
+        let expected = population as f64 * scan_effort;
+        let sd = (expected * (1.0 - scan_effort)).sqrt();
+        let draw = expected + sd * booters_sample_normal(rng);
+        let real = draw.round().clamp(0.0, population as f64) as usize;
+        let p_each = (scan_effort * 4.0).min(1.0);
+        let mut ids: Vec<u32> = (0..sensors).filter(|_| rng.gen::<f64>() < p_each).collect();
+        if avoidance_leak.is_some_and(|leak| rng.gen::<f64>() >= leak) {
+            ids.clear();
+        }
+        (real, ids)
+    }
+
+    booters_testkit::forall! {
+        #![cases(512)]
+
+        fn draw_scan_equals_the_reference_scan(
+            effort in 0.001f64..=1.0,
+            low in booters_testkit::any::<bool>(),
+            leak in 0.0f64..=1.0,
+            avoids in booters_testkit::any::<bool>(),
+            sensors in 0u32..=80,
+            seed in booters_testkit::any::<u64>(),
+        ) {
+            // Half the cases below 0.25, where scans miss sensors.
+            let scan_effort = if low { effort * 0.25 } else { effort };
+            let protocol = UdpProtocol::ALL[(seed % 10) as usize];
+            let leak = avoids.then_some(leak);
+            let mut r = StdRng::seed_from_u64(seed);
+            let mut oracle = r.clone();
+            let (real, found) =
+                draw_scan(protocol, ScannerKind::Booter, scan_effort, sensors, leak, &mut r);
+            let (expected_real, expected) =
+                reference_scan(protocol, scan_effort, sensors, leak, &mut oracle);
+            let ids: Vec<u32> = match found {
+                Found::None => Vec::new(),
+                Found::All => (0..sensors).collect(),
+                // A partial list is neither empty nor the whole fleet.
+                Found::Some(ids) => {
+                    booters_testkit::prop_assert!(!ids.is_empty() && ids.len() < sensors as usize);
+                    ids
+                }
+            };
+            booters_testkit::prop_assert_eq!(ids, expected);
+            booters_testkit::prop_assert_eq!(real, expected_real);
+            booters_testkit::prop_assert_eq!(r, oracle);
+        }
     }
 
     #[test]

@@ -134,16 +134,38 @@ impl Date {
 }
 
 impl fmt::Display for Date {
-    /// ISO `YYYY-MM-DD`. Four-digit years, every year a report shows,
-    /// are written from a byte buffer: the renderers print a date per
-    /// row, and the general formatter was a large share of their cost.
+    /// ISO `YYYY-MM-DD`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.iso_bytes() {
+            Some(buf) => f.write_str(std::str::from_utf8(&buf).expect("ASCII digits")),
+            None => write!(f, "{:04}-{:02}-{:02}", self.year, self.month, self.day),
+        }
+    }
+}
+
+impl Date {
+    /// Append the date to `out` exactly as its `Display` renders it, past
+    /// the general formatter: the renderers print a date per row, and
+    /// the formatter was a large share of their cost.
+    pub fn push_iso(&self, out: &mut String) {
+        match self.iso_bytes() {
+            Some(buf) => out.extend(buf.iter().map(|&b| char::from(b))),
+            None => {
+                use fmt::Write as _;
+                let _ = write!(out, "{self}");
+            }
+        }
+    }
+
+    /// `YYYY-MM-DD` as bytes, for four-digit years (every year a report
+    /// shows); `None` for the rest.
+    fn iso_bytes(&self) -> Option<[u8; 10]> {
         if !(0..=9999).contains(&self.year) {
-            return write!(f, "{:04}-{:02}-{:02}", self.year, self.month, self.day);
+            return None;
         }
         let digit = |n: u32, place: u32| b'0' + (n / place % 10) as u8;
         let (y, m, d) = (self.year as u32, self.month as u32, self.day as u32);
-        let buf = [
+        Some([
             digit(y, 1000),
             digit(y, 100),
             digit(y, 10),
@@ -154,8 +176,7 @@ impl fmt::Display for Date {
             b'-',
             digit(d, 10),
             digit(d, 1),
-        ];
-        f.write_str(std::str::from_utf8(&buf).expect("ASCII digits"))
+        ])
     }
 }
 
@@ -268,9 +289,15 @@ mod tests {
     #[test]
     fn display_is_zero_padded_iso() {
         let general = |d: Date| format!("{:04}-{:02}-{:02}", d.year(), d.month(), d.day());
+        let check = |d: Date| {
+            assert_eq!(d.to_string(), general(d));
+            let mut pushed = String::from("x");
+            d.push_iso(&mut pushed);
+            assert_eq!(pushed, format!("x{}", general(d)));
+        };
         let mut d = Date::new(1999, 12, 1);
         while d < Date::new(2031, 2, 1) {
-            assert_eq!(d.to_string(), general(d));
+            check(d);
             d = d.add_days(1);
         }
         for d in [
@@ -279,7 +306,7 @@ mod tests {
             Date::new(10_000, 1, 1),
             Date::new(-44, 3, 15),
         ] {
-            assert_eq!(d.to_string(), general(d));
+            check(d);
         }
         assert_eq!(Date::new(2018, 4, 24).to_string(), "2018-04-24");
     }
