@@ -124,60 +124,9 @@ fn bench_readers(c: &mut Criterion) {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Decoded-chunk cache economics (DESIGN.md §5i): the same pruned-window
-/// scan cold (cache cleared before every iteration, so each one pays
-/// read + CRC + varint decode) against warm (working set resident, so
-/// each one pays only selection + materialization), then warm scans with
-/// 1/2/4/8 readers sharing one engine's resident working set.
-fn bench_cache(c: &mut Criterion) {
-    let (path, rows) = sample_store("cache.bstore");
-    let prev = booters_store::set_cache_bytes(8 << 20);
-    {
-        let eng = QueryEngine::open(&path).unwrap();
-        // The analysis shape the cache serves best: a pruned time window
-        // plus a row-level protocol selection. Cold must decode every
-        // surviving chunk in full either way; warm pays only selection
-        // and the (much smaller) matched-row materialization.
-        let narrow = narrow_window().with_protocols(&[UdpProtocol::Ntp]);
-        let mut group = c.benchmark_group("query_cache");
-        group.sample_size(20);
-        group.throughput(Throughput::Elements(rows as u64));
-        group.bench_function("pruned_window_cold", |b| {
-            b.iter(|| {
-                booters_store::cache::clear();
-                black_box(eng.scan(&narrow).unwrap().rows.len())
-            })
-        });
-        // Prime once; every iteration below is all hits.
-        let _ = eng.scan(&narrow).unwrap();
-        group.bench_function("pruned_window_warm", |b| {
-            b.iter(|| black_box(eng.scan(&narrow).unwrap().rows.len()))
-        });
-        for readers in [1usize, 2, 4, 8] {
-            group.throughput(Throughput::Elements(readers as u64));
-            group.bench_function(&format!("warm_shared_scans_{readers}_readers"), |b| {
-                b.iter(|| {
-                    let handles: Vec<_> = (0..readers)
-                        .map(|_| {
-                            let eng = eng.clone();
-                            let pred = narrow.clone();
-                            std::thread::spawn(move || eng.scan(&pred).unwrap().rows.len())
-                        })
-                        .collect();
-                    let total: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-                    black_box(total)
-                })
-            });
-        }
-        group.finish();
-    }
-    booters_store::set_cache_bytes(prev);
-    let _ = std::fs::remove_file(&path);
-}
-
 bench_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_pruning, bench_group_by_week, bench_readers, bench_cache
+    targets = bench_pruning, bench_group_by_week, bench_readers
 }
 bench_main!(benches);

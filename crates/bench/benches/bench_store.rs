@@ -1,8 +1,9 @@
 //! Storage-layer benchmarks: chunked-columnar ingest throughput (MB/s and
 //! packets/s), codec encode/decode cost, whole-file scan speed (with the
 //! achieved compression ratio embedded in the benchmark name so it lands
-//! in `BENCH_store.json`), per-kernel fast-vs-oracle timings (SWAR
-//! decode, slice-by-8 CRC, radix sort — DESIGN.md §5f), and out-of-core
+//! in `BENCH_store.json`), per-kernel fast-vs-oracle timings (slice-by-8
+//! CRC, SWAR delta decode, batched column encode — DESIGN.md §5f), the
+//! canonical flow sort, and out-of-core
 //! vs in-memory flow grouping wall time under a spill-forcing budget.
 //!
 //! Run with `BENCH_JSON=BENCH_store.json cargo bench --offline -p
@@ -11,9 +12,10 @@
 use booters_netsim::flow::VictimKey;
 use booters_netsim::packet::SensorPacket;
 use booters_netsim::{group_flows_par, AttackCommand, Engine, EngineConfig, UdpProtocol, VictimAddr};
+use booters_store::varint::{decode_deltas, decode_deltas_scalar, encode_u64, zigzag};
 use booters_store::{
-    decode_chunk, encode_chunk, group_out_of_core, ChunkReader, ChunkWriter, SpillConfig,
-    PACKET_BYTES,
+    decode_chunk, encode_chunk, encode_chunk_scalar, group_out_of_core, ChunkReader, ChunkWriter,
+    SpillConfig, PACKET_BYTES,
 };
 use booters_testkit::bench::{Criterion, Throughput};
 use booters_testkit::{bench_group, bench_main};
@@ -116,8 +118,8 @@ fn bench_scan(c: &mut Criterion) {
 }
 
 /// Each fast kernel timed against its scalar oracle on the same input,
-/// so the JSON trajectory records the speedup ratio per kernel
-/// (DESIGN.md §5f), not just the end-to-end effect.
+/// both called directly, so the JSON trajectory records the speedup
+/// ratio per kernel (DESIGN.md §5f), not just the end-to-end effect.
 fn bench_kernels(c: &mut Criterion) {
     let packets: Vec<SensorPacket> = sample_packets().into_iter().take(4096).collect();
     let encoded = encode_chunk(&packets);
@@ -126,52 +128,56 @@ fn bench_kernels(c: &mut Criterion) {
     group.sample_size(20);
     group.throughput(Throughput::Bytes(encoded.len() as u64));
     group.bench_function("slice8", |b| {
-        b.iter(|| black_box(booters_par::with_scalar_kernels(false, || booters_store::crc32(&encoded))))
+        b.iter(|| black_box(booters_store::crc32(&encoded)))
     });
     group.bench_function("bytewise_oracle", |b| {
         b.iter(|| black_box(booters_store::crc32_bytewise(&encoded)))
     });
     group.finish();
 
+    // The time column of the chunk above, delta-zig-zag encoded.
+    let mut times = Vec::new();
+    let mut prev = 0i64;
+    for p in &packets {
+        encode_u64(zigzag((p.time as i64).wrapping_sub(prev)), &mut times);
+        prev = p.time as i64;
+    }
+    let n = packets.len();
     let mut group = c.benchmark_group("store_kernel_decode");
     group.sample_size(20);
-    group.throughput(Throughput::Elements(packets.len() as u64));
+    group.throughput(Throughput::Elements(n as u64));
     group.bench_function("swar", |b| {
-        b.iter(|| {
-            booters_par::with_scalar_kernels(false, || black_box(decode_chunk(&encoded).unwrap().len()))
-        })
+        b.iter(|| black_box(decode_deltas(&times, n, u64::MAX, "time").unwrap()))
     });
     group.bench_function("scalar_oracle", |b| {
-        b.iter(|| {
-            booters_par::with_scalar_kernels(true, || black_box(decode_chunk(&encoded).unwrap().len()))
-        })
+        b.iter(|| black_box(decode_deltas_scalar(&times, n, u64::MAX, "time").unwrap()))
     });
     group.finish();
 
-    // The run-formation sort, fast vs oracle, via the public sort_flows
-    // entry point on a duplicate-heavy flow set.
+    let mut group = c.benchmark_group("store_kernel_encode");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(n as u64));
+    group.bench_function("batched", |b| {
+        b.iter(|| black_box(encode_chunk(&packets).len()))
+    });
+    group.bench_function("scalar_oracle", |b| {
+        b.iter(|| black_box(encode_chunk_scalar(&packets).len()))
+    });
+    group.finish();
+
+    // The canonical flow sort (a plain comparison sort, so no oracle) on
+    // a duplicate-heavy flow set.
     let mut trace = sample_packets();
     trace.sort_by_key(|p| p.time);
     let flows = group_flows_par(&trace, VictimKey::ByIp);
     let mut group = c.benchmark_group("store_kernel_sort");
     group.sample_size(20);
     group.throughput(Throughput::Elements(flows.len() as u64));
-    group.bench_function("radix", |b| {
-        b.iter(|| {
-            booters_par::with_scalar_kernels(false, || {
-                let mut f = flows.clone();
-                booters_netsim::sort_flows(&mut f);
-                black_box(f.len())
-            })
-        })
-    });
     group.bench_function("comparison_oracle", |b| {
         b.iter(|| {
-            booters_par::with_scalar_kernels(true, || {
-                let mut f = flows.clone();
-                booters_netsim::sort_flows(&mut f);
-                black_box(f.len())
-            })
+            let mut f = flows.clone();
+            booters_netsim::sort_flows(&mut f);
+            black_box(f.len())
         })
     });
     group.finish();

@@ -25,8 +25,8 @@
 use booters_bench::{run_scenario, write_artifact, DEFAULT_SCALE, REPRO_SEED};
 use booters_core::artifacts::{lookup, render, ArtifactSpec, RunContext, REGISTRY};
 use booters_core::runreport::{
-    page_size_from_env, parse_bench_lines, render_html, render_markdown, BenchRecord,
-    ReportInput, RunManifest, ScenarioSection,
+    parse_bench_lines, render_html, render_markdown, BenchRecord, ReportInput, RunManifest,
+    ScenarioSection,
 };
 use booters_core::scenarios::{run_builtin_suite, ScenarioRunConfig};
 use booters_netsim::{AttackCommand, Engine, EngineConfig, SensorPacket, UdpProtocol, VictimAddr};
@@ -45,14 +45,11 @@ const USAGE: &str =
 
 /// Environment settings that change which code paths a run takes,
 /// surfaced in the report manifest.
-const ENV_KNOBS: [&str; 7] = [
+const ENV_KNOBS: [&str; 4] = [
     "BOOTERS_THREADS",
     "BOOTERS_STORE_BUDGET",
     "BOOTERS_PAR_MIN_ITEMS",
     "BOOTERS_OBS",
-    "BOOTERS_QUERY_PAGE",
-    "BOOTERS_SCALAR_KERNELS",
-    "BOOTERS_CACHE_BYTES",
 ];
 
 /// Workspace crates listed in the report manifest (one shared version).
@@ -194,7 +191,6 @@ fn report(scale: f64) -> Result<()> {
         artifacts,
         scenarios: Some(scenarios),
         bench: bench_trajectory(&Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")),
-        page_size: page_size_from_env(),
     };
     write_artifact("report.html", &render_html(&input))?;
     write_artifact("report.md", &render_markdown(&input))?;
@@ -292,9 +288,7 @@ fn query() -> Result<()> {
 
 fn canned_queries(eng: &QueryEngine) -> std::result::Result<(String, String), booters_store::StoreError> {
     let mut report = format!(
-        "decoded-chunk cache budget: {} bytes\n\n\
-         canned pushdown queries over {} chunks / {} packets:\n",
-        booters_store::cache_bytes(),
+        "canned pushdown queries over {} chunks / {} packets:\n",
         eng.chunk_count(),
         eng.total_packets()
     );
@@ -314,8 +308,8 @@ fn canned_queries(eng: &QueryEngine) -> std::result::Result<(String, String), bo
         let pruned = 100.0 * st.chunks_pruned as f64 / st.chunks_total.max(1) as f64;
         let _ = writeln!(
             report,
-            "  {name}: {n} rows; pruned {}/{} chunks ({pruned:.0}%), {} covered, {} decoded, {} cached",
-            st.chunks_pruned, st.chunks_total, st.chunks_covered, st.chunks_decoded, st.chunks_cached,
+            "  {name}: {n} rows; pruned {}/{} chunks ({pruned:.0}%), {} covered, {} decoded",
+            st.chunks_pruned, st.chunks_total, st.chunks_covered, st.chunks_decoded,
         );
     }
     let (panel, st) = eng.group_by_week(&Predicate::all())?;

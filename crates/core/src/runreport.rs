@@ -11,8 +11,8 @@
 //! sort numerically or lexicographically as appropriate, numeric
 //! columns carry an inline header sparkline of their values, and long
 //! tables are paged — each row is stamped with its page by a
-//! [`RowAddressFactory`] (page size from `BOOTERS_QUERY_PAGE`, default
-//! 50) and a small inline pager walks the pages without reloading.
+//! [`RowAddressFactory`] ([`DEFAULT_PAGE_SIZE`] rows per page) and a
+//! small inline pager walks the pages without reloading.
 //!
 //! Rendering is pure string → string: `repro report`
 //! (`crates/bench/src/bin/repro.rs`) gathers the inputs, this module
@@ -98,28 +98,14 @@ pub struct ReportInput {
     pub scenarios: Option<ScenarioSection>,
     /// Benchmark trajectory, in file order then line order.
     pub bench: Vec<BenchRecord>,
-    /// Rows per page in rendered CSV tables (`BOOTERS_QUERY_PAGE`;
-    /// see [`page_size_from_env`]).
-    pub page_size: usize,
 }
 
 // ---------------------------------------------------------------------
 // Paged-table machinery (datavzrd-style row addressing + column types)
 // ---------------------------------------------------------------------
 
-/// Default rows-per-page when `BOOTERS_QUERY_PAGE` is unset.
+/// Rows per page in rendered CSV tables.
 pub const DEFAULT_PAGE_SIZE: usize = 50;
-
-/// Read the report page size from `BOOTERS_QUERY_PAGE` (rows per page
-/// in rendered CSV tables). Unset, unparsable, or zero falls back to
-/// [`DEFAULT_PAGE_SIZE`].
-pub fn page_size_from_env() -> usize {
-    std::env::var("BOOTERS_QUERY_PAGE")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_PAGE_SIZE)
-}
 
 /// Stable address of one data row in a paged table: which page it lands
 /// on and its offset within that page.
@@ -544,7 +530,7 @@ pub fn render_html(input: &ReportInput) -> String {
 
     // Artifacts --------------------------------------------------------
     h.push_str("<h2>Tables &amp; figures</h2>");
-    let pager = RowAddressFactory::new(input.page_size);
+    let pager = RowAddressFactory::new(DEFAULT_PAGE_SIZE);
     for a in &input.artifacts {
         let _ = write!(
             h,
@@ -785,7 +771,6 @@ mod tests {
                 "{\"name\":\"negbin_fit\",\"median_ns\":1935889,\"mad_ns\":205387,\"samples\":20,\"iters_per_sample\":5}\n\
                  {\"name\":\"negbin_cold\",\"median_ns\":4689616,\"mad_ns\":200719,\"samples\":20,\"iters_per_sample\":2}\n",
             ),
-            page_size: DEFAULT_PAGE_SIZE,
         }
     }
 
@@ -873,7 +858,6 @@ mod tests {
                 caption: "paged".into(),
                 body,
             }],
-            page_size: 50,
             ..sample_input()
         };
         let html = render_html(&input);
@@ -887,16 +871,6 @@ mod tests {
         // The pager script ships inline.
         assert!(html.contains("table.paged"));
         assert!(html.contains("__repage"));
-    }
-
-    #[test]
-    fn page_size_knob_defaults_sanely() {
-        // The knob is read by the binary; here we only pin the default
-        // (the var is unset in the test environment).
-        if std::env::var("BOOTERS_QUERY_PAGE").is_err() {
-            assert_eq!(page_size_from_env(), DEFAULT_PAGE_SIZE);
-        }
-        assert_eq!(DEFAULT_PAGE_SIZE, 50);
     }
 
     #[test]

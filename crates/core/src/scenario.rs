@@ -158,7 +158,7 @@ impl Scenario {
 ///
 /// The observation is [`Scenario::run`]'s own (both drive the same
 /// observer), so the result equals `Scenario::run(config).honeypot`
-/// bit for bit at every fidelity, thread count and kernel selection.
+/// bit for bit at every fidelity and thread count.
 ///
 /// Opens no `simulate` span of its own: the scenario suite observes
 /// several markets at once and times that whole phase as one span.

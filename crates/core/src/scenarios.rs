@@ -12,7 +12,7 @@
 //! stream*, so the delta isolates the intervention programme.
 //!
 //! All renderers emit fixed-precision text, and every quantity upstream
-//! is bit-identical across `BOOTERS_THREADS` and kernel selections
+//! is bit-identical across `BOOTERS_THREADS` settings
 //! (DESIGN.md §5b/§5j), so suite outputs are byte-stable goldens —
 //! pinned in `tests/scenario_suite.rs` and by `scripts/verify.sh`.
 

@@ -260,8 +260,8 @@ impl Population {
     /// deterministically (no RNG draws) in the order given, so the
     /// baseline-churn RNG stream below stays aligned with [`Self::step`]
     /// — a scenario run consumes exactly the same random sequence as the
-    /// no-shock run, which is what makes scenario goldens thread- and
-    /// kernel-invariant (DESIGN.md §5j).
+    /// no-shock run, which is what makes scenario goldens
+    /// thread-invariant (DESIGN.md §5j).
     pub fn step_scenario(
         &mut self,
         rng: &mut StdRng,

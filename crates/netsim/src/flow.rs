@@ -419,36 +419,16 @@ impl FlowGrouper {
     }
 }
 
-/// The canonical flow order as a 21-byte big-endian radix key:
-/// `start · victim · protocol · end`, so lexicographic byte order equals
-/// the scalar sort's tuple order.
-fn flow_sort_key(f: &Flow) -> [u8; 21] {
-    let mut k = [0u8; 21];
-    k[..8].copy_from_slice(&f.start.to_be_bytes());
-    k[8..12].copy_from_slice(&f.victim.0.to_be_bytes());
-    k[12] = f.protocol.index() as u8;
-    k[13..].copy_from_slice(&f.end.to_be_bytes());
-    k
-}
-
 /// Sort flows into the canonical, scheduler-independent order:
 /// `(start, victim, protocol, end)`. The tuple is unique per flow — two
 /// flows of the same key are separated by at least [`FLOW_GAP_SECS`], and
 /// flows of different keys differ in victim or protocol — so the result
 /// is one total order regardless of how the flows were produced.
 ///
-/// The hot path is a stable LSD radix sort
-/// ([`crate::radix::radix_sort_by_key`]) on the big-endian key bytes;
-/// the original comparison sort is retained as the differential-testing
-/// oracle, selected by `BOOTERS_SCALAR_KERNELS=1` /
-/// [`booters_par::with_scalar_kernels`]. Both produce the identical
-/// byte sequence — pinned by property tests in `tests/radix.rs`.
+/// A stable comparison sort on that tuple: a full-packet week groups
+/// about four flows, and a radix sort lost even at 329 (DESIGN.md §5f).
 pub fn sort_flows(flows: &mut [Flow]) {
-    if booters_par::scalar_kernels() {
-        flows.sort_by_key(|f| (f.start, f.victim.0, f.protocol.index(), f.end));
-    } else {
-        crate::radix::radix_sort_by_key(flows, flow_sort_key);
-    }
+    flows.sort_by_key(|f| (f.start, f.victim.0, f.protocol.index(), f.end));
 }
 
 /// Group a packet trace into flows in the canonical order.

@@ -34,7 +34,6 @@ pub mod engine;
 pub mod flow;
 pub mod packet;
 pub mod protocol;
-pub mod radix;
 pub mod reflector;
 pub mod scanner;
 pub mod volume;
@@ -47,4 +46,3 @@ pub use flow::{
 };
 pub use packet::SensorPacket;
 pub use protocol::UdpProtocol;
-pub use radix::radix_sort_by_key;

@@ -79,21 +79,12 @@
 //! at about 40 µs each) are the one shape the
 //! item-count cutoff misjudges; [`par_map_coarse`] is the entry point for
 //! them — no item-count cutoff, one item per scheduling unit.
-//!
-//! ## Kernel selection
-//!
-//! The crate also hosts the workspace's runtime switch between optimized
-//! byte-level kernels and their scalar reference oracles
-//! ([`scalar_kernels`] / [`with_scalar_kernels`] /
-//! `BOOTERS_SCALAR_KERNELS`) — see the [`mod@kernels`] module docs.
 
-pub mod kernels;
 mod pool;
 mod seed;
 mod stage;
 mod workers;
 
-pub use kernels::{scalar_kernels, with_scalar_kernels};
 pub use pool::{par_for_each, par_map, par_map_coarse, par_map_collect, par_map_indexed};
 pub use seed::stream_seed;
 pub use stage::pipeline;

@@ -157,10 +157,6 @@ where
         tagged: Vec::with_capacity(items.len()),
         panics: Vec::new(),
     });
-    // Helpers must see the same fast-vs-scalar kernel selection as the
-    // submitting thread (the override is thread-local, and kernels run
-    // inside fanned-out closures — chunk decode, flow grouping).
-    let scalar_kernels = crate::scalar_kernels();
 
     // One worker's loop: pull chunks until the cursor runs out or a task
     // panics. Runs with the pool flag set, so nested calls are sequential.
@@ -191,7 +187,6 @@ where
         done.panics.extend(panicked);
     };
     let helper_job = || {
-        crate::kernels::inherit_kernels(scalar_kernels);
         // The caller takes its first chunk right after waking helpers,
         // so a helper that finds none taken was most likely woken onto
         // the caller's core and preempted it. Hand the core back until

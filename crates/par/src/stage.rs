@@ -50,9 +50,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// on which path ran, provided `produce` and `consume` share no state.
 ///
 /// `produce` runs with the pool flag set, so any `par_*` call it makes
-/// is sequential, and with the caller's kernel selection. Spans it opens
-/// are recorded on the stage thread, outside the caller's span path;
-/// its metrics are flushed before the run returns.
+/// is sequential. Spans it opens are recorded on the stage thread,
+/// outside the caller's span path; its metrics are flushed before the
+/// run returns.
 ///
 /// A panic in `produce` reaches the caller after it has consumed every
 /// item produced before the panic. A panic in `consume` stops the stage
@@ -74,12 +74,10 @@ where
 
     let (send, receive) = mpsc::sync_channel::<Vec<T>>(DEPTH);
     let failed = Mutex::new(None);
-    let scalar_kernels = crate::scalar_kernels();
     // A crew runs `Fn` jobs; the lock lends the one stage thread the
     // producer's `&mut`.
     let producer = Mutex::new((Some(send), &mut produce));
     let job = || {
-        crate::kernels::inherit_kernels(scalar_kernels);
         let mut producer = lock(&producer);
         let (send, produce) = &mut *producer;
         // Dropped when the job ends, which ends the caller's receive

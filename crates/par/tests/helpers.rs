@@ -1,11 +1,8 @@
 //! The parked helpers across dispatches: they outlive a panicking task,
 //! keep nested calls sequential, tolerate concurrent dispatchers and more
-//! threads than cores, and take each dispatcher's kernel selection anew.
+//! threads than cores.
 
-use booters_par::{
-    in_pool, par_map, par_map_coarse, scalar_kernels, threads, with_min_items,
-    with_scalar_kernels, with_threads,
-};
+use booters_par::{in_pool, par_map, par_map_coarse, threads, with_min_items, with_threads};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Barrier;
@@ -132,23 +129,6 @@ fn more_threads_than_cores_still_reduce_in_order() {
             assert_eq!(got, items.iter().map(|x| x * x).collect::<Vec<_>>());
             let coarse = with_threads(8, || par_map_coarse(&items[..9], |&x| x + 1));
             assert_eq!(coarse, (1..10).collect::<Vec<_>>());
-        }
-    });
-}
-
-#[test]
-fn helpers_take_each_dispatchers_kernel_selection_anew() {
-    within_30s(|| {
-        let items: Vec<u32> = (0..16).collect();
-        for _ in 0..10 {
-            let scalar = with_threads(2, || {
-                with_scalar_kernels(true, || par_map_coarse(&items, |_| scalar_kernels()))
-            });
-            assert!(scalar.iter().all(|&s| s));
-            let fast = with_threads(2, || {
-                with_scalar_kernels(false, || par_map_coarse(&items, |_| scalar_kernels()))
-            });
-            assert!(fast.iter().all(|&s| !s), "a helper kept the scalar selection");
         }
     });
 }

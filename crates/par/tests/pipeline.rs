@@ -1,11 +1,9 @@
 //! The two-stage `pipeline`: the parked stage thread hands every item
-//! over in order, runs the producer with the caller's settings, passes a
+//! over in order, keeps the producer's `par_*` calls sequential, passes a
 //! producer's panic to the caller, survives a consumer's panic, and
 //! leaves a second concurrent run to the interleaved loop.
 
-use booters_par::{
-    in_pool, par_map_coarse, pipeline, scalar_kernels, threads, with_scalar_kernels, with_threads,
-};
+use booters_par::{in_pool, par_map_coarse, pipeline, threads, with_threads};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 use std::thread::ThreadId;
@@ -98,27 +96,23 @@ fn produce_runs_on_the_stage_only_at_two_threads_outside_the_pool() {
 }
 
 #[test]
-fn produce_gets_the_callers_kernels_and_sequential_par() {
+fn produce_gets_sequential_par() {
     within_30s(|| {
         let _stage = own_stage();
-        for scalar in [true, false] {
-            let mut seen = Vec::new();
-            with_threads(2, || {
-                with_scalar_kernels(scalar, || {
-                    let mut left = 3;
-                    pipeline(
-                        || {
-                            (left > 0).then(|| {
-                                left -= 1;
-                                (scalar_kernels(), in_pool(), threads())
-                            })
-                        },
-                        |s| seen.push(s),
-                    )
-                })
-            });
-            assert_eq!(seen, vec![(scalar, true, 1); 3], "scalar={scalar}");
-        }
+        let mut seen = Vec::new();
+        with_threads(2, || {
+            let mut left = 3;
+            pipeline(
+                || {
+                    (left > 0).then(|| {
+                        left -= 1;
+                        (in_pool(), threads())
+                    })
+                },
+                |s| seen.push(s),
+            )
+        });
+        assert_eq!(seen, vec![(true, 1); 3]);
     });
 }
 

@@ -5,7 +5,6 @@ use crate::agg::{Column, WeeklyPanel, WEEK_SECS};
 use crate::predicate::Predicate;
 use booters_netsim::flow::VictimKey;
 use booters_netsim::{group_flows_par, FlowClass, SensorPacket};
-use booters_store::cache::{self, StoreId};
 use booters_store::reader::ChunkReader;
 use booters_store::{decode_chunk_columns, ChunkColumns, ChunkInfo, StoreError};
 use std::collections::BTreeMap;
@@ -30,19 +29,6 @@ struct EngineInner {
     /// cursors need no further footer arithmetic.
     extents: Vec<(u64, u64)>,
     total_packets: u64,
-    /// Decoded-chunk cache identity — minted at open, evicted when the
-    /// last clone drops.
-    store_id: StoreId,
-}
-
-impl Drop for EngineInner {
-    fn drop(&mut self) {
-        // Scratch stores are routinely deleted right after their engine
-        // goes away; dropping our entries now keeps the cache free of
-        // dead weight (and ids are never reused, so this is only
-        // hygiene, not correctness).
-        cache::evict_store(self.store_id);
-    }
 }
 
 /// A planned scan: the chunks that survived zone-map pruning.
@@ -71,13 +57,9 @@ pub struct QueryStats {
     /// Chunks answered from footer metadata alone (`count` on a chunk
     /// whose zone map the predicate covers) — read but never decoded.
     pub chunks_covered: u64,
-    /// Chunks actually read and column-decoded.
+    /// Chunks actually read and column-decoded. Conservation:
+    /// `chunks_pruned + chunks_covered + chunks_decoded = chunks_total`.
     pub chunks_decoded: u64,
-    /// Chunks answered from the decoded-chunk cache — planned for
-    /// decode, but served without I/O or varint work (always 0 with
-    /// `BOOTERS_CACHE_BYTES=0`). Conservation: `chunks_pruned +
-    /// chunks_covered + chunks_decoded + chunks_cached = chunks_total`.
-    pub chunks_cached: u64,
     /// Rows examined by column filters (decoded chunks × their rows).
     pub rows_scanned: u64,
     /// Rows matching the predicate (returned, counted, or aggregated).
@@ -93,7 +75,6 @@ impl QueryStats {
         booters_obs::counter_add("query.chunks_pruned", self.chunks_pruned);
         booters_obs::counter_add("query.chunks_covered", self.chunks_covered);
         booters_obs::counter_add("query.chunks_decoded", self.chunks_decoded);
-        booters_obs::counter_add("query.chunks_cached", self.chunks_cached);
         booters_obs::counter_add("query.rows_scanned", self.rows_scanned);
         booters_obs::counter_add("query.rows_returned", self.rows_returned);
     }
@@ -119,12 +100,8 @@ pub struct ScanResult {
 /// chunk reads are positioned (`pread`-style, no cursor), so clones (or
 /// one engine shared by reference) support fully concurrent scans — N
 /// readers, zero shared state, zero per-query `open`s — while per-query
-/// chunk decodes fan out over the `booters-par` executor. With
-/// `BOOTERS_CACHE_BYTES` set, decoded chunks are served from the
-/// process-wide [`cache`] on repeat access (hits are indistinguishable
-/// from misses in content, order, and errors — DESIGN.md §5i; the
-/// [`QueryStats::chunks_cached`] field accounts for them). Results are
-/// identical at every thread count, kernel setting, and cache budget.
+/// chunk decodes fan out over the `booters-par` executor. Results are
+/// identical at every thread count.
 #[derive(Debug, Clone)]
 pub struct QueryEngine {
     inner: Arc<EngineInner>,
@@ -144,7 +121,6 @@ impl QueryEngine {
                 index: reader.index().to_vec(),
                 extents,
                 total_packets: reader.total_packets(),
-                store_id: StoreId::mint(),
             }),
         })
     }
@@ -202,54 +178,22 @@ impl QueryEngine {
     /// Decode the planned chunks as columns and fold each through `f`
     /// (decode + fold fused into one `par_map_coarse` work item per
     /// chunk; submission-order reduction keeps results deterministic).
-    ///
-    /// Chunks resident in the decoded-chunk cache skip both the read and
-    /// the decode — `f` runs on the cached columns, which are identical
-    /// to a fresh decode by construction (DESIGN.md §5i). Element `j` of
-    /// the result is `(f's value, was chunk j a cache hit)`. Lookups
-    /// happen before the parallel region and misses publish after it, in
-    /// plan order, so cache state — and with it every `cache.*` counter —
-    /// is a pure function of the query sequence, never of the schedule.
+    /// Element `j` of the result is `f` over chunk `chunks[j]`; the
+    /// earliest failing chunk's error wins.
     fn fold_chunks<R: Send>(
         &self,
         chunks: &[usize],
         f: impl Fn(&ChunkColumns) -> R + Sync,
-    ) -> Result<Vec<(R, bool)>, StoreError> {
-        enum Slot {
-            Hit(Arc<ChunkColumns>),
-            Raw(Vec<u8>),
-        }
-        let id = self.inner.store_id;
-        let slots: Vec<Slot> = chunks
+    ) -> Result<Vec<R>, StoreError> {
+        let raw: Vec<Vec<u8>> = chunks
             .iter()
-            .map(|&i| match cache::lookup(id, i) {
-                Some(cols) => Ok(Slot::Hit(cols)),
-                None => self.read_raw(i).map(Slot::Raw),
-            })
+            .map(|&i| self.read_raw(i))
             .collect::<Result<_, _>>()?;
-        let folded = booters_par::par_map_coarse(
-            &slots,
-            |slot| -> Result<(R, Option<Arc<ChunkColumns>>), StoreError> {
-                match slot {
-                    Slot::Hit(cols) => Ok((f(cols), None)),
-                    Slot::Raw(bytes) => {
-                        let cols = Arc::new(decode_chunk_columns(bytes)?);
-                        let out = f(&cols);
-                        Ok((out, Some(cols)))
-                    }
-                }
-            },
-        );
-        let mut out = Vec::with_capacity(chunks.len());
-        for (j, item) in folded.into_iter().enumerate() {
-            let (value, fresh): (R, Option<Arc<ChunkColumns>>) = item?;
-            let cached = fresh.is_none();
-            if let Some(cols) = fresh {
-                cache::publish(id, chunks[j], &cols);
-            }
-            out.push((value, cached));
-        }
-        Ok(out)
+        booters_par::par_map_coarse(&raw, |bytes| {
+            decode_chunk_columns(bytes).map(|cols| f(&cols))
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Positions in `cols` matching `pred` — the selection vector the
@@ -260,11 +204,14 @@ impl QueryEngine {
             .collect()
     }
 
-    fn base_stats(&self, plan: &QueryPlan) -> QueryStats {
+    /// Accounting for one query over `plan` that decodes `decoded` of
+    /// its chunks.
+    fn base_stats(&self, plan: &QueryPlan, decoded: usize) -> QueryStats {
         QueryStats {
             scans: 1,
             chunks_total: plan.total as u64,
             chunks_pruned: plan.pruned as u64,
+            chunks_decoded: decoded as u64,
             ..QueryStats::default()
         }
     }
@@ -281,14 +228,9 @@ impl QueryEngine {
                 sel.iter().map(|&i| cols.materialize(i as usize)).collect();
             (rows, cols.len() as u64)
         })?;
-        let mut stats = self.base_stats(&plan);
+        let mut stats = self.base_stats(&plan, plan.chunks.len());
         let mut rows = Vec::new();
-        for ((chunk_rows, scanned), cached) in per_chunk {
-            if cached {
-                stats.chunks_cached += 1;
-            } else {
-                stats.chunks_decoded += 1;
-            }
+        for (chunk_rows, scanned) in per_chunk {
             stats.rows_scanned += scanned;
             stats.rows_returned += chunk_rows.len() as u64;
             rows.extend(chunk_rows);
@@ -304,28 +246,23 @@ impl QueryEngine {
     pub fn count(&self, pred: &Predicate) -> Result<(u64, QueryStats), StoreError> {
         booters_obs::span!("query.count");
         let plan = self.plan(pred);
-        let mut stats = self.base_stats(&plan);
         let mut covered_rows = 0u64;
         let mut decode: Vec<usize> = Vec::new();
         for &i in &plan.chunks {
             let info = &self.inner.index[i];
             if pred.covers_zone(&info.zone) {
-                stats.chunks_covered += 1;
                 covered_rows += info.packets;
             } else {
                 decode.push(i);
             }
         }
+        let mut stats = self.base_stats(&plan, decode.len());
+        stats.chunks_covered = (plan.chunks.len() - decode.len()) as u64;
         let per_chunk = self.fold_chunks(&decode, |cols| {
             (Self::select(pred, cols).len() as u64, cols.len() as u64)
         })?;
         let mut matched = covered_rows;
-        for ((hits, scanned), cached) in per_chunk {
-            if cached {
-                stats.chunks_cached += 1;
-            } else {
-                stats.chunks_decoded += 1;
-            }
+        for (hits, scanned) in per_chunk {
             stats.rows_scanned += scanned;
             matched += hits;
         }
@@ -344,14 +281,9 @@ impl QueryEngine {
             let sum: u128 = sel.iter().map(|&i| col.value_at(cols, i as usize) as u128).sum();
             (sum, sel.len() as u64, cols.len() as u64)
         })?;
-        let mut stats = self.base_stats(&plan);
+        let mut stats = self.base_stats(&plan, plan.chunks.len());
         let mut total = 0u128;
-        for ((sum, hits, scanned), cached) in per_chunk {
-            if cached {
-                stats.chunks_cached += 1;
-            } else {
-                stats.chunks_decoded += 1;
-            }
+        for (sum, hits, scanned) in per_chunk {
             stats.rows_scanned += scanned;
             stats.rows_returned += hits;
             total += sum;
@@ -380,14 +312,9 @@ impl QueryEngine {
             });
             (bounds, sel.len() as u64, cols.len() as u64)
         })?;
-        let mut stats = self.base_stats(&plan);
+        let mut stats = self.base_stats(&plan, plan.chunks.len());
         let mut bounds: Option<(u64, u64)> = None;
-        for ((b, hits, scanned), cached) in per_chunk {
-            if cached {
-                stats.chunks_cached += 1;
-            } else {
-                stats.chunks_decoded += 1;
-            }
+        for (b, hits, scanned) in per_chunk {
             stats.rows_scanned += scanned;
             stats.rows_returned += hits;
             if let Some((lo, hi)) = b {
@@ -416,14 +343,9 @@ impl QueryEngine {
             let panel = WeeklyPanel::of_selection(cols, &sel);
             (panel, sel.len() as u64, cols.len() as u64)
         })?;
-        let mut stats = self.base_stats(&plan);
+        let mut stats = self.base_stats(&plan, plan.chunks.len());
         let mut panel = WeeklyPanel::default();
-        for ((p, hits, scanned), cached) in per_chunk {
-            if cached {
-                stats.chunks_cached += 1;
-            } else {
-                stats.chunks_decoded += 1;
-            }
+        for (p, hits, scanned) in per_chunk {
             stats.rows_scanned += scanned;
             stats.rows_returned += hits;
             panel.absorb(&p);

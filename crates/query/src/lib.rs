@@ -29,7 +29,7 @@
 //! against one store file with no shared cursor state; per-scan chunk
 //! decodes additionally fan out over the `booters-par` executor.
 //! Results and [`QueryStats`] totals are identical at every
-//! `BOOTERS_THREADS` / kernel setting, and every operation is
+//! `BOOTERS_THREADS` setting, and every operation is
 //! instrumented with `query.*` spans and counters (chunks pruned vs
 //! decoded, rows scanned vs returned) behind `BOOTERS_OBS`.
 

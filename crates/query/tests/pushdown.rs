@@ -126,7 +126,7 @@ forall! {
         let chunks = packets.len().div_ceil(cap) as u64;
         prop_assert_eq!(res.stats.chunks_total, chunks);
         prop_assert_eq!(
-            res.stats.chunks_pruned + res.stats.chunks_decoded + res.stats.chunks_cached,
+            res.stats.chunks_pruned + res.stats.chunks_decoded,
             chunks
         );
         prop_assert_eq!(res.stats.rows_returned, oracle.len() as u64);
@@ -207,61 +207,6 @@ forall! {
     }
 }
 
-/// Serialise cache-budget-mutating tests (the budget is process-global)
-/// and restore the previous budget even if an assertion panics.
-struct BudgetGuard(usize, #[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
-
-impl Drop for BudgetGuard {
-    fn drop(&mut self) {
-        booters_store::set_cache_bytes(self.0);
-    }
-}
-
-fn with_cache_budget(bytes: usize) -> BudgetGuard {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    BudgetGuard(booters_store::set_cache_bytes(bytes), g)
-}
-
-forall! {
-    #![cases(48)]
-    fn cached_repeat_queries_equal_fresh_decodes(
-        packets in prop::collection::vec(packet(), 1..160),
-        cap in 1usize..24,
-        pred in predicate()
-    ) {
-        // The §5i coherence contract, end to end: with the cache on, a
-        // repeat of the same scan must be answered from cached columns
-        // (zero decodes) yet return byte-identical rows and row
-        // accounting — and both must equal the brute-force oracle.
-        let _budget = with_cache_budget(8 << 20);
-        let path = write_store("cached", &packets, cap);
-        let eng = QueryEngine::open(&path).unwrap();
-        let cold = eng.scan(&pred).unwrap();
-        let warm = eng.scan(&pred).unwrap();
-        let (warm_count, count_stats) = eng.count(&pred).unwrap();
-        std::fs::remove_file(&path).unwrap();
-
-        let oracle: Vec<SensorPacket> =
-            packets.iter().filter(|p| pred.matches(p)).cloned().collect();
-        prop_assert_eq!(&cold.rows, &oracle);
-        prop_assert_eq!(&warm.rows, &oracle);
-        prop_assert_eq!(warm_count, oracle.len() as u64);
-
-        // A fresh engine has a fresh store identity: the cold scan can
-        // never hit, and the warm repeat must never decode.
-        prop_assert_eq!(cold.stats.chunks_cached, 0);
-        prop_assert_eq!(warm.stats.chunks_decoded, 0);
-        prop_assert_eq!(warm.stats.chunks_cached, cold.stats.chunks_decoded);
-        prop_assert_eq!(warm.stats.rows_scanned, cold.stats.rows_scanned);
-        prop_assert_eq!(warm.stats.rows_returned, cold.stats.rows_returned);
-        // count() shares the cache: nothing it planned needed a decode
-        // (chunks its predicate covers are answered from the footer and
-        // never touch the cache at all).
-        prop_assert_eq!(count_stats.chunks_decoded, 0);
-    }
-}
-
 #[test]
 fn single_chunk_hit_decodes_exactly_one_chunk() {
     // Ten well-separated time bands, one chunk each; a predicate inside
@@ -283,10 +228,7 @@ fn single_chunk_hit_decodes_exactly_one_chunk() {
     assert_eq!(eng.chunk_count(), 10);
     let pred = Predicate::all().with_time(60_000, 60_008);
     let res = eng.scan(&pred).unwrap();
-    // A fresh engine always misses the cache, so the one surviving chunk
-    // is decoded (or cache-served on an env-cached re-run — either way,
-    // exactly one chunk was touched).
-    assert_eq!(res.stats.chunks_decoded + res.stats.chunks_cached, 1);
+    assert_eq!(res.stats.chunks_decoded, 1);
     assert_eq!(res.stats.chunks_pruned, 9);
     assert_eq!(res.rows.len(), 8);
     assert!(res.rows.iter().all(|p| p.victim == VictimAddr(106)));

@@ -5,8 +5,8 @@
 //!
 //! Everything the node emits is a pure function of the packet multiset
 //! and the watermark/epoch schedule — never of arrival interleaving
-//! (within the watermark bounds), shard count, queue capacity, thread
-//! count, or kernel selection:
+//! (within the watermark bounds), shard count, queue capacity or thread
+//! count:
 //!
 //! * routing is a deterministic splitmix64 hash of the canonical
 //!   victim/protocol key, so a flow's packets always meet in one shard;
@@ -96,7 +96,7 @@ impl Default for ServeConfig {
 
 /// Counters describing the work a [`ServeNode`] has done. All values
 /// are deterministic for a given packet stream and watermark schedule —
-/// independent of thread count and kernel selection (backpressure also
+/// independent of thread count (backpressure also
 /// depends on `queue_capacity`, nothing else).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeStats {

@@ -79,8 +79,8 @@ impl ZoneMap {
 
 /// Append one delta-zig-zag column for `field` over `packets` with the
 /// scalar reference encoder — the oracle for [`encode_column`]'s batched
-/// fast path (both must produce byte-identical columns; pinned by
-/// `tests/kernel_diff.rs`).
+/// fast path (both must produce byte-identical columns; pinned through
+/// [`encode_chunk_scalar`] by `tests/kernel_diff.rs`).
 fn encode_column_scalar(
     packets: &[SensorPacket],
     field: impl Fn(&SensorPacket) -> u64,
@@ -97,21 +97,23 @@ fn encode_column_scalar(
     out.extend_from_slice(&col);
 }
 
-/// Append one delta-zig-zag column for `field` over `packets`.
+/// Append one delta-zig-zag column for `field` over `packets`, with
+/// [`encode_column_scalar`] when `scalar` is set.
 ///
 /// Fast path: deltas are produced eight at a time, and when all eight
 /// zig-zags fit single-byte varints (the dominant shape for sorted time
 /// and clustered victim/protocol columns) they are packed into one
 /// little-endian word and appended with a single 8-byte copy — the
-/// encode-side mirror of `decode_deltas_fast`'s batch lane. A 1-byte
+/// encode-side mirror of `decode_deltas`'s batch lane. A 1-byte
 /// LEB128 varint *is* its value, so the emitted bytes are identical to
 /// the scalar encoder's on every input.
 fn encode_column(
     packets: &[SensorPacket],
     field: impl Fn(&SensorPacket) -> u64,
+    scalar: bool,
     out: &mut Vec<u8>,
 ) {
-    if booters_par::scalar_kernels() {
+    if scalar {
         return encode_column_scalar(packets, field, out);
     }
     let n = packets.len();
@@ -172,6 +174,16 @@ fn decode_column(
 /// # Panics
 /// On an empty batch — writers never emit empty chunks.
 pub fn encode_chunk(packets: &[SensorPacket]) -> Vec<u8> {
+    encode_chunk_with(packets, false)
+}
+
+/// [`encode_chunk`] with the scalar column encoder: the test oracle
+/// whose bytes the batched encoder must reproduce (same panics).
+pub fn encode_chunk_scalar(packets: &[SensorPacket]) -> Vec<u8> {
+    encode_chunk_with(packets, true)
+}
+
+fn encode_chunk_with(packets: &[SensorPacket], scalar: bool) -> Vec<u8> {
     assert!(!packets.is_empty(), "chunks are never empty");
     let zm = ZoneMap::of(packets);
     let mut out = Vec::with_capacity(packets.len() * 4);
@@ -180,12 +192,12 @@ pub fn encode_chunk(packets: &[SensorPacket]) -> Vec<u8> {
     encode_u64(zm.max_time, &mut out);
     encode_u64(zm.min_victim as u64, &mut out);
     encode_u64(zm.max_victim as u64, &mut out);
-    encode_column(packets, |p| p.time, &mut out);
-    encode_column(packets, |p| p.victim.0 as u64, &mut out);
-    encode_column(packets, |p| p.protocol.index() as u64, &mut out);
-    encode_column(packets, |p| p.sensor as u64, &mut out);
-    encode_column(packets, |p| p.ttl as u64, &mut out);
-    encode_column(packets, |p| p.src_port as u64, &mut out);
+    encode_column(packets, |p| p.time, scalar, &mut out);
+    encode_column(packets, |p| p.victim.0 as u64, scalar, &mut out);
+    encode_column(packets, |p| p.protocol.index() as u64, scalar, &mut out);
+    encode_column(packets, |p| p.sensor as u64, scalar, &mut out);
+    encode_column(packets, |p| p.ttl as u64, scalar, &mut out);
+    encode_column(packets, |p| p.src_port as u64, scalar, &mut out);
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
@@ -239,13 +251,6 @@ impl ChunkColumns {
             ttl: self.ttls[i],
             src_port: self.ports[i],
         }
-    }
-
-    /// Build every row, in column order — what [`decode_chunk`] returns,
-    /// factored out so cache hits on already-decoded columns can
-    /// materialize without re-decoding.
-    pub fn materialize_all(&self) -> Vec<SensorPacket> {
-        (0..self.len()).map(|i| self.materialize(i)).collect()
     }
 }
 
@@ -333,7 +338,8 @@ pub fn decode_chunk_columns(bytes: &[u8]) -> Result<ChunkColumns, StoreError> {
 /// Decode one chunk produced by [`encode_chunk`]. Pure — safe to fan out
 /// over `booters-par` (the store readers do exactly that).
 pub fn decode_chunk(bytes: &[u8]) -> Result<Vec<SensorPacket>, StoreError> {
-    Ok(decode_chunk_columns(bytes)?.materialize_all())
+    let cols = decode_chunk_columns(bytes)?;
+    Ok((0..cols.len()).map(|i| cols.materialize(i)).collect())
 }
 
 #[cfg(test)]

@@ -5,15 +5,14 @@
 //!
 //! * [`crc32_bytewise`] — the classic one-table Sarwate loop, one byte
 //!   per step. Retained as the differential-testing **oracle**.
-//! * The slice-by-8 fast path — eight derived tables consume a 64-bit
+//! * [`crc32`] — slice-by-8: eight derived tables consume a 64-bit
 //!   word per step, turning the long dependency chain of the bytewise
 //!   loop into eight independent table lookups the CPU can overlap.
+//!   Every caller uses this one.
 //!
-//! [`crc32`] dispatches between them on
-//! [`booters_par::scalar_kernels`]; both return the same 32 bits for
-//! every input — known-answer vectors and an every-length-mod-8
-//! differential property pin that (see `tests/kernel_diff.rs` and the
-//! unit tests below).
+//! Both return the same 32 bits for every input — known-answer vectors
+//! and an every-length-mod-8 differential property pin that (see
+//! `tests/kernel_diff.rs` and the unit tests below).
 
 const fn build_table() -> [u32; 256] {
     let mut table = [0u32; 256];
@@ -68,10 +67,10 @@ pub fn crc32_bytewise(data: &[u8]) -> u32 {
     !crc
 }
 
-/// Slice-by-8 CRC-32: fold the running CRC into the next 8 input bytes
-/// and look all eight up in parallel tables; the bytewise loop handles
-/// the sub-word tail.
-fn crc32_slice8(data: &[u8]) -> u32 {
+/// CRC-32 of `data`, slice-by-8: fold the running CRC into the next 8
+/// input bytes and look all eight up in parallel tables; the bytewise
+/// loop handles the sub-word tail.
+pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
@@ -90,16 +89,6 @@ fn crc32_slice8(data: &[u8]) -> u32 {
         crc = TABLES[0][((crc ^ byte as u32) & 0xff) as usize] ^ (crc >> 8);
     }
     !crc
-}
-
-/// CRC-32 of `data`: slice-by-8 unless the scalar oracle is forced
-/// (`BOOTERS_SCALAR_KERNELS=1` / [`booters_par::with_scalar_kernels`]).
-pub fn crc32(data: &[u8]) -> u32 {
-    if booters_par::scalar_kernels() {
-        crc32_bytewise(data)
-    } else {
-        crc32_slice8(data)
-    }
 }
 
 #[cfg(test)]
@@ -122,7 +111,6 @@ mod tests {
         for &(input, expected) in KNOWN {
             assert_eq!(crc32(input), expected, "{input:?}");
             assert_eq!(crc32_bytewise(input), expected, "{input:?} (oracle)");
-            assert_eq!(crc32_slice8(input), expected, "{input:?} (slice8)");
         }
     }
 
@@ -133,20 +121,11 @@ mod tests {
         let data: Vec<u8> = (0..64u32).map(|i| (i * 37 + 11) as u8).collect();
         for len in 0..=data.len() {
             assert_eq!(
-                crc32_slice8(&data[..len]),
+                crc32(&data[..len]),
                 crc32_bytewise(&data[..len]),
                 "len={len}"
             );
         }
-    }
-
-    #[test]
-    fn dispatch_honours_the_scalar_override() {
-        let data = b"dispatch check";
-        let fast = booters_par::with_scalar_kernels(false, || crc32(data));
-        let scalar = booters_par::with_scalar_kernels(true, || crc32(data));
-        assert_eq!(fast, scalar);
-        assert_eq!(scalar, crc32_bytewise(data));
     }
 
     #[test]

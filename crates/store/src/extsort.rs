@@ -25,9 +25,9 @@
 //! input sequence; packets equal under the key are interchangeable for
 //! grouping (per-sensor counts and totals are order-free aggregates,
 //! and [`booters_netsim::sort_flows`] canonicalises the flow order), so
-//! budgets, thread counts, and kernel selection can never change the
-//! flows. Initial chunk decodes are fanned out through `booters-par`
-//! with submission-order result collection; refills are sequential.
+//! budgets and thread counts can never change the flows. Initial chunk
+//! decodes are fanned out through `booters-par` with submission-order
+//! result collection; refills are sequential.
 
 use crate::chunk::DEFAULT_CHUNK_CAPACITY;
 use crate::error::StoreError;
@@ -148,8 +148,8 @@ pub struct GroupOutcome {
 /// none overlapping — so every comparison (run sorting, the k-way merge
 /// heap, the gallop guard) is a single integer compare. Packing is
 /// strictly monotone, so the order is exactly the tuple order. Packets
-/// equal under this key are interchangeable for grouping; both run
-/// sorts are stable and the merge breaks key ties by run index, keeping
+/// equal under this key are interchangeable for grouping; the run sort
+/// is stable and the merge breaks key ties by run index, keeping
 /// every path deterministic.
 type SortKey = u128;
 
@@ -159,24 +159,10 @@ fn sort_key(key: VictimKey, p: &SensorPacket) -> SortKey {
         | p.time as u128
 }
 
-/// [`sort_key`] as a fixed-width big-endian byte string: exactly the
-/// packed key's 13 meaningful bytes, so lexicographic byte order equals
-/// [`SortKey`] order and the (stable) radix sort produces the same
-/// permutation as the (stable) comparison sort.
-fn radix_key(key: VictimKey, p: &SensorPacket) -> [u8; 13] {
-    sort_key(key, p).to_be_bytes()[3..].try_into().expect("13 bytes")
-}
-
-/// Sort a run buffer by [`sort_key`] order: LSD radix on the byte key
-/// unless the scalar oracle is forced — the key is a total order, so
-/// stability is moot and the two sorts are byte-identical (pinned by
-/// the differential tests in `tests/kernel_diff.rs`).
+/// Sort a run buffer by [`sort_key`] order with the standard library's
+/// stable sort.
 fn sort_run(buf: &mut [SensorPacket], key: VictimKey) {
-    if booters_par::scalar_kernels() {
-        buf.sort_by_key(|p| sort_key(key, p));
-    } else {
-        booters_netsim::radix_sort_by_key(buf, |p| radix_key(key, p));
-    }
+    buf.sort_by_key(|p| sort_key(key, p));
 }
 
 /// Monotone source of unique spill-directory names within the process.
@@ -378,16 +364,8 @@ impl RunCursor {
     }
 
     /// Decode chunk `next_chunk` out of the batched raw bytes, promoting
-    /// or reading batches as needed. A decoded-chunk cache hit (re-merge
-    /// of a run chunk that is still resident) skips the batch machinery
-    /// entirely; misses publish what they decode.
+    /// or reading batches as needed.
     fn refill(&mut self) -> Result<(), StoreError> {
-        if let Some(cols) = crate::cache::lookup(self.reader.store_id(), self.next_chunk) {
-            self.chunk = cols.materialize_all();
-            self.next_chunk += 1;
-            self.pos = 0;
-            return Ok(());
-        }
         if !self.batch.as_ref().is_some_and(|b| b.covers(self.next_chunk)) {
             let promoted = self.ahead.take().filter(|b| b.covers(self.next_chunk));
             self.batch = Some(match promoted {
@@ -404,9 +382,7 @@ impl RunCursor {
         let (off, len) = self.reader.chunk_extent(self.next_chunk)?;
         let b = self.batch.as_ref().expect("batch covers next_chunk");
         let slice = &b.bytes[(off - b.base) as usize..][..len as usize];
-        let cols = std::sync::Arc::new(crate::chunk::decode_chunk_columns(slice)?);
-        self.chunk = cols.materialize_all();
-        crate::cache::publish(self.reader.store_id(), self.next_chunk, &cols);
+        self.chunk = crate::chunk::decode_chunk(slice)?;
         self.next_chunk += 1;
         self.pos = 0;
         Ok(())
@@ -435,53 +411,27 @@ fn merge_runs(
     key: VictimKey,
     read_bytes: u64,
 ) -> Result<Vec<Flow>, StoreError> {
-    enum FirstSlot {
-        Empty,
-        Hit(std::sync::Arc<crate::chunk::ChunkColumns>),
-        Raw(Vec<u8>),
-    }
     let mut readers: Vec<ChunkReader> = run_files
         .iter()
         .map(ChunkReader::open)
         .collect::<Result<_, _>>()?;
-    let first_raw: Vec<FirstSlot> = readers
+    // An empty run has no first chunk to decode.
+    let first_raw: Vec<Option<Vec<u8>>> = readers
         .iter_mut()
-        .map(|r| {
-            if r.chunk_count() == 0 {
-                Ok(FirstSlot::Empty)
-            } else if let Some(cols) = crate::cache::lookup(r.store_id(), 0) {
-                Ok(FirstSlot::Hit(cols))
-            } else {
-                r.raw_chunk(0).map(FirstSlot::Raw)
-            }
-        })
-        .collect::<Result<Vec<_>, StoreError>>()?;
+        .map(|r| (r.chunk_count() > 0).then(|| r.raw_chunk(0)).transpose())
+        .collect::<Result<_, StoreError>>()?;
     // Coarse fan-out: there are only as many items as runs, each a full
     // chunk decode — exactly the few-but-heavy shape `par_map`'s
     // min-items cutoff would serialise.
-    type FirstDecoded = Result<
-        (Vec<SensorPacket>, Option<std::sync::Arc<crate::chunk::ChunkColumns>>),
-        StoreError,
-    >;
-    let first_chunks = booters_par::par_map_coarse(&first_raw, |slot| -> FirstDecoded {
-        match slot {
-            FirstSlot::Empty => Ok((Vec::new(), None)),
-            FirstSlot::Hit(cols) => Ok((cols.materialize_all(), None)),
-            FirstSlot::Raw(bytes) => {
-                let cols = std::sync::Arc::new(crate::chunk::decode_chunk_columns(bytes)?);
-                Ok((cols.materialize_all(), Some(cols)))
-            }
-        }
+    let first_chunks = booters_par::par_map_coarse(&first_raw, |raw| match raw {
+        Some(bytes) => crate::chunk::decode_chunk(bytes),
+        None => Ok(Vec::new()),
     });
     let mut cursors: Vec<RunCursor> = Vec::with_capacity(readers.len());
     for (reader, chunk) in readers.into_iter().zip(first_chunks) {
-        let (chunk, fresh) = chunk?;
-        if let Some(cols) = fresh {
-            crate::cache::publish(reader.store_id(), 0, &cols);
-        }
         cursors.push(RunCursor {
             reader,
-            chunk,
+            chunk: chunk?,
             pos: 0,
             next_chunk: 1,
             batch: None,
@@ -522,11 +472,6 @@ fn merge_runs(
                 break;
             }
         }
-    }
-    // The run files are deleted after the merge — drop their cache
-    // entries now rather than leaving dead weight for the LRU.
-    for c in &cursors {
-        c.reader.evict_cached();
     }
     Ok(grouper.finish())
 }

@@ -21,19 +21,14 @@
 //!   `classify_flows`/`group_flows_par` pipeline at every budget and
 //!   thread count (chunk decodes fan out through `booters-par` with
 //!   submission-order determinism).
-//! * **A decoded-chunk cache** ([`cache`]): a sharded, byte-budgeted
-//!   LRU of validated [`ChunkColumns`] keyed by store identity and
-//!   chunk index, so repeat reads of hot chunks — the dominant shape of
-//!   intervention-window query workloads — skip I/O and varint decode
-//!   entirely. Off (`BOOTERS_CACHE_BYTES=0`, the default) it is
-//!   bit-for-bit inert; on, a hit is indistinguishable from a miss in
-//!   content, order, and errors (DESIGN.md §5i).
 //!
 //! Everything is hermetic: the codec, CRC, and external sort are
 //! implemented in-tree; corruption anywhere in a store file surfaces as
 //! a typed [`StoreError`], never a panic or silently wrong data.
+//! The byte-level fast kernels keep their scalar references
+//! ([`varint::decode_deltas_scalar`], [`encode_chunk_scalar`],
+//! [`crc32_bytewise`]) only as test oracles (DESIGN.md §5f).
 
-pub mod cache;
 pub mod chunk;
 pub mod crc32;
 pub mod error;
@@ -42,9 +37,8 @@ pub mod reader;
 pub mod varint;
 pub mod writer;
 
-pub use cache::{cache_bytes, set_cache_bytes, StoreId};
 pub use chunk::{
-    decode_chunk, decode_chunk_columns, encode_chunk, ChunkColumns, ZoneMap,
+    decode_chunk, decode_chunk_columns, encode_chunk, encode_chunk_scalar, ChunkColumns, ZoneMap,
     DEFAULT_CHUNK_CAPACITY,
 };
 pub use crc32::{crc32, crc32_bytewise};

@@ -15,8 +15,7 @@
 //! use: magic markers, the footer CRC, offset monotonicity, and each
 //! chunk's own CRC — corrupt input yields a typed [`StoreError`].
 
-use crate::cache::{self, StoreId};
-use crate::chunk::{decode_chunk, decode_chunk_columns, ChunkColumns, ZoneMap};
+use crate::chunk::{decode_chunk, ZoneMap};
 use crate::crc32::crc32;
 use crate::error::StoreError;
 use crate::varint::decode_u64;
@@ -25,7 +24,6 @@ use booters_netsim::{SensorPacket, VictimAddr};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
-use std::sync::Arc;
 
 /// Leading file magic.
 pub const HEAD_MAGIC: &[u8; 8] = b"BSTORE01";
@@ -42,10 +40,6 @@ pub struct ChunkReader {
     chunks_end: u64,
     total_packets: u64,
     raw_bytes: u64,
-    /// Decoded-chunk cache identity, minted at open (see
-    /// [`cache::StoreId`]) — fresh per validated open, so cache entries
-    /// can never alias across files or re-opens.
-    store_id: StoreId,
 }
 
 impl ChunkReader {
@@ -126,19 +120,7 @@ impl ChunkReader {
             chunks_end: footer_start,
             total_packets,
             raw_bytes,
-            store_id: StoreId::mint(),
         })
-    }
-
-    /// This open's decoded-chunk cache identity.
-    pub fn store_id(&self) -> StoreId {
-        self.store_id
-    }
-
-    /// Drop every cache entry this open published — for owners whose
-    /// backing file is about to disappear (scratch stores, spill runs).
-    pub fn evict_cached(&self) {
-        cache::evict_store(self.store_id);
     }
 
     /// Number of chunks in the store.
@@ -267,44 +249,16 @@ impl ChunkReader {
     /// decoded chunk `indices[j]` — results merge in submission order
     /// and the earliest failing chunk's error wins, so output and errors
     /// are identical at every `BOOTERS_THREADS` setting.
-    ///
-    /// Chunks resident in the decoded-chunk [`cache`] skip both the raw
-    /// read and the decode; misses are published after the fan-out, in
-    /// `indices` order, so cache state stays thread-count invariant.
     pub fn read_chunks(&mut self, indices: &[usize]) -> Result<Vec<Vec<SensorPacket>>, StoreError> {
-        enum Slot {
-            Hit(Arc<ChunkColumns>),
-            Raw(Vec<u8>),
-        }
-        let slots: Vec<Slot> = indices
+        let raw: Vec<Vec<u8>> = indices
             .iter()
-            .map(|&i| match cache::lookup(self.store_id, i) {
-                Some(cols) => Ok(Slot::Hit(cols)),
-                None => self.raw_chunk(i).map(Slot::Raw),
-            })
+            .map(|&i| self.raw_chunk(i))
             .collect::<Result<_, _>>()?;
-        // Coarse fan-out: items are whole-chunk decodes (or hit
-        // materializations) — heavy enough that even a handful justify
-        // workers.
-        type Decoded = Result<(Vec<SensorPacket>, Option<Arc<ChunkColumns>>), StoreError>;
-        let decoded = booters_par::par_map_coarse(&slots, |slot| -> Decoded {
-            match slot {
-                Slot::Hit(cols) => Ok((cols.materialize_all(), None)),
-                Slot::Raw(bytes) => {
-                    let cols = Arc::new(decode_chunk_columns(bytes)?);
-                    Ok((cols.materialize_all(), Some(cols)))
-                }
-            }
-        });
-        let mut out = Vec::with_capacity(indices.len());
-        for (j, item) in decoded.into_iter().enumerate() {
-            let (rows, fresh): (Vec<SensorPacket>, Option<Arc<ChunkColumns>>) = item?;
-            if let Some(cols) = fresh {
-                cache::publish(self.store_id, indices[j], &cols);
-            }
-            out.push(rows);
-        }
-        Ok(out)
+        // Coarse fan-out: items are whole-chunk decodes — heavy enough
+        // that even a handful justify workers.
+        booters_par::par_map_coarse(&raw, |bytes| decode_chunk(bytes))
+            .into_iter()
+            .collect()
     }
 
     /// Decode the whole store: equivalent to [`read_chunks`](Self::read_chunks)

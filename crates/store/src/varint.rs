@@ -18,8 +18,8 @@
 //! construction on errors and differentially tested on values
 //! (`tests/kernel_diff.rs`). The batch delta decoder
 //! [`decode_deltas`] layers the column semantics (zig-zag, wrapping
-//! prefix sum, domain check, trailing-byte check) over either decoder,
-//! selected by [`booters_par::scalar_kernels`].
+//! prefix sum, domain check, trailing-byte check) over the fast decoder;
+//! [`decode_deltas_scalar`] is its oracle over the scalar one.
 
 use crate::error::StoreError;
 
@@ -137,19 +137,16 @@ pub fn decode_deltas_scalar(
     Ok(out)
 }
 
-/// Fast-path twin of [`decode_deltas_scalar`]: same values, same errors.
+/// Decode a delta-zig-zag column — the fast twin of
+/// [`decode_deltas_scalar`]: same values, same typed errors on every
+/// input.
 ///
 /// On top of the SWAR single-value decoder it batch-decodes runs of
 /// eight single-byte varints (one word probe, zero terminator checks) —
 /// the dominant shape for sorted time and clustered victim columns. The
 /// batch only fires when at least eight values are still *needed*, so a
 /// column with trailing garbage takes the same exit as the oracle.
-pub fn decode_deltas_fast(
-    col: &[u8],
-    n: usize,
-    max: u64,
-    name: &str,
-) -> Result<Vec<u64>, StoreError> {
+pub fn decode_deltas(col: &[u8], n: usize, max: u64, name: &str) -> Result<Vec<u64>, StoreError> {
     let mut cpos = 0usize;
     let mut prev = 0i64;
     let mut out = Vec::with_capacity(n);
@@ -195,18 +192,6 @@ pub fn decode_deltas_fast(
         return Err(StoreError::corrupt(format!("{name} column has trailing bytes")));
     }
     Ok(out)
-}
-
-/// Decode a delta-zig-zag column: SWAR batch decoder unless the scalar
-/// oracle is forced (`BOOTERS_SCALAR_KERNELS=1` /
-/// [`booters_par::with_scalar_kernels`]). Both paths return identical
-/// values *and* identical typed errors on every input.
-pub fn decode_deltas(col: &[u8], n: usize, max: u64, name: &str) -> Result<Vec<u64>, StoreError> {
-    if booters_par::scalar_kernels() {
-        decode_deltas_scalar(col, n, max, name)
-    } else {
-        decode_deltas_fast(col, n, max, name)
-    }
 }
 
 /// Map a signed value onto an unsigned one with small absolute values
@@ -344,14 +329,14 @@ mod tests {
             prev = v as i64;
         }
         let scalar = decode_deltas_scalar(&col, values.len(), u64::MAX, "time").unwrap();
-        let fast = decode_deltas_fast(&col, values.len(), u64::MAX, "time").unwrap();
+        let fast = decode_deltas(&col, values.len(), u64::MAX, "time").unwrap();
         assert_eq!(scalar, values);
         assert_eq!(fast, values);
         // Domain violation: same row index in the error message.
         let scalar_err = decode_deltas_scalar(&col, values.len(), 1 << 41, "time")
             .expect_err("oracle misses range")
             .to_string();
-        let fast_err = decode_deltas_fast(&col, values.len(), 1 << 41, "time")
+        let fast_err = decode_deltas(&col, values.len(), 1 << 41, "time")
             .expect_err("fast path misses range")
             .to_string();
         assert_eq!(scalar_err, fast_err);
@@ -362,7 +347,7 @@ mod tests {
         let scalar_err = decode_deltas_scalar(&trailing, values.len(), u64::MAX, "time")
             .expect_err("oracle misses trailing bytes")
             .to_string();
-        let fast_err = decode_deltas_fast(&trailing, values.len(), u64::MAX, "time")
+        let fast_err = decode_deltas(&trailing, values.len(), u64::MAX, "time")
             .expect_err("fast path misses trailing bytes")
             .to_string();
         assert_eq!(scalar_err, fast_err);

@@ -1,20 +1,21 @@
 //! Differential tests proving every byte-level fast kernel bit-identical
 //! to its scalar oracle (DESIGN.md §5f).
 //!
-//! Four kernels, one contract: the SWAR varint decoder, the batched
-//! column encoder, the slice-by-8 CRC-32, and the radix run sort each
-//! have a retained scalar reference implementation, and for *every*
-//! input — well-formed or adversarial — fast and scalar must agree on
-//! bytes, values, positions, and typed errors.
+//! Three kernels, one contract: the SWAR varint decoder, the batched
+//! column encoder and the slice-by-8 CRC-32 each have a retained scalar
+//! reference implementation, called here directly next to the fast one,
+//! and for *every* input — well-formed or adversarial — fast and scalar
+//! must agree on bytes, values, positions, and typed errors.
 //! `StoreError` deliberately has no `PartialEq`, so error equivalence is
 //! variant match + rendered-message equality, which also pins the
 //! diagnostic text users see.
 
-use booters_par::with_scalar_kernels;
 use booters_store::varint::{
-    decode_deltas_fast, decode_deltas_scalar, decode_u64, decode_u64_fast, encode_u64, zigzag,
+    decode_deltas, decode_deltas_scalar, decode_u64, decode_u64_fast, encode_u64, zigzag,
 };
-use booters_store::{crc32, crc32_bytewise, decode_chunk, encode_chunk, StoreError};
+use booters_store::{
+    crc32, crc32_bytewise, decode_chunk, encode_chunk, encode_chunk_scalar, StoreError,
+};
 use booters_netsim::{SensorPacket, UdpProtocol, VictimAddr};
 use booters_testkit::strategy::prop;
 use booters_testkit::{forall, prop_assert, prop_assert_eq};
@@ -147,7 +148,7 @@ forall! {
             prev = v as i64;
         }
         let scalar = decode_deltas_scalar(&col, values.len(), u64::MAX, "time").unwrap();
-        let fast = decode_deltas_fast(&col, values.len(), u64::MAX, "time").unwrap();
+        let fast = decode_deltas(&col, values.len(), u64::MAX, "time").unwrap();
         prop_assert_eq!(&scalar, &values);
         prop_assert_eq!(&fast, &values);
     }
@@ -159,7 +160,7 @@ forall! {
         let col: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
         let max = if max_bits >= 64 { u64::MAX } else { (1u64 << max_bits) - 1 };
         let scalar = decode_deltas_scalar(&col, n, max, "victim");
-        let fast = decode_deltas_fast(&col, n, max, "victim");
+        let fast = decode_deltas(&col, n, max, "victim");
         match (scalar, fast) {
             (Ok(s), Ok(f)) => prop_assert_eq!(s, f),
             (Err(se), Err(fe)) => prop_assert_eq!(se.to_string(), fe.to_string()),
@@ -169,10 +170,7 @@ forall! {
 
     fn crc_fast_equals_bytewise_on_arbitrary_buffers(bytes in prop::collection::vec(0u32..256, 0..300)) {
         let data: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
-        let fast = with_scalar_kernels(false, || crc32(&data));
-        let scalar = with_scalar_kernels(true, || crc32(&data));
-        prop_assert_eq!(fast, crc32_bytewise(&data));
-        prop_assert_eq!(scalar, crc32_bytewise(&data));
+        prop_assert_eq!(crc32(&data), crc32_bytewise(&data));
     }
 }
 
@@ -186,8 +184,7 @@ fn crc_known_answers_hold_for_both_kernels() {
         (b"abc", 0x3524_41C2),
     ];
     for &(input, expected) in known {
-        assert_eq!(with_scalar_kernels(false, || crc32(input)), expected);
-        assert_eq!(with_scalar_kernels(true, || crc32(input)), expected);
+        assert_eq!(crc32(input), expected);
         assert_eq!(crc32_bytewise(input), expected);
     }
 }
@@ -197,8 +194,7 @@ fn crc_kernels_agree_at_every_length_mod_8() {
     // Word-loop iteration counts 0..16 with every tail residue.
     let data: Vec<u8> = (0..128u32).map(|i| (i.wrapping_mul(0xA5) ^ (i >> 3)) as u8).collect();
     for len in 0..=data.len() {
-        let fast = with_scalar_kernels(false, || crc32(&data[..len]));
-        assert_eq!(fast, crc32_bytewise(&data[..len]), "len={len}");
+        assert_eq!(crc32(&data[..len]), crc32_bytewise(&data[..len]), "len={len}");
     }
 }
 
@@ -219,8 +215,8 @@ fn batched_encoder_emits_the_oracle_bytes_on_every_branch_shape() {
         .collect();
     let tail: Vec<SensorPacket> = (0..5).map(|i| pkt(i * 7, i as u32, 1, 1)).collect();
     for packets in [small_run, jumps, tail] {
-        let fast = booters_par::with_scalar_kernels(false, || encode_chunk(&packets));
-        let scalar = booters_par::with_scalar_kernels(true, || encode_chunk(&packets));
+        let fast = encode_chunk(&packets);
+        let scalar = encode_chunk_scalar(&packets);
         assert_eq!(fast, scalar, "encoded bytes diverge for {} packets", packets.len());
         assert_eq!(decode_chunk(&fast).unwrap(), packets);
     }
@@ -236,8 +232,8 @@ fn encode_lane_tails_are_kernel_invariant_at_every_length() {
         let packets: Vec<SensorPacket> = (0..len as u64)
             .map(|i| pkt(1_000 + i * 3, (i % 4) as u32, 60 + (i % 5) as u32, 2))
             .collect();
-        let fast = with_scalar_kernels(false, || encode_chunk(&packets));
-        let scalar = with_scalar_kernels(true, || encode_chunk(&packets));
+        let fast = encode_chunk(&packets);
+        let scalar = encode_chunk_scalar(&packets);
         assert_eq!(fast, scalar, "encoded bytes diverge at len={len}");
         assert_eq!(decode_chunk(&fast).unwrap(), packets, "round trip at len={len}");
     }
@@ -261,8 +257,8 @@ fn a_large_value_at_each_final_batch_position_breaks_the_lane_identically() {
                     }
                 })
                 .collect();
-            let fast = with_scalar_kernels(false, || encode_chunk(&packets));
-            let scalar = with_scalar_kernels(true, || encode_chunk(&packets));
+            let fast = encode_chunk(&packets);
+            let scalar = encode_chunk_scalar(&packets);
             assert_eq!(fast, scalar, "len={len} big_at={big_at}: bytes diverge");
             assert_eq!(decode_chunk(&fast).unwrap(), packets, "len={len} big_at={big_at}");
         }
@@ -290,8 +286,8 @@ forall! {
                 }
             })
             .collect();
-        let fast = with_scalar_kernels(false, || encode_chunk(&packets));
-        let scalar = with_scalar_kernels(true, || encode_chunk(&packets));
+        let fast = encode_chunk(&packets);
+        let scalar = encode_chunk_scalar(&packets);
         prop_assert_eq!(&fast, &scalar, "encoded bytes diverge (n={})", n);
         prop_assert_eq!(decode_chunk(&fast).unwrap(), packets);
     }
@@ -312,25 +308,20 @@ forall! {
     #![cases(48)]
 
     fn chunk_codec_is_kernel_invariant(seed in prop::collection::vec((0u64..100_000, 0u32..16, 0u32..5_000, 0usize..10), 1..200)) {
-        // Full-codec differential: the encoded bytes and the decoded
-        // packets must be identical with fast kernels and with every
-        // kernel forced scalar.
+        // Full-codec differential: the fast and scalar encoders emit the
+        // same bytes, which decode back to the input packets.
         let packets: Vec<SensorPacket> = seed
             .into_iter()
             .map(|(t, s, v, p)| pkt(t, s, v, p))
             .collect();
-        let fast_bytes = with_scalar_kernels(false, || encode_chunk(&packets));
-        let scalar_bytes = with_scalar_kernels(true, || encode_chunk(&packets));
-        prop_assert_eq!(&fast_bytes, &scalar_bytes, "encoded bytes diverge");
-        let fast_packets = with_scalar_kernels(false, || decode_chunk(&fast_bytes).unwrap());
-        let scalar_packets = with_scalar_kernels(true, || decode_chunk(&fast_bytes).unwrap());
-        prop_assert_eq!(&fast_packets, &packets);
-        prop_assert_eq!(&scalar_packets, &packets);
+        let fast_bytes = encode_chunk(&packets);
+        prop_assert_eq!(&fast_bytes, &encode_chunk_scalar(&packets), "encoded bytes diverge");
+        prop_assert_eq!(&decode_chunk(&fast_bytes).unwrap(), &packets);
     }
 
     fn chunk_corruption_errors_are_kernel_invariant(seed in prop::collection::vec((0u64..10_000, 0u32..8, 0u32..500, 0usize..10), 1..60), pos in 0usize..1_000_000, bit in 0u32..8) {
-        // Flip any byte: both kernel selections must reject with the
-        // same rendered error (CRC mismatch or the same column error).
+        // Flip any bit: the decoder's slice-by-8 CRC must reject the
+        // chunk with exactly the error the bytewise oracle predicts.
         let packets: Vec<SensorPacket> = seed
             .into_iter()
             .map(|(t, s, v, p)| pkt(t, s, v, p))
@@ -338,11 +329,16 @@ forall! {
         let mut bytes = encode_chunk(&packets);
         let i = pos % bytes.len();
         bytes[i] ^= 1 << bit;
-        let fast = with_scalar_kernels(false, || decode_chunk(&bytes));
-        let scalar = with_scalar_kernels(true, || decode_chunk(&bytes));
-        match (fast, scalar) {
-            (Err(fe), Err(se)) => prop_assert_eq!(fe.to_string(), se.to_string()),
-            (f, s) => prop_assert!(false, "flip at {} bit {}: fast {:?}, scalar {:?}", i, bit, f, s),
+        let (payload, crc_bytes) = bytes.split_at(bytes.len() - 4);
+        let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
+        let computed = crc32_bytewise(payload);
+        prop_assert!(stored != computed, "flip at {} bit {} kept the crc", i, bit);
+        let expected = StoreError::corrupt(format!(
+            "chunk crc mismatch (stored {stored:#010x}, computed {computed:#010x})"
+        ));
+        match decode_chunk(&bytes) {
+            Err(e) => prop_assert_eq!(e.to_string(), expected.to_string()),
+            Ok(_) => prop_assert!(false, "flip at {} bit {} decoded", i, bit),
         }
     }
 }

@@ -44,33 +44,20 @@ echo "==> seeded goldens (offline, BOOTERS_PAR_MIN_ITEMS=1, BOOTERS_THREADS=4)"
 BOOTERS_PAR_MIN_ITEMS=1 BOOTERS_THREADS=4 \
     cargo test -q --offline --test smoke_seeded --test par_invariance --test packet_chain_golden
 
-# Fifth pass with every byte-level fast kernel (SWAR varint decode,
-# slice-by-8 CRC-32, radix grouping sort, coarse fan-outs) forced back to
-# its scalar reference implementation. DESIGN.md §5f: kernel selection is
-# an implementation detail — the goldens must stay byte-identical with
-# the oracles in charge, at one thread and at four.
-echo "==> seeded goldens (offline, BOOTERS_SCALAR_KERNELS=1)"
-BOOTERS_SCALAR_KERNELS=1 \
-    cargo test -q --offline --test smoke_seeded --test flow_backends --test par_invariance \
-    --test packet_chain_golden
-BOOTERS_SCALAR_KERNELS=1 BOOTERS_THREADS=4 \
-    cargo test -q --offline --test smoke_seeded --test flow_backends --test par_invariance \
-    --test packet_chain_golden
-
 # Artifact-level determinism: every file `repro all` writes (it names
-# each on stderr as "wrote <path>") must be byte-for-byte identical with
-# the scalar kernel oracles in charge, at four threads and at one. On a
-# multi-core host the default run steps the market on the booters-par
-# stage thread while the caller observes; BOOTERS_THREADS=1 runs the
-# interleaved loop, so the diff covers both sides of the pipeline.
-echo "==> repro all artifact diff (default vs scalar kernels vs 4 threads vs 1 thread, offline)"
+# each on stderr as "wrote <path>") must be byte-for-byte identical at
+# four threads and at one. On a multi-core host the default run steps
+# the market on the booters-par stage thread while the caller observes;
+# BOOTERS_THREADS=1 runs the interleaved loop, so the diff covers both
+# sides of the pipeline.
+echo "==> repro all artifact diff (default vs 4 threads vs 1 thread, offline)"
 REPRO="cargo run -q --release --offline -p booters-bench --bin repro --"
 ref=$(mktemp -d)
 $REPRO all >/dev/null 2>"$ref/log"
 sed -n 's/^wrote //p' "$ref/log" > "$ref/files"
 test -s "$ref/files" || { echo "verify: repro all wrote no artifacts" >&2; exit 1; }
 while read -r f; do cp "$f" "$ref/"; done < "$ref/files"
-for combo in "BOOTERS_SCALAR_KERNELS=1" "BOOTERS_THREADS=4" "BOOTERS_THREADS=1"; do
+for combo in "BOOTERS_THREADS=4" "BOOTERS_THREADS=1"; do
     env $combo $REPRO all >/dev/null 2>&1
     while read -r f; do
         cmp "$ref/$(basename "$f")" "$f" || {
@@ -93,7 +80,7 @@ for table in table1 table2; do
     }
 done
 
-# Sixth pass with metrics recording on: the observability contract
+# Fifth pass with metrics recording on: the observability contract
 # (DESIGN.md §5e) says BOOTERS_OBS=1 may never change an output byte, so
 # the full suite — every golden included — must pass with the registry
 # recording spans and counters on all hot paths.
@@ -115,7 +102,7 @@ $REPRO --scale 0.02 report >/dev/null
 test -s out/report.html || { echo "verify: out/report.html missing or empty" >&2; exit 1; }
 test -s out/report.md   || { echo "verify: out/report.md missing or empty" >&2; exit 1; }
 
-# Seventh pass: the query engine at the artifact level. `repro query` runs
+# Sixth pass: the query engine at the artifact level. `repro query` runs
 # canned pushdown queries (zone-map pruning, late materialization) over a
 # many-chunk store and writes the report and the weekly panel.
 # BOOTERS_THREADS=4 puts the per-chunk decode fan-out on real worker
@@ -127,41 +114,25 @@ BOOTERS_THREADS=4 $REPRO query >/dev/null
 test -s out/query.txt || { echo "verify: out/query.txt missing or empty" >&2; exit 1; }
 test -s out/query_panel.csv || { echo "verify: out/query_panel.csv missing or empty" >&2; exit 1; }
 
-# Eighth pass: the cache-coherence contract (DESIGN.md §5i). With an
-# 8 MiB decoded-chunk cache budget, every store read may be served from
-# the cache — and nothing is allowed to change. The golden suites must
-# pass unchanged, and `repro query`'s weekly panel must be byte-identical
-# to the cache-off run the seventh pass just wrote.
-echo "==> seeded goldens (offline, BOOTERS_CACHE_BYTES=8388608, BOOTERS_THREADS=4)"
-BOOTERS_CACHE_BYTES=8388608 BOOTERS_THREADS=4 \
-    cargo test -q --offline --test smoke_seeded --test flow_backends --test obs_golden
-echo "==> repro query smoke: cached vs uncached panel diff (offline, BOOTERS_CACHE_BYTES=8388608)"
-cp out/query_panel.csv out/query_panel.nocache.csv
-BOOTERS_CACHE_BYTES=8388608 BOOTERS_THREADS=4 $REPRO query >/dev/null
-cmp out/query_panel.nocache.csv out/query_panel.csv || {
-    echo "verify: repro query's weekly panel differs with the decoded-chunk cache on" >&2
-    exit 1
-}
-rm -f out/query_panel.nocache.csv
-
-# Ninth pass: the scenario-composition contract (DESIGN.md §5j) at the
+# Seventh pass: the scenario-composition contract (DESIGN.md §5j) at the
 # artifact level. `repro scenarios` runs all eight built-in intervention
 # scenarios (scenarios/*.scn) plus the shockless baseline end-to-end —
 # simulate, observe, refit — and writes the cross-scenario comparison
-# artifacts. Those must be byte-identical across thread counts and with
-# the scalar kernel oracles in charge; the scenario_suite golden test
+# artifacts. Those must be byte-identical across thread counts (at one
+# thread the market and the observer run interleaved, from two they
+# overlap on the booters-par stage); the scenario_suite golden test
 # pins the same contract in-process, the market_golden test pins every
 # market week of the paper run and of each scenario's run, and the scn
 # parser tests pin the DSL round-trip and diagnostics.
 echo "==> scenario goldens (offline, scn parser + market + suite byte-identity)"
 cargo test -q --offline --test scenario_suite --test market_golden
 cargo test -q --offline -p booters-market --test scn
-echo "==> repro scenarios artifact diff (threads 1/4 x fast/scalar, offline, scale 0.02)"
+echo "==> repro scenarios artifact diff (default vs 4 threads vs 1 thread, offline, scale 0.02)"
 $REPRO --scale 0.02 scenarios >/dev/null
 test -s out/scenarios.txt || { echo "verify: out/scenarios.txt missing or empty" >&2; exit 1; }
 cp out/scenario_summary.csv out/scenario_summary.ref.csv
 cp out/scenario_coefficients.csv out/scenario_coefficients.ref.csv
-for combo in "BOOTERS_THREADS=4" "BOOTERS_SCALAR_KERNELS=1" "BOOTERS_THREADS=4 BOOTERS_SCALAR_KERNELS=1"; do
+for combo in "BOOTERS_THREADS=4" "BOOTERS_THREADS=1"; do
     env $combo $REPRO --scale 0.02 scenarios >/dev/null
     cmp out/scenario_summary.ref.csv out/scenario_summary.csv || {
         echo "verify: scenario summary differs under $combo" >&2
@@ -174,7 +145,7 @@ for combo in "BOOTERS_THREADS=4" "BOOTERS_SCALAR_KERNELS=1" "BOOTERS_THREADS=4 B
 done
 rm -f out/scenario_summary.ref.csv out/scenario_coefficients.ref.csv
 
-# Tenth pass: the end-to-end benchmark's own checks. bench_e2e/ is a
+# Eighth pass: the end-to-end benchmark's own checks. bench_e2e/ is a
 # separate Cargo workspace built from these crates by path; its self-tests
 # cover the metric readers and the layer accounting, and run the binary's
 # `paper` workload at both trace levels, whose warm-up must reproduce the

@@ -13,13 +13,12 @@
 //! - one long-running streaming node (booters-serve, §5g), closed with
 //!   one epoch per week: identical flows;
 //! - a columnar store written per batch and read back through the
-//!   pushdown engine (booters-query, §5h), with the decoded-chunk cache
-//!   off and on (§5i): identical weekly attack counts, and time-window
-//!   scans that prune chunks yet return exactly the matching packets.
+//!   pushdown engine (booters-query, §5h): identical weekly attack
+//!   counts, and time-window scans that prune chunks yet return exactly
+//!   the matching packets.
 //!
-//! Every backend is checked at 1, 2, 4 and 8 threads and with every fast
-//! kernel forced back to its scalar oracle; the backends' work counters
-//! must not move with either.
+//! Every backend is checked at 1, 2, 4 and 8 threads; the backends' work
+//! counters must not move with the thread count.
 //!
 //! The batches come from a seeded market over the paper's modelling
 //! window (June 2016 – April 2019) at scale 0.05: four commands a week
@@ -35,11 +34,11 @@ use booting_the_booters::netsim::{
     classify_flows, group_flows_par, Engine, EngineConfig, Flow, FlowClass, SensorPacket, VictimKey,
 };
 use booting_the_booters::obs;
-use booting_the_booters::par::{with_min_items, with_scalar_kernels, with_threads};
+use booting_the_booters::par::{with_min_items, with_threads};
 use booting_the_booters::query::{Predicate, QueryEngine, QueryStats, WEEK_SECS};
 use booting_the_booters::serve::{ServeConfig, ServeNode, ServeStats};
 use booting_the_booters::store::{
-    classify_out_of_core, set_cache_bytes, ChunkWriter, SpillConfig, SpillGrouper, SpillStats,
+    classify_out_of_core, ChunkWriter, SpillConfig, SpillGrouper, SpillStats,
 };
 use booting_the_booters::timeseries::Date;
 use std::collections::BTreeMap;
@@ -60,20 +59,11 @@ const SPILL_BUDGET: usize = 32 << 10;
 /// query engine's per-chunk fan-out and pruning genuinely run.
 const CHUNK_PACKETS: usize = 512;
 
-/// Thread count and kernel selection (`true` = scalar oracles) of every
-/// backend run.
-const CONFIGS: [(usize, bool); 6] = [
-    (1, false),
-    (2, false),
-    (4, false),
-    (8, false),
-    (1, true),
-    (4, true),
-];
+/// Thread count of every backend run.
+const CONFIGS: [usize; 4] = [1, 2, 4, 8];
 
-/// The metrics registry and the decoded-chunk cache budget are
-/// process-wide, and several tests here switch one or the other, so the
-/// tests of this file run one at a time.
+/// The metrics registry is process-wide, and several tests here switch
+/// it, so the tests of this file run one at a time.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Holds [`SERIAL`]. On release it first flushes the test thread's
@@ -140,18 +130,15 @@ fn calibration() -> Calibration {
     }
 }
 
-/// The reference: each batch grouped in memory, sequentially, with the
-/// fast kernels.
+/// The reference: each batch grouped in memory, sequentially.
 fn reference() -> &'static [Vec<Flow>] {
     static FLOWS: OnceLock<Vec<Vec<Flow>>> = OnceLock::new();
     FLOWS.get_or_init(|| {
         with_threads(1, || {
-            with_scalar_kernels(false, || {
-                batches()
-                    .iter()
-                    .map(|b| group_flows_par(&b.packets, VictimKey::ByIp))
-                    .collect()
-            })
+            batches()
+                .iter()
+                .map(|b| group_flows_par(&b.packets, VictimKey::ByIp))
+                .collect()
         })
     })
 }
@@ -164,11 +151,6 @@ fn attack_weeks(flows: &[Flow]) -> BTreeMap<u64, u64> {
         *weeks.entry(f.start / WEEK_SECS).or_insert(0) += 1;
     }
     weeks
-}
-
-/// Run `f` at `threads` threads with the kernels `scalar` selects.
-fn at<T>((threads, scalar): (usize, bool), f: impl FnOnce() -> T) -> T {
-    with_threads(threads, || with_scalar_kernels(scalar, f))
 }
 
 /// Each batch through its own spill grouper.
@@ -289,7 +271,7 @@ fn check_query(answers: &[QueryAnswer], label: &str) {
         );
         for s in [&a.attacks_stats, &a.window_stats] {
             assert_eq!(
-                s.chunks_pruned + s.chunks_covered + s.chunks_decoded + s.chunks_cached,
+                s.chunks_pruned + s.chunks_covered + s.chunks_decoded,
                 s.chunks_total,
                 "{label}: planner accounting leak in batch {i}"
             );
@@ -309,27 +291,15 @@ fn check_query(answers: &[QueryAnswer], label: &str) {
     assert!(pruned > 0, "{label}: no half-week scan pruned a chunk");
 }
 
-/// Sets the decoded-chunk cache budget, restoring the previous one on
-/// drop (panics included).
-struct CacheBudget(usize);
-
-impl CacheBudget {
-    fn set(bytes: usize) -> CacheBudget {
-        CacheBudget(set_cache_bytes(bytes))
-    }
-}
-
-impl Drop for CacheBudget {
-    fn drop(&mut self) {
-        set_cache_bytes(self.0);
-    }
-}
-
-/// Every [`CONFIGS`] run of one backend, in [`CONFIGS`] order.
-type Runs<T> = Vec<((usize, bool), T)>;
+/// Every [`CONFIGS`] run of one backend, in [`CONFIGS`] order, tagged
+/// with its thread count.
+type Runs<T> = Vec<(usize, T)>;
 
 fn runs_of<T>(run: impl Fn() -> T) -> Runs<T> {
-    CONFIGS.iter().map(|&c| (c, at(c, &run))).collect()
+    CONFIGS
+        .iter()
+        .map(|&t| (t, with_threads(t, &run)))
+        .collect()
 }
 
 /// The store matrix, run once and shared by the store tests.
@@ -344,16 +314,10 @@ fn serve_runs() -> &'static Runs<(Vec<Vec<Flow>>, ServeStats)> {
     RUNS.get_or_init(|| runs_of(run_serve))
 }
 
-/// The query matrix with the cache off, run once and shared by the
-/// query tests.
+/// The query matrix, run once and shared by the query tests.
 fn query_runs() -> &'static Runs<Vec<QueryAnswer>> {
     static RUNS: OnceLock<Runs<Vec<QueryAnswer>>> = OnceLock::new();
-    RUNS.get_or_init(|| {
-        // Budget 0 is bit-for-bit the uncached read path, whatever
-        // BOOTERS_CACHE_BYTES says.
-        let _cache = CacheBudget::set(0);
-        runs_of(run_query)
-    })
+    RUNS.get_or_init(|| runs_of(run_query))
 }
 
 /// Check one store run's flows against the reference.
@@ -381,63 +345,43 @@ fn check_serve(flows: &[Vec<Flow>], label: &str) {
 #[test]
 fn store_flows_match_in_memory_across_threads_and_budget() {
     let _g = serial();
-    let fast: Vec<_> = store_runs().iter().filter(|(c, _)| !c.1).collect();
-    assert_eq!(fast.len(), 4, "threads 1, 2, 4 and 8");
-    let (_, base) = fast[0];
-    for (config, runs) in &fast {
-        check_store(runs, &format!("{config:?}"));
+    let (_, base) = &store_runs()[0];
+    for (threads, runs) in store_runs() {
+        check_store(runs, &format!("threads={threads}"));
         // Real external merging, not a lucky in-RAM pass.
         let spill_runs: usize = runs.iter().map(|(_, s)| s.spill_runs).sum();
         assert!(
             spill_runs >= 3,
-            "{config:?}: only {spill_runs} spill runs under the tiny budget"
+            "threads={threads}: only {spill_runs} spill runs under the tiny budget"
         );
         assert!(
             runs.iter().map(|r| &r.1).eq(base.iter().map(|r| &r.1)),
-            "{config:?}: SpillStats drifted"
+            "threads={threads}: SpillStats drifted"
         );
     }
 }
 
 #[test]
-fn store_flows_are_kernel_invariant() {
-    let _g = serial();
-    // Fast kernels (the default) vs every kernel forced to its scalar
-    // oracle: the same flows, and the same spill work.
-    let (_, fast) = &store_runs()[0];
-    let mut scalar = 0;
-    for (config, runs) in store_runs().iter().filter(|(c, _)| c.1) {
-        check_store(runs, &format!("{config:?}"));
-        assert!(
-            runs.iter().map(|r| &r.1).eq(fast.iter().map(|r| &r.1)),
-            "{config:?}: SpillStats differ from the fast kernels'"
-        );
-        scalar += 1;
-    }
-    assert!(scalar >= 2, "no scalar-kernel run");
-}
-
-#[test]
-fn serve_flows_match_in_memory_across_threads_and_kernels() {
+fn serve_flows_match_in_memory_across_threads() {
     let _g = serial();
     let weeks = batches().len() as u64;
     let packets: u64 = batches().iter().map(|b| b.packets.len() as u64).sum();
-    for (config, (flows, stats)) in serve_runs() {
-        check_serve(flows, &format!("{config:?}"));
+    for (threads, (flows, stats)) in serve_runs() {
+        check_serve(flows, &format!("threads={threads}"));
         assert_eq!(stats.packets, packets);
         assert_eq!(
             stats.grouped, packets,
-            "{config:?}: packets lost between intake and grouping"
+            "threads={threads}: packets lost between intake and grouping"
         );
         assert_eq!(stats.epochs, weeks);
         assert_eq!(
             stats.weeks_closed, weeks,
-            "{config:?}: one week closes per epoch"
+            "threads={threads}: one week closes per epoch"
         );
         assert_eq!(stats.late_packets, 0, "watermark contract violated");
         assert!(
             stats.backpressure_events > 0,
-            "{config:?}: small rings never pushed back"
+            "threads={threads}: small rings never pushed back"
         );
     }
 }
@@ -447,7 +391,7 @@ fn serve_stats_are_thread_invariant() {
     let _g = serial();
     // ServeStats are part of the determinism contract: every counter is
     // derived from packet content and watermark schedule, never from
-    // scheduling order, so neither thread count nor kernels move any.
+    // scheduling order, so the thread count moves none.
     let (_, (_, base)) = &serve_runs()[0];
     assert!(
         base.refits_warm >= 1,
@@ -456,17 +400,16 @@ fn serve_stats_are_thread_invariant() {
         base.refits_full,
         base.refit_failures
     );
-    for (config, (_, stats)) in &serve_runs()[1..] {
-        assert_eq!(stats, base, "{config:?}: ServeStats drifted");
+    for (threads, (_, stats)) in &serve_runs()[1..] {
+        assert_eq!(stats, base, "threads={threads}: ServeStats drifted");
     }
 }
 
 #[test]
-fn query_attacks_match_in_memory_across_threads_and_kernels() {
+fn query_attacks_match_in_memory_across_threads() {
     let _g = serial();
-    for (config, answers) in query_runs() {
-        check_query(answers, &format!("{config:?}"));
-        assert!(answers.iter().all(|a| a.window_stats.chunks_cached == 0));
+    for (threads, answers) in query_runs() {
+        check_query(answers, &format!("threads={threads}"));
     }
 }
 
@@ -475,34 +418,15 @@ fn query_stats_are_thread_invariant() {
     let _g = serial();
     // QueryStats are part of the determinism contract: pruning depends
     // only on the footer, and per-chunk work is summed in submission
-    // order, so every counter is identical at any thread count and
-    // kernel selection.
+    // order, so every counter is identical at any thread count.
     let stats = |answers: &'static [QueryAnswer]| {
         answers.iter().map(|a| (&a.attacks_stats, &a.window_stats))
     };
     let (_, base) = &query_runs()[0];
-    for (config, answers) in &query_runs()[1..] {
+    for (threads, answers) in &query_runs()[1..] {
         assert!(
             stats(answers).eq(stats(base)),
-            "{config:?}: QueryStats drifted"
-        );
-    }
-}
-
-#[test]
-fn query_attacks_match_with_the_chunk_cache_on() {
-    let _g = serial();
-    // A budget that holds every store: the half-week scan re-reads
-    // chunks the attack scan just decoded, so it hits the cache, and a
-    // hit must be indistinguishable from a miss.
-    let _cache = CacheBudget::set(8 << 20);
-    for config in [(1, false), (4, false), (1, true), (4, true)] {
-        let answers = at(config, run_query);
-        check_query(&answers, &format!("cache on, {config:?}"));
-        let hits: u64 = answers.iter().map(|a| a.window_stats.chunks_cached).sum();
-        assert!(
-            hits > 0,
-            "{config:?}: the half-week scans never hit the cache"
+            "threads={threads}: QueryStats drifted"
         );
     }
 }
@@ -580,7 +504,6 @@ fn serve_metrics_on_changes_no_flow() {
 #[test]
 fn query_metrics_on_changes_no_answer() {
     let _g = serial();
-    let _cache = CacheBudget::set(0);
     let [(off_answers, off), (on_answers, on)] = off_then_on(run_query);
     check_query(&off_answers, "metrics off");
     check_query(&on_answers, "metrics on");
@@ -643,7 +566,6 @@ fn serve_workload_counters_are_thread_count_invariant() {
 #[test]
 fn query_workload_counters_are_thread_count_invariant() {
     let _g = serial();
-    let _cache = CacheBudget::set(0);
     check_workload_invariant(run_query, &["query.scans", "query.rows_scanned"]);
 }
 

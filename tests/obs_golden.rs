@@ -107,112 +107,6 @@ fn workload_counters_are_thread_count_invariant() {
     );
 }
 
-/// Build a small store and run a fixed query sequence against it under
-/// `threads` workers, returning the merged workload counters and gauges.
-/// The cache is cleared first and a fresh store file (fresh `StoreId`)
-/// is used per call, so every run starts cold and the `cache.*` family
-/// is a pure function of the query sequence.
-fn cache_workload_at(threads: usize) -> (BTreeMap<String, u64>, BTreeMap<String, u64>) {
-    use booting_the_booters::netsim::{SensorPacket, UdpProtocol, VictimAddr};
-    use booting_the_booters::query::{Column, Predicate, QueryEngine};
-    use booting_the_booters::store::ChunkWriter;
-
-    let path = std::env::temp_dir().join(format!(
-        "booters-obs-cache-{}-{threads}.bstore",
-        std::process::id()
-    ));
-    let packets: Vec<SensorPacket> = (0..4096u64)
-        .map(|i| SensorPacket {
-            time: i,
-            sensor: (i % 4) as u32,
-            victim: VictimAddr((i % 37) as u32),
-            protocol: UdpProtocol::ALL[i as usize % UdpProtocol::ALL.len()],
-            ttl: 64,
-            src_port: 123,
-        })
-        .collect();
-    {
-        let mut w = ChunkWriter::with_capacity(&path, 256).unwrap();
-        w.push_all(&packets).unwrap();
-        w.finish().unwrap();
-    }
-    booting_the_booters::store::cache::clear();
-    obs::set_enabled(true);
-    obs::reset();
-    with_threads(threads, || {
-        let engine = QueryEngine::open(&path).unwrap();
-        for _ in 0..2 {
-            let r = engine.scan(&Predicate::all()).unwrap();
-            assert_eq!(r.rows.len(), packets.len());
-        }
-        // sum() always decodes its planned chunks (unlike count(), which
-        // a full-coverage predicate answers from the footer alone), so
-        // this third pass is a second full round of cache hits.
-        let (total, _) = engine.sum(&Predicate::all(), Column::Ttl).unwrap();
-        assert_eq!(total, 64 * packets.len() as u128);
-    });
-    let snap = obs::snapshot();
-    obs::set_enabled(false);
-    obs::reset();
-    std::fs::remove_file(&path).unwrap();
-    (snap.workload_counters(), snap.gauges)
-}
-
-#[test]
-fn cache_counters_are_absent_when_the_cache_is_off() {
-    let _g = OBS_LOCK.lock().unwrap();
-    let prev = booting_the_booters::store::set_cache_bytes(0);
-    let (counters, gauges) = cache_workload_at(1);
-    booting_the_booters::store::set_cache_bytes(prev);
-    // Budget 0 is bit-for-bit off: no cache.* counter or gauge may even
-    // exist, let alone read zero.
-    assert!(
-        !counters.keys().any(|k| k.starts_with("cache.")),
-        "cache.* counters recorded with the cache off: {:?}",
-        counters.keys().collect::<Vec<_>>()
-    );
-    assert!(
-        !gauges.keys().any(|k| k.starts_with("cache.")),
-        "cache.* gauges recorded with the cache off: {:?}",
-        gauges.keys().collect::<Vec<_>>()
-    );
-}
-
-#[test]
-fn cache_counters_are_thread_count_invariant() {
-    let _g = OBS_LOCK.lock().unwrap();
-    let prev = booting_the_booters::store::set_cache_bytes(8 << 20);
-    let (seq, seq_gauges) = cache_workload_at(1);
-    let (par, par_gauges) = cache_workload_at(4);
-    booting_the_booters::store::set_cache_bytes(prev);
-    assert_eq!(
-        seq, par,
-        "cache-inclusive workload counters must merge to identical totals at 1 and 4 threads"
-    );
-    assert_eq!(
-        seq_gauges.get("cache.peak_bytes"),
-        par_gauges.get("cache.peak_bytes"),
-        "peak-bytes gauge must be thread-count invariant"
-    );
-    // The workload genuinely exercised the cache: the first scan misses
-    // every chunk, the repeat scan and the sum hit every chunk.
-    let chunks = seq.get("cache.misses").copied().unwrap_or(0);
-    assert!(chunks > 0, "expected cold misses recorded: {seq:?}");
-    assert_eq!(
-        seq.get("cache.hits").copied().unwrap_or(0),
-        2 * chunks,
-        "warm scan + sum must hit every chunk once each: {seq:?}"
-    );
-    assert!(
-        seq.get("cache.inserted_bytes").copied().unwrap_or(0) > 0,
-        "expected inserted bytes recorded: {seq:?}"
-    );
-    assert!(
-        seq_gauges.get("cache.peak_bytes").copied().unwrap_or(0) > 0,
-        "expected a peak-bytes gauge: {seq_gauges:?}"
-    );
-}
-
 #[test]
 fn disabled_runs_leave_registry_empty() {
     let _g = OBS_LOCK.lock().unwrap();

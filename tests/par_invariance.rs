@@ -17,7 +17,7 @@ use booting_the_booters::netsim::{
     classify_flows, classify_flows_par, sort_flows, Flow, FlowClass, SensorPacket, UdpProtocol,
     VictimAddr,
 };
-use booting_the_booters::par::{with_scalar_kernels, with_threads};
+use booting_the_booters::par::with_threads;
 use booting_the_booters::timeseries::Date;
 use booters_testkit::strategy::prop;
 use booters_testkit::{forall, prop_assert, prop_assert_eq, Strategy};
@@ -70,24 +70,6 @@ forall! {
             prop_assert_eq!(&parallel.0, &reference.0, "flows differ at {} threads", threads);
             prop_assert_eq!(parallel.1, reference.1, "attack count at {} threads", threads);
             prop_assert_eq!(parallel.2, reference.2, "scan count at {} threads", threads);
-        }
-    }
-
-    fn flow_classification_is_kernel_invariant_at_every_thread_count(packets in packet_stream()) {
-        // Fast byte-level kernels vs their scalar oracles, crossed with
-        // the thread counts: neither axis may move a bit of output.
-        let reference = with_scalar_kernels(true, || canonical(classify_flows(&packets)));
-        for threads in THREAD_COUNTS {
-            let fast = with_threads(threads, || {
-                with_scalar_kernels(false, || canonical(classify_flows_par(&packets)))
-            });
-            prop_assert_eq!(&fast.0, &reference.0, "fast kernels at {} threads", threads);
-            let scalar = with_threads(threads, || {
-                with_scalar_kernels(true, || canonical(classify_flows_par(&packets)))
-            });
-            prop_assert_eq!(&scalar.0, &reference.0, "scalar oracles at {} threads", threads);
-            prop_assert_eq!(fast.1, reference.1);
-            prop_assert_eq!(fast.2, reference.2);
         }
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! The acceptance bar (DESIGN.md §5j): every built-in scenario runs the
 //! full market → honeypot → NB2 pipeline, and every rendered suite
-//! output is **byte-identical** across thread counts and with every
-//! fast kernel forced back to its scalar oracle — the same determinism
-//! contract (§5b) the rest of the repo is held to. On top of the byte
+//! output is **byte-identical** across thread counts — the same
+//! determinism contract (§5b) the rest of the repo is held to. On top of the byte
 //! contract, the fitted outcomes must tell the documented qualitative
 //! story (EXPERIMENTS.md): rebranding claws back most of a takedown's
 //! suppression, payment friction sustains it.
@@ -17,7 +16,7 @@ use booting_the_booters::core::scenarios::{
 use booting_the_booters::market::market::MarketConfig;
 use booting_the_booters::market::scn::builtin_scenarios;
 use booting_the_booters::market::shocks::ScenarioSpec;
-use booting_the_booters::par::{with_scalar_kernels, with_threads};
+use booting_the_booters::par::with_threads;
 use booting_the_booters::timeseries::Date;
 
 /// Small scale keeps the nine simulate+refit runs test-sized; the
@@ -46,19 +45,17 @@ fn outcome<'a>(suite: &'a ScenarioSuite, name: &str) -> &'a ScenarioOutcome {
 }
 
 #[test]
-fn builtin_suite_is_byte_identical_across_threads_and_kernels() {
+fn builtin_suite_is_byte_identical_across_threads() {
     let run = || run_builtin_suite(&cfg()).expect("suite");
-    let reference = with_threads(1, || with_scalar_kernels(false, run));
+    let reference = with_threads(1, run);
     let ref_out = rendered(&reference);
     assert_eq!(reference.outcomes.len(), 8, "all built-ins must run");
-    for (threads, scalar) in [(4, false), (1, true), (4, true)] {
-        let suite = with_threads(threads, || with_scalar_kernels(scalar, run));
-        assert_eq!(
-            rendered(&suite),
-            ref_out,
-            "threads={threads} scalar={scalar} diverged from the reference"
-        );
-    }
+    let suite = with_threads(4, run);
+    assert_eq!(
+        rendered(&suite),
+        ref_out,
+        "threads=4 diverged from the reference"
+    );
 
     // --- Qualitative outcomes, asserted on the reference run ---------
 
