@@ -59,7 +59,7 @@ impl<'a> RunContext<'a> {
     }
 
     /// The global Table 1 fit, fitted on the first call only.
-    pub fn global_fit(&self) -> Result<&GlobalModelResult, PipelineError> {
+    fn global_fit(&self) -> Result<&GlobalModelResult, PipelineError> {
         if let Some(fit) = self.global.get() {
             return Ok(fit);
         }

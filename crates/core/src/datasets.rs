@@ -43,11 +43,6 @@ impl HoneypotDataset {
         &self.country_protocol[c.index() * UdpProtocol::ALL.len() + p.index()]
     }
 
-    /// Mutable series for one (country, protocol) cell.
-    pub fn country_protocol_mut(&mut self, c: Country, p: UdpProtocol) -> &mut WeeklySeries {
-        &mut self.country_protocol[c.index() * UdpProtocol::ALL.len() + p.index()]
-    }
-
     /// Protocol shares of attacks on one country over `[from, to)`.
     /// Returns `None` when the window is outside the dataset or empty.
     pub fn protocol_mix(&self, c: Country, from: Date, to: Date) -> Option<[f64; 10]> {

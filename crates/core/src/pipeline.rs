@@ -128,7 +128,7 @@ pub fn global_intervention_windows(cal: &Calibration) -> Vec<InterventionWindow>
 /// significant, otherwise the overall duration (the dummy is still
 /// estimated so the ~0 effect can be reported, as the paper does for the
 /// red cells).
-pub fn country_intervention_windows(cal: &Calibration, country: Country) -> Vec<InterventionWindow> {
+fn country_intervention_windows(cal: &Calibration, country: Country) -> Vec<InterventionWindow> {
     cal.interventions
         .iter()
         .map(|ic| {
@@ -345,93 +345,6 @@ impl GlobalModelResult {
             interventions_joint_p: joint,
         }
     }
-}
-
-/// Result of one per-protocol model (the §4.2 analysis: "Many of the
-/// drops in attacks seen after interventions are caused by drops in
-/// attacks for a particular protocol").
-#[derive(Debug)]
-pub struct ProtocolResult {
-    /// The protocol.
-    pub protocol: booters_netsim::UdpProtocol,
-    /// The model.
-    pub model: GlobalModelResult,
-}
-
-/// Fit the global intervention model to one protocol's weekly series.
-pub fn fit_protocol(
-    ds: &HoneypotDataset,
-    cal: &Calibration,
-    protocol: booters_netsim::UdpProtocol,
-    cfg: &PipelineConfig,
-) -> Result<ProtocolResult, PipelineError> {
-    let series = window_of(ds.protocol(protocol), protocol.label(), cfg.window_start, cfg.window_end)?;
-    let model = fit_series(&series, &global_intervention_windows(cal), cfg)?;
-    Ok(ProtocolResult { protocol, model })
-}
-
-/// Result of the NCA-style trend-break test on one country's series.
-#[derive(Debug, Clone, Copy)]
-pub struct TrendBreakTest {
-    /// Coefficient of the trend × campaign interaction (log scale per
-    /// week); a flattened trend shows up as ≈ −(baseline trend).
-    pub interaction_coef: f64,
-    /// Standard error of the interaction.
-    pub std_error: f64,
-    /// Two-sided p-value.
-    pub p_value: f64,
-    /// The baseline weekly trend.
-    pub baseline_trend: f64,
-}
-
-/// Test for a trend break over `[from, to)` in a weekly series: fits the
-/// seasonal NB model with an extra `time × window` interaction column.
-/// This is the formal version of the paper's Figure 5 slope comparison
-/// for the NCA advertising campaign.
-pub fn trend_break_test(
-    series: &WeeklySeries,
-    windows: &[InterventionWindow],
-    from: Date,
-    to: Date,
-    cfg: &PipelineConfig,
-) -> Result<TrendBreakTest, PipelineError> {
-    booters_obs::span!("fit");
-    let design = its_design(series, windows, &cfg.design);
-    let time_col = design.column_index("time").ok_or_else(|| {
-        PipelineError::Argument("trend-break test needs a design with a trend term".into())
-    })?;
-    // Append the interaction column: centred time within the window so the
-    // main window level is captured separately by a level dummy.
-    let n = series.len();
-    let mut x = booters_linalg::Matrix::zeros(n, design.x.cols() + 2);
-    for i in 0..n {
-        for j in 0..design.x.cols() {
-            x[(i, j)] = design.x[(i, j)];
-        }
-        let monday = series.week_date(i);
-        let inside = monday >= from.week_start() && monday < to.week_start();
-        let t0 = (from.week_start().days_since(series.start()) / 7) as f64;
-        if inside {
-            x[(i, design.x.cols())] = 1.0; // level shift at the break
-            x[(i, design.x.cols() + 1)] = design.x[(i, time_col)] - t0; // slope change
-        }
-    }
-    let mut names = design.names.clone();
-    names.push("break_level".to_string());
-    names.push("break_trend".to_string());
-    let y: Vec<f64> = series.values().iter().map(|&v| v.max(0.0).round()).collect();
-    let mut opts = cfg.negbin;
-    opts.covariance = cfg.covariance;
-    let fit = with_fit_workspace(|ws| fit_negbin_with(ws, &x, &y, &names, &opts))?;
-    let missing = |name: &str| PipelineError::Argument(format!("fit has no `{name}` column"));
-    let inter = fit.inference.coef("break_trend").ok_or_else(|| missing("break_trend"))?;
-    let trend = fit.inference.coef("time").ok_or_else(|| missing("time"))?;
-    Ok(TrendBreakTest {
-        interaction_coef: inter.coef,
-        std_error: inter.std_error,
-        p_value: inter.p_value,
-        baseline_trend: trend.coef,
-    })
 }
 
 /// Scan candidate durations for one intervention window, holding the
@@ -672,10 +585,13 @@ mod tests {
         let s = scenario();
         let cal = Calibration::default();
         let cfg = PipelineConfig::default();
-        let ldap = fit_protocol(&s.honeypot, &cal, booters_netsim::UdpProtocol::Ldap, &cfg)
-            .unwrap();
-        let ldap_xmas = ldap
-            .model
+        let fit_protocol = |p: booters_netsim::UdpProtocol| {
+            let series =
+                window_of(s.honeypot.protocol(p), p.label(), cfg.window_start, cfg.window_end)
+                    .unwrap();
+            fit_series(&series, &global_intervention_windows(&cal), &cfg).unwrap()
+        };
+        let ldap_xmas = fit_protocol(booters_netsim::UdpProtocol::Ldap)
             .intervention_effects()
             .into_iter()
             .find(|e| e.name == "Xmas 2018 event")
@@ -683,10 +599,7 @@ mod tests {
         assert!(ldap_xmas.mean_pct < -30.0, "LDAP xmas={}", ldap_xmas.mean_pct);
         assert!(ldap_xmas.significant());
         // A protocol outside the dip set shows a weaker drop.
-        let ssdp = fit_protocol(&s.honeypot, &cal, booters_netsim::UdpProtocol::Ssdp, &cfg)
-            .unwrap();
-        let ssdp_xmas = ssdp
-            .model
+        let ssdp_xmas = fit_protocol(booters_netsim::UdpProtocol::Ssdp)
             .intervention_effects()
             .into_iter()
             .find(|e| e.name == "Xmas 2018 event")
@@ -696,39 +609,6 @@ mod tests {
             "LDAP {} should drop more than SSDP {}",
             ldap_xmas.mean_pct,
             ssdp_xmas.mean_pct
-        );
-    }
-
-    #[test]
-    fn nca_trend_break_detected_in_uk_not_us() {
-        let s = scenario();
-        let cal = Calibration::default();
-        let cfg = PipelineConfig::default();
-        let from = Date::new(2017, 12, 25);
-        let to = Date::new(2018, 8, 6);
-        let windows = country_intervention_windows(&cal, Country::Uk);
-        let uk_series = s
-            .honeypot
-            .country(Country::Uk)
-            .window(cfg.window_start, cfg.window_end)
-            .unwrap();
-        let uk = trend_break_test(&uk_series, &windows, from, to, &cfg).unwrap();
-        // The UK's trend flattens: interaction ≈ −baseline, significant.
-        assert!(uk.interaction_coef < -0.004, "uk interaction={}", uk.interaction_coef);
-        assert!(uk.p_value < 0.05, "uk p={}", uk.p_value);
-
-        let us_windows = country_intervention_windows(&cal, Country::Us);
-        let us_series = s
-            .honeypot
-            .country(Country::Us)
-            .window(cfg.window_start, cfg.window_end)
-            .unwrap();
-        let us = trend_break_test(&us_series, &us_windows, from, to, &cfg).unwrap();
-        assert!(
-            us.interaction_coef > uk.interaction_coef + 0.004,
-            "us={} uk={}",
-            us.interaction_coef,
-            uk.interaction_coef
         );
     }
 

@@ -429,14 +429,6 @@ pub fn protocol_mix_table(
     out
 }
 
-/// Effective number of protocols used against one country (inverse
-/// Herfindahl of the protocol mix) over `[from, to)`.
-pub fn effective_protocols(ds: &HoneypotDataset, c: Country, from: Date, to: Date) -> Option<f64> {
-    let mix = ds.protocol_mix(c, from, to)?;
-    let hhi: f64 = mix.iter().map(|s| s * s).sum();
-    Some(1.0 / hhi.max(1e-12))
-}
-
 /// Figure 7 CSV: self-reported weekly attacks per booter (anonymised ids),
 /// stacked. Only booters with at least one increment appear.
 pub fn fig7_csv(sr: &SelfReportDataset, n_weeks: usize) -> String {
@@ -596,12 +588,13 @@ mod tests {
         let s = scenario();
         let from = Date::new(2016, 6, 6);
         let to = Date::new(2017, 1, 2);
-        let cn = effective_protocols(&s.honeypot, Country::Cn, from, to).unwrap();
-        let us = effective_protocols(&s.honeypot, Country::Us, from, to).unwrap();
-        assert!(cn < us, "cn eff.#={cn:.1} us={us:.1}");
         let cn_mix = s.honeypot.protocol_mix(Country::Cn, from, to).unwrap();
-        assert_eq!(cn_mix[UdpProtocol::Dns.index()], 0.0, "CN must see no DNS");
         let us_mix = s.honeypot.protocol_mix(Country::Us, from, to).unwrap();
+        // Effective number of protocols: the inverse Herfindahl of the mix.
+        let effective = |mix: &[f64; 10]| 1.0 / mix.iter().map(|s| s * s).sum::<f64>();
+        let (cn, us) = (effective(&cn_mix), effective(&us_mix));
+        assert!(cn < us, "cn eff.#={cn:.1} us={us:.1}");
+        assert_eq!(cn_mix[UdpProtocol::Dns.index()], 0.0, "CN must see no DNS");
         assert!(us_mix[UdpProtocol::Dns.index()] > 0.05);
     }
 

@@ -51,7 +51,7 @@ pub struct Artifact {
 impl Artifact {
     /// CSV artifacts are rendered as sortable tables; everything else
     /// as preformatted text.
-    pub fn is_csv(&self) -> bool {
+    fn is_csv(&self) -> bool {
         self.name.ends_with(".csv")
     }
 }
@@ -134,7 +134,7 @@ impl RowAddressFactory {
     }
 
     /// The (clamped) page size.
-    pub fn page_size(&self) -> usize {
+    fn page_size(&self) -> usize {
         self.page_size
     }
 
@@ -146,10 +146,6 @@ impl RowAddressFactory {
         }
     }
 
-    /// Number of pages needed for `rows` data rows (at least 1).
-    pub fn pages(&self, rows: usize) -> usize {
-        rows.div_ceil(self.page_size).max(1)
-    }
 }
 
 /// Inferred type of one CSV column, driving sort order and plotting:
@@ -185,7 +181,7 @@ impl ColumnType {
 }
 
 /// Classify one column from its data cells (header excluded).
-pub fn classify_column<'a>(cells: impl Iterator<Item = &'a str>) -> ColumnType {
+fn classify_column<'a>(cells: impl Iterator<Item = &'a str>) -> ColumnType {
     let mut seen = false;
     let mut all_int = true;
     let mut all_float = true;
@@ -213,7 +209,7 @@ pub fn classify_column<'a>(cells: impl Iterator<Item = &'a str>) -> ColumnType {
 
 /// Classify every column of a CSV body (first line = header). Ragged
 /// rows contribute only the cells they have.
-pub fn classify_table(body: &str) -> Vec<ColumnType> {
+fn classify_table(body: &str) -> Vec<ColumnType> {
     let mut lines = body.lines();
     let n_cols = lines.next().map_or(0, |h| csv_fields(h).len());
     let rows: Vec<Vec<&str>> = lines
@@ -820,9 +816,6 @@ mod tests {
         assert_eq!(f.get(49), RowAddress { page: 0, local: 49 });
         assert_eq!(f.get(50), RowAddress { page: 1, local: 0 });
         assert_eq!(f.get(137), RowAddress { page: 2, local: 37 });
-        assert_eq!(f.pages(0), 1);
-        assert_eq!(f.pages(50), 1);
-        assert_eq!(f.pages(51), 2);
         // Degenerate page size clamps rather than dividing by zero.
         assert_eq!(RowAddressFactory::new(0).page_size(), 1);
     }

@@ -42,11 +42,6 @@ pub struct CoefEstimate {
 }
 
 impl CoefEstimate {
-    /// Incidence-rate ratio `exp(coef)` — the multiplicative effect on the
-    /// expected count for log-link models.
-    pub fn irr(&self) -> f64 {
-        self.coef.exp()
-    }
 
     /// Percentage change in the expected count, `100·(exp(coef)−1)` —
     /// the "Mean −32%" numbers of Table 2.
@@ -329,7 +324,6 @@ mod tests {
         let (lo, hi) = c.percent_change_ci();
         assert!((lo + 37.4).abs() < 0.5, "lo={lo}");
         assert!((hi + 27.1).abs() < 0.5, "hi={hi}");
-        assert!((c.irr() - 0.675).abs() < 0.001);
     }
 
     #[test]

@@ -125,13 +125,9 @@ pub struct GlmFit {
 }
 
 impl GlmFit {
-    /// Response residuals y − μ̂.
-    pub fn response_residuals(&self, y: &[f64]) -> Vec<f64> {
-        y.iter().zip(&self.mu).map(|(a, b)| a - b).collect()
-    }
 
     /// Pearson residuals (y − μ̂)/√Var(μ̂) for the given family.
-    pub fn pearson_residuals(&self, y: &[f64], family: &dyn Family) -> Vec<f64> {
+    fn pearson_residuals(&self, y: &[f64], family: &dyn Family) -> Vec<f64> {
         y.iter()
             .zip(&self.mu)
             .map(|(&yi, &mi)| (yi - mi) / family.variance(mi).sqrt())

@@ -83,17 +83,6 @@ impl NegBinFit {
         (stat, p)
     }
 
-    /// Predicted mean for a design row.
-    pub fn predict_row(&self, row: &[f64]) -> f64 {
-        let eta: f64 = row.iter().zip(&self.fit.beta).map(|(a, b)| a * b).sum();
-        eta.clamp(-crate::link::LogLink::ETA_CLAMP, crate::link::LogLink::ETA_CLAMP)
-            .exp()
-    }
-
-    /// Predicted means for a whole design matrix.
-    pub fn predict(&self, x: &Matrix) -> Vec<f64> {
-        (0..x.rows()).map(|i| self.predict_row(x.row(i))).collect()
-    }
 }
 
 /// Solve for β̂(α) into the workspace. With `warm_start`, IRLS is seeded
@@ -545,16 +534,6 @@ mod tests {
         assert_eq!(a1.alpha, b1.alpha);
         assert_eq!(a2.fit.beta, b2.fit.beta);
         assert_eq!(a2.alpha, b2.alpha);
-    }
-
-    #[test]
-    fn predict_matches_fitted_means() {
-        let (x, y, names) = simulate_nb(300, 1.8, 0.2, 0.4, 8);
-        let fit = fit_negbin(&x, &y, &names, &NegBinOptions::default()).unwrap();
-        let pred = fit.predict(&x);
-        for i in 0..x.rows() {
-            assert!((pred[i] - fit.fit.mu[i]).abs() / fit.fit.mu[i] < 1e-9);
-        }
     }
 
     #[test]

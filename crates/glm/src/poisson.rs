@@ -3,7 +3,7 @@
 //! The paper explicitly rejects Poisson in favour of negative binomial
 //! because DoS attack counts are overdispersed; we keep the Poisson fitter
 //! both as the NB starting point and as the ablation baseline
-//! (`bench_tables` compares the two).
+//! (`booters_core::ablation::poisson_vs_negbin` compares the two).
 
 use crate::family::PoissonFamily;
 use crate::inference::{wald_inference, CovarianceKind, FitInference};

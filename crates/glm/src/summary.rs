@@ -138,13 +138,6 @@ pub fn push_left(out: &mut String, text: &str, width: usize) {
     }
 }
 
-/// Render a coefficient table in the paper's Table 1 layout.
-pub fn coefficient_table(inference: &FitInference) -> String {
-    let mut out = String::new();
-    push_coefficient_table(&mut out, inference);
-    out
-}
-
 fn push_coefficient_table(out: &mut String, inference: &FitInference) {
     let _ = writeln!(
         out,
@@ -195,33 +188,6 @@ pub fn negbin_summary(fit: &NegBinFit) -> String {
     out
 }
 
-/// Render an OLS fit summary (used for the Figure 5 slope regressions).
-pub fn ols_summary(fit: &crate::ols::OlsFit) -> String {
-    let mut out = String::from("Ordinary least squares\n");
-    out.push_str(&format!(
-        "  n = {}    parameters = {}    R² = {:.4}  (adj {:.4})    σ = {:.4}\n",
-        fit.n, fit.p, fit.r_squared, fit.adj_r_squared, fit.sigma
-    ));
-    if fit.f_statistic.is_finite() {
-        out.push_str(&format!(
-            "  F = {:.2} (p = {:.3e})\n",
-            fit.f_statistic, fit.f_p_value
-        ));
-    }
-    out.push('\n');
-    out.push_str(&format!(
-        "{:<20} {:>10} {:>10} {:>8} {:>8}  {:>9} {:>9}\n",
-        "", "Coef.", "Std.err.", "t", "P>|t|", "L95", "U95"
-    ));
-    for c in &fit.coefficients {
-        out.push_str(&format!(
-            "{:<20} {:>10.4} {:>10.4} {:>8.2} {:>6.3}{:<2} {:>9.4} {:>9.4}\n",
-            c.name, c.coef, c.std_error, c.z, c.p_value, c.stars(), c.ci_lower, c.ci_upper
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,18 +195,6 @@ mod tests {
     use booters_stats::dist::NegativeBinomial;
     use booters_testkit::rngs::StdRng;
     use booters_testkit::SeedableRng;
-
-    #[test]
-    fn ols_summary_renders() {
-        let xs: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|&x| 1.0 + 2.0 * x + (x * 7.0).sin()).collect();
-        let fit = crate::ols::fit_simple(&xs, &ys, 0.95).unwrap();
-        let s = ols_summary(&fit);
-        assert!(s.contains("Ordinary least squares"));
-        assert!(s.contains("_cons"));
-        assert!(s.contains("R²"));
-        assert!(s.contains('F'));
-    }
 
     #[test]
     fn summary_contains_expected_fields() {

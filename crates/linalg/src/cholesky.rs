@@ -86,7 +86,7 @@ impl Cholesky {
     }
 
     /// Solve `A X = B` column by column.
-    pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
+    fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
         let n = self.dim();
         if b.rows() != n {
             return Err(LinalgError::ShapeMismatch {
@@ -123,7 +123,7 @@ impl Cholesky {
 /// factor is bit-identical — but the output matrix is reused across calls
 /// (the IRLS hot loop re-factors every iteration). The upper triangle of
 /// `l` is zeroed; on error its contents are unspecified.
-pub fn cholesky_into(a: &Matrix, l: &mut Matrix) -> Result<()> {
+fn cholesky_into(a: &Matrix, l: &mut Matrix) -> Result<()> {
     if !a.is_square() {
         return Err(LinalgError::NotSquare { shape: a.shape() });
     }
@@ -157,12 +157,12 @@ pub fn cholesky_into(a: &Matrix, l: &mut Matrix) -> Result<()> {
     Ok(())
 }
 
-/// Solve `A x = b` given a factor produced by [`cholesky_into`], without
-/// allocating: `b` is copied into `x` and the forward/back substitutions
-/// run in place. The substitution arithmetic — and therefore every bit of
-/// `x` — matches [`Cholesky::solve`] (the back pass reads `y[i]` before
-/// overwriting it and `x[k]` for `k > i` after, exactly like the
-/// two-buffer version).
+/// Solve `A x = b` given a factor produced by
+/// [`cholesky_with_ridge_into`], without allocating: `b` is copied into
+/// `x` and the forward/back substitutions run in place. The substitution
+/// arithmetic — and therefore every bit of `x` — matches
+/// [`Cholesky::solve`] (the back pass reads `y[i]` before overwriting it
+/// and `x[k]` for `k > i` after, exactly like the two-buffer version).
 pub fn cholesky_solve_into(l: &Matrix, b: &[f64], x: &mut [f64]) -> Result<()> {
     let n = l.rows();
     if !l.is_square() || b.len() != n || x.len() != n {

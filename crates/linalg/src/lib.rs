@@ -24,9 +24,7 @@ mod lu;
 mod matrix;
 mod qr;
 
-pub use cholesky::{
-    cholesky_into, cholesky_solve_into, cholesky_with_ridge, cholesky_with_ridge_into, Cholesky,
-};
+pub use cholesky::{cholesky_solve_into, cholesky_with_ridge, cholesky_with_ridge_into, Cholesky};
 pub use error::LinalgError;
 pub use lu::Lu;
 pub use matrix::Matrix;

@@ -108,7 +108,7 @@ impl Matrix {
     }
 
     /// Mutably borrow row `i` as a slice.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+    fn row_mut(&mut self, i: usize) -> &mut [f64] {
         assert!(i < self.rows, "row index {i} out of bounds ({})", self.rows);
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
@@ -408,11 +408,6 @@ impl Matrix {
         }
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        crate::norm2(&self.data)
-    }
-
     /// Maximum absolute element.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
@@ -452,22 +447,6 @@ impl Matrix {
         }
     }
 
-    /// Horizontally concatenate `self | other`.
-    pub fn hcat(&self, other: &Matrix) -> Result<Matrix> {
-        if self.rows != other.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "hcat",
-                left: self.shape(),
-                right: other.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
-        for i in 0..self.rows {
-            out.row_mut(i)[..self.cols].copy_from_slice(self.row(i));
-            out.row_mut(i)[self.cols..].copy_from_slice(other.row(i));
-        }
-        Ok(out)
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -662,16 +641,6 @@ mod tests {
         let mut a = m22(1.0, 2.0, 3.0, 4.0);
         a.add_ridge(0.5);
         assert_eq!(a, m22(1.5, 2.0, 3.0, 4.5));
-    }
-
-    #[test]
-    fn hcat_concatenates_columns() {
-        let a = m22(1.0, 2.0, 3.0, 4.0);
-        let b = Matrix::column(&[9.0, 8.0]);
-        let c = a.hcat(&b).unwrap();
-        assert_eq!(c.shape(), (2, 3));
-        assert_eq!(c.row(0), &[1.0, 2.0, 9.0]);
-        assert_eq!(c.row(1), &[3.0, 4.0, 8.0]);
     }
 
     #[test]

@@ -169,19 +169,6 @@ impl Qr {
         rinv.matmul(&rinv.transpose())
     }
 
-    /// Squared residual norm `||A x - b||²` obtainable from the tail of Qᵀb.
-    pub fn residual_sum_of_squares(&self, b: &[f64]) -> Result<f64> {
-        if b.len() != self.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "qr rss",
-                left: (self.rows, self.cols),
-                right: (b.len(), 1),
-            });
-        }
-        let mut y = b.to_vec();
-        self.apply_qt(&mut y, self.cols);
-        Ok(y[self.cols..].iter().map(|v| v * v).sum())
-    }
 }
 
 #[cfg(test)]
@@ -233,18 +220,6 @@ mod tests {
         let ata = a.transpose().matmul(&a).unwrap();
         let expect = crate::Lu::new(&ata).unwrap().inverse().unwrap();
         assert!(max_abs_diff(got.as_slice(), expect.as_slice()) < 1e-10);
-    }
-
-    #[test]
-    fn residual_norm_matches_direct_computation() {
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 1.0], &[1.0, 2.0]]);
-        let b = [0.0, 1.0, 4.0];
-        let qr = Qr::new(&a).unwrap();
-        let x = qr.solve(&b).unwrap();
-        let fitted = a.matvec(&x).unwrap();
-        let rss_direct: f64 = b.iter().zip(&fitted).map(|(y, f)| (y - f) * (y - f)).sum();
-        let rss_qr = qr.residual_sum_of_squares(&b).unwrap();
-        assert!((rss_direct - rss_qr).abs() < 1e-12);
     }
 
     #[test]

@@ -22,7 +22,7 @@ const WEEK_SECS: u64 = 7 * 86_400;
 /// slice holds each booter at the index equal to its id (see
 /// [`crate::lifecycle::Population`]), which is checked first; any other
 /// slice is searched.
-pub fn booter_by_id(booters: &[Booter], id: u32) -> Option<&Booter> {
+fn booter_by_id(booters: &[Booter], id: u32) -> Option<&Booter> {
     booters
         .get(id as usize)
         .filter(|b| b.id == id)

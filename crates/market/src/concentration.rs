@@ -25,27 +25,6 @@ pub fn herfindahl(volumes: &[u64]) -> f64 {
         .sum()
 }
 
-/// Gini coefficient of a volume vector: 0 for perfect equality, → 1 as a
-/// single participant takes everything. A second lens on the §7
-/// concentration claim, less sensitive to the number of tiny fringe
-/// booters than the HHI.
-pub fn gini(volumes: &[u64]) -> f64 {
-    let n = volumes.len();
-    let total: u64 = volumes.iter().sum();
-    if n == 0 || total == 0 {
-        return f64::NAN;
-    }
-    let mut sorted = volumes.to_vec();
-    sorted.sort_unstable();
-    // G = (2 Σ i·xᵢ)/(n Σ xᵢ) − (n+1)/n with xᵢ ascending, i 1-based.
-    let weighted: f64 = sorted
-        .iter()
-        .enumerate()
-        .map(|(i, &x)| (i as f64 + 1.0) * x as f64)
-        .sum();
-    2.0 * weighted / (n as f64 * total as f64) - (n as f64 + 1.0) / n as f64
-}
-
 /// Combined share of the `k` largest participants.
 pub fn top_k_share(volumes: &[u64], k: usize) -> f64 {
     let total: u64 = volumes.iter().sum();
@@ -121,27 +100,6 @@ mod tests {
         assert!((herfindahl(&[25, 25, 25, 25]) - 0.25).abs() < 1e-12);
         assert!(herfindahl(&[]).is_nan());
         assert!(herfindahl(&[0, 0]).is_nan());
-    }
-
-    #[test]
-    fn gini_closed_forms() {
-        // Perfect equality: 0.
-        assert!(gini(&[10, 10, 10, 10]).abs() < 1e-12);
-        // Monopoly among n participants: (n−1)/n.
-        assert!((gini(&[0, 0, 0, 100]) - 0.75).abs() < 1e-12);
-        // Degenerate inputs.
-        assert!(gini(&[]).is_nan());
-        assert!(gini(&[0, 0]).is_nan());
-        // Bounded in [0, 1).
-        let g = gini(&[1, 5, 20, 100, 3]);
-        assert!((0.0..1.0).contains(&g));
-    }
-
-    #[test]
-    fn gini_rises_with_concentration() {
-        let spread = gini(&[20, 25, 30, 25]);
-        let concentrated = gini(&[80, 10, 5, 5]);
-        assert!(concentrated > spread + 0.2);
     }
 
     #[test]

@@ -37,7 +37,6 @@ pub mod calibration;
 pub mod commands;
 pub mod concentration;
 pub mod demand;
-pub mod displacement;
 pub mod events;
 pub mod lifecycle;
 pub mod market;

@@ -118,27 +118,8 @@ impl Population {
     }
 
     /// Booter with id 0 is the Webstresser analogue.
-    pub fn webstresser_id(&self) -> u32 {
+    fn webstresser_id(&self) -> u32 {
         0
-    }
-
-    /// The three pre-Xmas majors (self-reporting).
-    pub fn major_ids(&self) -> [u32; 3] {
-        self.majors
-    }
-
-    /// Alive booters' total weight.
-    pub fn alive_weight(&self) -> f64 {
-        self.booters
-            .iter()
-            .filter(|b| b.is_alive())
-            .map(|b| b.weight)
-            .sum()
-    }
-
-    /// Number of alive booters.
-    pub fn alive_count(&self) -> usize {
-        self.booters.iter().filter(|b| b.is_alive()).count()
     }
 
     fn spawn(&mut self, rng: &mut StdRng, week: usize, size: SizeClass) -> u32 {
@@ -458,11 +439,15 @@ mod tests {
         StdRng::seed_from_u64(0xB008)
     }
 
+    fn alive_count(p: &Population) -> usize {
+        p.booters.iter().filter(|b| b.is_alive()).count()
+    }
+
     #[test]
     fn initial_population_shape() {
         let mut r = rng();
         let p = Population::new(&mut r);
-        assert!(p.alive_count() >= 40);
+        assert!(alive_count(&p) >= 40);
         let majors = p
             .booters()
             .iter()
@@ -472,17 +457,18 @@ mod tests {
         // Webstresser does not self-report.
         let w = p.booters().iter().find(|b| b.id == p.webstresser_id()).unwrap();
         assert!(!w.self_reports);
-        assert!((p.alive_weight() - 1.0).abs() < 0.6); // ~1, not normalised
+        let alive_weight: f64 = p.booters.iter().filter(|b| b.is_alive()).map(|b| b.weight).sum();
+        assert!((alive_weight - 1.0).abs() < 0.6); // ~1, not normalised
     }
 
     #[test]
     fn webstresser_shock_kills_it_and_small_booters() {
         let mut r = rng();
         let mut p = Population::new(&mut r);
-        let before = p.alive_count();
+        let before = alive_count(&p);
         let t = p.step(&mut r, 10, Some(MarketShock::WebstresserTakedown));
         assert!(t.deaths >= 10, "deaths={}", t.deaths);
-        assert!(p.alive_count() < before);
+        assert!(alive_count(&p) < before);
         let w = p.booters().iter().find(|b| b.id == p.webstresser_id()).unwrap();
         assert_eq!(w.state, BooterState::Retired);
     }
@@ -491,7 +477,7 @@ mod tests {
     fn xmas_shock_restructures_market() {
         let mut r = rng();
         let mut p = Population::new(&mut r);
-        let [m1, m2, m3] = p.major_ids();
+        let [m1, m2, m3] = p.majors;
         let t = p.step(&mut r, 20, Some(MarketShock::Xmas2018));
         assert!(t.deaths >= 7, "deaths={}", t.deaths);
         let get = |id| p.booters().iter().find(|b| b.id == id).unwrap().clone();
@@ -513,7 +499,7 @@ mod tests {
     fn returning_major_resurrects_once() {
         let mut r = rng();
         let mut p = Population::new(&mut r);
-        let [m1, _, _] = p.major_ids();
+        let [m1, _, _] = p.majors;
         p.step(&mut r, 20, Some(MarketShock::Xmas2018));
         let t = p.step(&mut r, 32, Some(MarketShock::ReturnOfTheMajor));
         assert!(t.resurrections >= 1);

@@ -118,11 +118,6 @@ impl MarketSim {
         (self.end.days_since(self.config.calibration.scenario_start.week_start()) / 7) as usize
     }
 
-    /// Monday of the upcoming week (before stepping).
-    pub fn current_monday(&self) -> Date {
-        self.monday
-    }
-
     /// Borrow the population (e.g. for avoidance flags).
     pub fn population(&self) -> &Population {
         &self.population

@@ -191,22 +191,16 @@ pub fn protocol_weights(cal: &Calibration, country: Country, monday: Date) -> [f
         .weights(country)
 }
 
-/// Weight of one protocol (convenience accessor).
-pub fn protocol_weight(
-    cal: &Calibration,
-    country: Country,
-    monday: Date,
-    protocol: UdpProtocol,
-) -> f64 {
-    protocol_weights(cal, country, monday)[protocol.index()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn cal() -> Calibration {
         Calibration::default()
+    }
+
+    fn protocol_weight(cal: &Calibration, country: Country, monday: Date, p: UdpProtocol) -> f64 {
+        protocol_weights(cal, country, monday)[p.index()]
     }
 
     #[test]

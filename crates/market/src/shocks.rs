@@ -186,7 +186,7 @@ impl ShockKind {
     }
 
     /// Whether this kind perturbs demand (vs the population structure).
-    pub fn is_demand_side(&self) -> bool {
+    fn is_demand_side(&self) -> bool {
         matches!(
             self,
             ShockKind::DemandShift { .. }

@@ -119,7 +119,7 @@ impl FlowFeatures {
 
     /// Distance between two flows' features: Jaccard distance of the
     /// sensor sets, plus scaled TTL and entropy differences.
-    pub fn distance(&self, other: &FlowFeatures) -> f64 {
+    fn distance(&self, other: &FlowFeatures) -> f64 {
         let inter = self.sensors.intersection(&other.sensors).count() as f64;
         let union = self.sensors.union(&other.sensors).count() as f64;
         let jaccard = if union > 0.0 { 1.0 - inter / union } else { 1.0 };

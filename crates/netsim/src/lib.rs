@@ -13,7 +13,7 @@
 //!   factors, plus era-dependent popularity (LDAP's rise drives the
 //!   2017–2018 growth, §4.2).
 //! * [`addr`] — IPv4 victim address model with per-country prefix blocks.
-//! * [`packet`] — spoofed request / reflected response records.
+//! * [`packet`] — sensor packet records and per-command packet logs.
 //! * [`reflector`] — the reflector population: real reflectors and
 //!   honeypot sensors with hopscotch's defensive behaviours (per-victim
 //!   rate limiting, fleet-wide victim reporting, white-hat scanner
@@ -36,7 +36,6 @@ pub mod packet;
 pub mod protocol;
 pub mod reflector;
 pub mod scanner;
-pub mod volume;
 
 pub use addr::{Country, VictimAddr};
 pub use engine::{AttackCommand, Engine, EngineConfig};

@@ -1,4 +1,4 @@
-//! Packet records: spoofed requests and what honeypot sensors log.
+//! Packet records: what honeypot sensors log.
 //!
 //! Timestamps are seconds since the scenario start (the market simulator
 //! anchors second 0 to a calendar date). We record what the paper's
@@ -7,23 +7,6 @@
 
 use crate::addr::VictimAddr;
 use crate::protocol::UdpProtocol;
-
-/// A spoofed request as emitted by attack infrastructure: the source
-/// address is forged to the victim's so the reflector's (amplified)
-/// response lands on the victim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpoofedRequest {
-    /// Arrival time, seconds since scenario start.
-    pub time: u64,
-    /// Forged source = the victim.
-    pub victim: VictimAddr,
-    /// Protocol being reflected.
-    pub protocol: UdpProtocol,
-    /// Reflector index targeted (into the engine's reflector table).
-    pub reflector: usize,
-    /// Payload size in bytes.
-    pub bytes: usize,
-}
 
 /// One packet as logged by a honeypot sensor — the unit record of the
 /// paper's victim dataset.
@@ -100,29 +83,9 @@ impl CommandLog {
     }
 }
 
-impl SpoofedRequest {
-    /// The response traffic this request would generate if reflected in
-    /// full: request bytes times the protocol's amplification factor.
-    pub fn reflected_bytes(&self) -> f64 {
-        self.bytes as f64 * self.protocol.amplification_factor()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reflected_bytes_multiplies_amplification() {
-        let r = SpoofedRequest {
-            time: 0,
-            victim: VictimAddr::from_octets(25, 0, 0, 1),
-            protocol: UdpProtocol::Ntp,
-            reflector: 0,
-            bytes: 8,
-        };
-        assert!((r.reflected_bytes() - 8.0 * 556.9).abs() < 1e-9);
-    }
 
     #[test]
     fn sensor_packet_is_small_and_copyable() {

@@ -66,39 +66,6 @@ impl UdpProtocol {
         }
     }
 
-    /// Typical bandwidth amplification factor (response bytes per request
-    /// byte), from the published measurement literature.
-    pub fn amplification_factor(&self) -> f64 {
-        match self {
-            UdpProtocol::Qotd => 140.3,
-            UdpProtocol::Chargen => 358.8,
-            UdpProtocol::Time => 33.0,
-            UdpProtocol::Dns => 54.0,
-            UdpProtocol::Portmap => 28.0,
-            UdpProtocol::Ntp => 556.9,
-            UdpProtocol::Ldap => 55.0, // up to ~70, large and reliable
-            UdpProtocol::Mssql => 25.0,
-            UdpProtocol::Mdns => 9.8,
-            UdpProtocol::Ssdp => 30.8,
-        }
-    }
-
-    /// Typical spoofed request size in bytes.
-    pub fn request_bytes(&self) -> usize {
-        match self {
-            UdpProtocol::Qotd => 1,
-            UdpProtocol::Chargen => 1,
-            UdpProtocol::Time => 4,
-            UdpProtocol::Dns => 64,
-            UdpProtocol::Portmap => 68,
-            UdpProtocol::Ntp => 8,
-            UdpProtocol::Ldap => 52,
-            UdpProtocol::Mssql => 1,
-            UdpProtocol::Mdns => 46,
-            UdpProtocol::Ssdp => 90,
-        }
-    }
-
     /// Approximate number of genuine (non-honeypot) open reflectors on the
     /// Internet for this protocol, scaled to simulation units. LDAP's small
     /// real population is why "the honeypots are likely to be used" and the
@@ -164,17 +131,6 @@ mod tests {
         assert_eq!(UdpProtocol::Dns.port(), 53);
         assert_eq!(UdpProtocol::Ntp.port(), 123);
         assert_eq!(UdpProtocol::Ldap.port(), 389);
-    }
-
-    #[test]
-    fn amplification_factors_ordering() {
-        // NTP monlist and CHARGEN are the monster amplifiers; MDNS is small.
-        assert!(UdpProtocol::Ntp.amplification_factor() > 500.0);
-        assert!(UdpProtocol::Chargen.amplification_factor() > 300.0);
-        assert!(UdpProtocol::Mdns.amplification_factor() < 15.0);
-        for p in UdpProtocol::ALL {
-            assert!(p.amplification_factor() > 1.0, "{p} must amplify");
-        }
     }
 
     #[test]

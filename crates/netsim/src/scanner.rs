@@ -31,15 +31,6 @@ pub struct ReflectorList {
 }
 
 impl ReflectorList {
-    /// Fraction of the list that is honeypots — this is what determines
-    /// dataset coverage for the protocol.
-    pub fn honeypot_share(&self) -> f64 {
-        let total = self.real_reflectors + self.honeypots.len();
-        if total == 0 {
-            return 0.0;
-        }
-        self.honeypots.len() as f64 / total as f64
-    }
 }
 
 /// Simulate one scan of the address space for `protocol`.
@@ -181,11 +172,14 @@ mod tests {
         let mut r = rng();
         let ldap = run_scan(UdpProtocol::Ldap, ScannerKind::Booter, 0.3, 60, &mut r);
         let dns = run_scan(UdpProtocol::Dns, ScannerKind::Booter, 0.3, 60, &mut r);
+        let share = |l: &ReflectorList| {
+            l.honeypots.len() as f64 / (l.real_reflectors + l.honeypots.len()) as f64
+        };
         assert!(
-            ldap.honeypot_share() > 5.0 * dns.honeypot_share(),
+            share(&ldap) > 5.0 * share(&dns),
             "ldap={} dns={}",
-            ldap.honeypot_share(),
-            dns.honeypot_share()
+            share(&ldap),
+            share(&dns)
         );
     }
 
@@ -263,13 +257,4 @@ mod tests {
         }
     }
 
-    #[test]
-    fn honeypot_share_empty_list() {
-        let l = ReflectorList {
-            protocol: UdpProtocol::Qotd,
-            real_reflectors: 0,
-            honeypots: vec![],
-        };
-        assert_eq!(l.honeypot_share(), 0.0);
-    }
 }

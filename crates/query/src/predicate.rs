@@ -56,7 +56,7 @@ impl ProtocolSet {
 
     /// Membership by index into [`UdpProtocol::ALL`] — the form the
     /// decoded protocol column stores.
-    pub fn contains_index(&self, i: u8) -> bool {
+    fn contains_index(&self, i: u8) -> bool {
         self.0 & (1u16 << i) != 0
     }
 

@@ -10,15 +10,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Population variance (divide by n). Returns `NaN` for an empty slice.
-pub fn variance_population(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
-}
-
 /// Sample variance (divide by n−1). Returns `NaN` for fewer than 2 points.
 pub fn variance_sample(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
@@ -29,7 +20,7 @@ pub fn variance_sample(xs: &[f64]) -> f64 {
 }
 
 /// Sample standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
+fn std_dev(xs: &[f64]) -> f64 {
     variance_sample(xs).sqrt()
 }
 
@@ -179,31 +170,6 @@ pub fn min_max(xs: &[f64]) -> Option<(f64, f64)> {
     Some((lo, hi))
 }
 
-/// Symmetric correlation matrix of several equal-length series.
-///
-/// `series[i]` is one variable's observations. Diagonal entries are 1 where
-/// the variance is positive, `NaN` otherwise.
-pub fn correlation_matrix(series: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    let k = series.len();
-    let mut out = vec![vec![f64::NAN; k]; k];
-    for i in 0..k {
-        for j in i..k {
-            let r = if i == j {
-                if variance_sample(&series[i]) > 0.0 {
-                    1.0
-                } else {
-                    f64::NAN
-                }
-            } else {
-                pearson(&series[i], &series[j])
-            };
-            out[i][j] = r;
-            out[j][i] = r;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,7 +178,6 @@ mod tests {
     fn mean_and_variance_basic() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&xs), 5.0);
-        assert_eq!(variance_population(&xs), 4.0);
         assert!((variance_sample(&xs) - 32.0 / 7.0).abs() < 1e-12);
         assert!((std_dev(&xs) - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
     }
@@ -220,7 +185,6 @@ mod tests {
     #[test]
     fn empty_slices_give_nan() {
         assert!(mean(&[]).is_nan());
-        assert!(variance_population(&[]).is_nan());
         assert!(variance_sample(&[1.0]).is_nan());
     }
 
@@ -326,19 +290,4 @@ mod tests {
         assert_eq!(min_max(&[]), None);
     }
 
-    #[test]
-    fn correlation_matrix_is_symmetric_with_unit_diagonal() {
-        let a = vec![1.0, 2.0, 3.0, 4.0, 6.0];
-        let b = vec![2.0, 1.0, 4.0, 3.0, 7.0];
-        let c = vec![5.0, 4.0, 3.0, 2.0, 1.0];
-        let m = correlation_matrix(&[a, b, c]);
-        for i in 0..3 {
-            assert!((m[i][i] - 1.0).abs() < 1e-12);
-            for j in 0..3 {
-                assert!((m[i][j] - m[j][i]).abs() < 1e-12);
-            }
-        }
-        assert!(m[0][1] > 0.5);
-        assert!(m[0][2] < -0.9);
-    }
 }

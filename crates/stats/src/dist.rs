@@ -6,7 +6,7 @@
 //! [`crate::special`]; quantiles use closed forms where they exist and
 //! bracketed Newton refinement otherwise.
 
-use crate::special::{beta_inc, gamma_p, gamma_q, ln_beta, ln_gamma};
+use crate::special::{beta_inc, gamma_p, gamma_q, ln_gamma};
 use booters_testkit::Rng;
 
 // ---------------------------------------------------------------------------
@@ -32,12 +32,6 @@ impl Normal {
     /// The standard normal N(0, 1).
     pub fn standard() -> Self {
         Normal { mu: 0.0, sigma: 1.0 }
-    }
-
-    /// Probability density function.
-    pub fn pdf(&self, x: f64) -> f64 {
-        let z = (x - self.mu) / self.sigma;
-        (-0.5 * z * z).exp() / (self.sigma * (2.0 * std::f64::consts::PI).sqrt())
     }
 
     /// Cumulative distribution function.
@@ -234,26 +228,6 @@ impl GammaDist {
         GammaDist { shape, scale }
     }
 
-    /// Probability density at `x >= 0`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            return 0.0;
-        }
-        if x == 0.0 {
-            return if self.shape < 1.0 {
-                f64::INFINITY
-            } else if self.shape == 1.0 {
-                1.0 / self.scale
-            } else {
-                0.0
-            };
-        }
-        ((self.shape - 1.0) * x.ln() - x / self.scale
-            - ln_gamma(self.shape)
-            - self.shape * self.scale.ln())
-        .exp()
-    }
-
     /// CDF via the regularised lower incomplete gamma.
     pub fn cdf(&self, x: f64) -> f64 {
         if x <= 0.0 {
@@ -438,15 +412,6 @@ impl Exponential {
         Exponential { rate }
     }
 
-    /// Probability density at `x ≥ 0`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            0.0
-        } else {
-            self.rate * (-self.rate * x).exp()
-        }
-    }
-
     /// CDF.
     pub fn cdf(&self, x: f64) -> f64 {
         if x <= 0.0 {
@@ -562,13 +527,6 @@ impl StudentsT {
         StudentsT { df }
     }
 
-    /// Probability density.
-    pub fn pdf(&self, t: f64) -> f64 {
-        let d = self.df;
-        (-((d + 1.0) / 2.0) * (1.0 + t * t / d).ln() - 0.5 * d.ln() - ln_beta(d / 2.0, 0.5))
-            .exp()
-    }
-
     /// CDF.
     pub fn cdf(&self, t: f64) -> f64 {
         let d = self.df;
@@ -666,7 +624,6 @@ mod tests {
     #[test]
     fn normal_pdf_cdf_known_values() {
         let n = Normal::standard();
-        assert!((n.pdf(0.0) - 0.398_942_280_401_432_7).abs() < 1e-12);
         assert!((n.cdf(0.0) - 0.5).abs() < 1e-12);
         assert!((n.cdf(1.959_963_984_540_054) - 0.975).abs() < 1e-9);
         assert!((n.cdf(-1.959_963_984_540_054) - 0.025).abs() < 1e-9);
@@ -851,7 +808,6 @@ mod tests {
         for &p in &[0.1, 0.5, 0.9, 0.99] {
             assert!((e.cdf(e.quantile(p)) - p).abs() < 1e-12);
         }
-        assert!((e.pdf(0.0) - 2.5).abs() < 1e-12);
     }
 
     #[test]
@@ -916,18 +872,4 @@ mod tests {
         assert!((f.sf(t * t) - 0.05).abs() < 1e-8);
     }
 
-    #[test]
-    fn pdf_integrates_to_cdf_students_t() {
-        // Trapezoid integral of the pdf matches the cdf difference.
-        let t = StudentsT::new(6.0);
-        let (a, b) = (-1.0, 2.0);
-        let n = 4000;
-        let h = (b - a) / n as f64;
-        let mut integral = 0.5 * (t.pdf(a) + t.pdf(b));
-        for i in 1..n {
-            integral += t.pdf(a + i as f64 * h);
-        }
-        integral *= h;
-        assert!((integral - (t.cdf(b) - t.cdf(a))).abs() < 1e-7);
-    }
 }

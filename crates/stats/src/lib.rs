@@ -6,10 +6,11 @@
 //! There is no mature GLM/statistics crate in the allowed dependency set, so
 //! this crate implements from scratch everything the paper's analysis needs:
 //!
-//! * [`special`] — log-gamma, digamma, trigamma, error function and the
-//!   regularised incomplete gamma/beta functions (the bedrock of every CDF).
+//! * [`special`] — log-gamma, digamma, trigamma, the complementary error
+//!   function and the regularised incomplete gamma/beta functions (the
+//!   bedrock of every CDF).
 //! * [`dist`] — probability distributions (Normal, Poisson, Negative
-//!   Binomial, Gamma, Chi-squared, Student's t, F) with density, CDF,
+//!   Binomial, Gamma, Chi-squared, Student's t, F) with mass function, CDF,
 //!   quantile and seedable sampling.
 //! * [`describe`] — descriptive statistics: moments, skewness, kurtosis,
 //!   Pearson correlation, autocorrelation.

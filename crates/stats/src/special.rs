@@ -1,4 +1,4 @@
-//! Special functions: log-gamma, digamma, trigamma, erf and the regularised
+//! Special functions: log-gamma, digamma, trigamma, erfc and the regularised
 //! incomplete gamma and beta functions.
 //!
 //! Implementations follow the classic numerical recipes: Lanczos for
@@ -84,21 +84,6 @@ pub fn trigamma(mut x: f64) -> f64 {
         + inv
             * (1.0
                 + inv * (0.5 + inv * (1.0 / 6.0 - inv2 * (1.0 / 30.0 - inv2 * (1.0 / 42.0 - inv2 / 30.0)))))
-}
-
-/// Error function, via the regularised incomplete gamma identity
-/// `erf(x) = P(1/2, x²)` for `x ≥ 0` (odd extension below). Relative
-/// accuracy ~1e-13 in the body, absolute ~1e-15 in the tails.
-pub fn erf(x: f64) -> f64 {
-    if x == 0.0 {
-        return 0.0;
-    }
-    let v = gamma_p(0.5, x * x);
-    if x > 0.0 {
-        v
-    } else {
-        -v
-    }
 }
 
 /// Complementary error function, `erfc(x) = Q(1/2, x²)` for `x ≥ 0`; the
@@ -188,7 +173,7 @@ fn gamma_q_cf(a: f64, x: f64) -> f64 {
 }
 
 /// Natural log of the beta function B(a, b).
-pub fn ln_beta(a: f64, b: f64) -> f64 {
+fn ln_beta(a: f64, b: f64) -> f64 {
     ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
 }
 
@@ -341,17 +326,6 @@ mod tests {
         let h = 1e-6;
         let numeric = (digamma(x + h) - digamma(x - h)) / (2.0 * h);
         assert!((trigamma(x) - numeric).abs() < 1e-7);
-    }
-
-    #[test]
-    fn erf_known_values() {
-        assert_eq!(erf(0.0), 0.0);
-        // erf(1) = 0.8427007929497149
-        assert!((erf(1.0) - 0.842_700_792_949_714_9).abs() < 1e-9);
-        // erf is odd
-        assert!((erf(-1.0) + erf(1.0)).abs() < 1e-12);
-        // erf(3) ~ 0.9999779095030014
-        assert!((erf(3.0) - 0.999_977_909_503_001_4).abs() < 1e-7);
     }
 
     #[test]

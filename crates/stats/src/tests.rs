@@ -95,60 +95,8 @@ pub fn white_test(x: &[f64], y: &[f64]) -> Option<TestResult> {
     })
 }
 
-/// White's test for a general design matrix (columns are regressors, no
-/// intercept — one is added internally). The auxiliary regression uses
-/// levels, squares and unique cross-products of the regressors.
-pub fn white_test_general(design_cols: &[Vec<f64>], y: &[f64]) -> Option<TestResult> {
-    let k = design_cols.len();
-    if k == 0 {
-        return None;
-    }
-    let n = design_cols[0].len();
-    if y.len() != n || design_cols.iter().any(|c| c.len() != n) {
-        return None;
-    }
-    // Main regression: y ~ 1 + X
-    let mut main = Matrix::zeros(n, k + 1);
-    for i in 0..n {
-        main[(i, 0)] = 1.0;
-        for (j, c) in design_cols.iter().enumerate() {
-            main[(i, j + 1)] = c[i];
-        }
-    }
-    let resid = ols_residuals(&main, &Qr::new(&main).ok()?, k + 1, y)?;
-    let e2: Vec<f64> = resid.iter().map(|e| e * e).collect();
-    // Auxiliary columns: levels, squares, cross products.
-    let mut aux_cols: Vec<Vec<f64>> = Vec::new();
-    for c in design_cols {
-        aux_cols.push(c.clone());
-    }
-    for a in 0..k {
-        for b in a..k {
-            let col: Vec<f64> = (0..n).map(|i| design_cols[a][i] * design_cols[b][i]).collect();
-            aux_cols.push(col);
-        }
-    }
-    let p = aux_cols.len();
-    let mut aux = Matrix::zeros(n, p + 1);
-    for i in 0..n {
-        aux[(i, 0)] = 1.0;
-        for (j, c) in aux_cols.iter().enumerate() {
-            aux[(i, j + 1)] = c[i];
-        }
-    }
-    let aux_resid = ols_residuals(&aux, &Qr::new(&aux).ok()?, p + 1, &e2)?;
-    let r2 = r_squared(&e2, &aux_resid);
-    let stat = n as f64 * r2.max(0.0);
-    let df = p as f64;
-    Some(TestResult {
-        statistic: stat,
-        df,
-        p_value: ChiSquared::new(df).sf(stat),
-    })
-}
-
 /// D'Agostino's skewness z-test (the first half of K²).
-pub fn dagostino_skewness_z(xs: &[f64]) -> Option<f64> {
+fn dagostino_skewness_z(xs: &[f64]) -> Option<f64> {
     let n = xs.len() as f64;
     if n < 8.0 {
         return None;
@@ -165,7 +113,7 @@ pub fn dagostino_skewness_z(xs: &[f64]) -> Option<f64> {
 }
 
 /// Anscombe–Glynn kurtosis z-test (the second half of K²).
-pub fn dagostino_kurtosis_z(xs: &[f64]) -> Option<f64> {
+fn dagostino_kurtosis_z(xs: &[f64]) -> Option<f64> {
     let n = xs.len() as f64;
     if n < 20.0 {
         return None;
@@ -237,85 +185,6 @@ pub fn ljung_box(xs: &[f64], lags: usize) -> Option<TestResult> {
         statistic: q,
         df: lags as f64,
         p_value: ChiSquared::new(lags as f64).sf(q),
-    })
-}
-
-/// Asymptotic Kolmogorov distribution survival function
-/// Q(λ) = 2 Σ (−1)^{j−1} exp(−2 j² λ²).
-fn kolmogorov_sf(lambda: f64) -> f64 {
-    if lambda <= 0.0 {
-        return 1.0;
-    }
-    let mut sum = 0.0;
-    let mut sign = 1.0;
-    for j in 1..=100 {
-        let term = (-2.0 * (j as f64) * (j as f64) * lambda * lambda).exp();
-        sum += sign * term;
-        sign = -sign;
-        if term < 1e-16 {
-            break;
-        }
-    }
-    (2.0 * sum).clamp(0.0, 1.0)
-}
-
-/// One-sample Kolmogorov–Smirnov test against a theoretical CDF.
-///
-/// Returns the D statistic and the asymptotic p-value (valid for n ≳ 35;
-/// conservative below). Used to check simulated samples against their
-/// nominal distributions.
-pub fn ks_test(xs: &[f64], cdf: impl Fn(f64) -> f64) -> Option<TestResult> {
-    let n = xs.len();
-    if n < 5 {
-        return None;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("ks_test: NaN"));
-    let nf = n as f64;
-    let mut d = 0.0_f64;
-    for (i, &x) in sorted.iter().enumerate() {
-        let f = cdf(x);
-        let lo = i as f64 / nf;
-        let hi = (i + 1) as f64 / nf;
-        d = d.max((f - lo).abs()).max((hi - f).abs());
-    }
-    let lambda = (nf.sqrt() + 0.12 + 0.11 / nf.sqrt()) * d;
-    Some(TestResult {
-        statistic: d,
-        df: nf,
-        p_value: kolmogorov_sf(lambda),
-    })
-}
-
-/// Two-sample Kolmogorov–Smirnov test: do two samples come from the same
-/// distribution? Used to compare observation fidelities.
-pub fn ks_two_sample(xs: &[f64], ys: &[f64]) -> Option<TestResult> {
-    let (n, m) = (xs.len(), ys.len());
-    if n < 5 || m < 5 {
-        return None;
-    }
-    let mut a = xs.to_vec();
-    let mut b = ys.to_vec();
-    a.sort_by(|u, v| u.partial_cmp(v).expect("ks: NaN"));
-    b.sort_by(|u, v| u.partial_cmp(v).expect("ks: NaN"));
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut d = 0.0_f64;
-    while i < n && j < m {
-        let x = a[i].min(b[j]);
-        while i < n && a[i] <= x {
-            i += 1;
-        }
-        while j < m && b[j] <= x {
-            j += 1;
-        }
-        d = d.max((i as f64 / n as f64 - j as f64 / m as f64).abs());
-    }
-    let ne = (n as f64 * m as f64) / (n as f64 + m as f64);
-    let lambda = (ne.sqrt() + 0.12 + 0.11 / ne.sqrt()) * d;
-    Some(TestResult {
-        statistic: d,
-        df: ne,
-        p_value: kolmogorov_sf(lambda),
     })
 }
 
@@ -440,21 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn white_general_matches_single_on_one_regressor() {
-        let mut r = rng();
-        let n = 200;
-        let x: Vec<f64> = (0..n).map(|i| i as f64 / 10.0).collect();
-        let y: Vec<f64> = x
-            .iter()
-            .map(|&xi| 1.0 + 2.0 * xi + (1.0 + xi) * crate::dist::standard_normal_sample(&mut r))
-            .collect();
-        let a = white_test(&x, &y).unwrap();
-        let b = white_test_general(std::slice::from_ref(&x), &y).unwrap();
-        assert!((a.statistic - b.statistic).abs() < 1e-8);
-        assert_eq!(a.df, b.df);
-    }
-
-    #[test]
     fn white_too_short_returns_none() {
         assert!(white_test(&[1.0, 2.0], &[1.0, 2.0]).is_none());
     }
@@ -519,55 +373,6 @@ mod tests {
             .collect();
         let res = ljung_box(&xs, 10).unwrap();
         assert!(!res.reject_at(0.01), "p={}", res.p_value);
-    }
-
-    #[test]
-    fn ks_accepts_correct_distribution() {
-        let mut r = rng();
-        let xs: Vec<f64> = (0..500).map(|_| r.gen::<f64>()).collect();
-        let res = ks_test(&xs, |x| x.clamp(0.0, 1.0)).unwrap();
-        assert!(!res.reject_at(0.01), "p={}", res.p_value);
-    }
-
-    #[test]
-    fn ks_rejects_wrong_distribution() {
-        let mut r = rng();
-        // Squared uniforms against the uniform CDF.
-        let xs: Vec<f64> = (0..500).map(|_| r.gen::<f64>().powi(2)).collect();
-        let res = ks_test(&xs, |x| x.clamp(0.0, 1.0)).unwrap();
-        assert!(res.reject_at(0.001), "p={}", res.p_value);
-    }
-
-    #[test]
-    fn ks_validates_normal_sampler() {
-        // The KS test closes the loop on our own normal sampler + CDF.
-        let mut r = rng();
-        let xs: Vec<f64> = (0..800)
-            .map(|_| crate::dist::standard_normal_sample(&mut r))
-            .collect();
-        let n = crate::dist::Normal::standard();
-        let res = ks_test(&xs, |x| n.cdf(x)).unwrap();
-        assert!(!res.reject_at(0.01), "p={}", res.p_value);
-    }
-
-    #[test]
-    fn ks_two_sample_same_and_different() {
-        let mut r = rng();
-        let a: Vec<f64> = (0..400).map(|_| crate::dist::standard_normal_sample(&mut r)).collect();
-        let b: Vec<f64> = (0..400).map(|_| crate::dist::standard_normal_sample(&mut r)).collect();
-        let same = ks_two_sample(&a, &b).unwrap();
-        assert!(!same.reject_at(0.01), "p={}", same.p_value);
-        let c: Vec<f64> = (0..400)
-            .map(|_| 1.0 + crate::dist::standard_normal_sample(&mut r))
-            .collect();
-        let diff = ks_two_sample(&a, &c).unwrap();
-        assert!(diff.reject_at(0.001), "p={}", diff.p_value);
-    }
-
-    #[test]
-    fn ks_too_short_returns_none() {
-        assert!(ks_test(&[1.0, 2.0], |x| x).is_none());
-        assert!(ks_two_sample(&[1.0; 3], &[1.0; 10]).is_none());
     }
 
     #[test]

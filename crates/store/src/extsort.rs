@@ -57,13 +57,13 @@ pub const MIN_BUDGET_BYTES: usize = 1024;
 /// 1024). Read fresh on every call — deliberately not cached, so test
 /// passes under different budgets (see `scripts/verify.sh`) see the
 /// value they set. Unset, empty, or malformed values yield `None`.
-pub fn budget_from_env() -> Option<usize> {
+fn budget_from_env() -> Option<usize> {
     let raw = std::env::var("BOOTERS_STORE_BUDGET").ok()?;
     parse_budget(&raw)
 }
 
 /// Parse a budget string (`"65536"`, `"64k"`, `"2m"`, `"1g"`).
-pub fn parse_budget(raw: &str) -> Option<usize> {
+fn parse_budget(raw: &str) -> Option<usize> {
     let s = raw.trim();
     if s.is_empty() {
         return None;

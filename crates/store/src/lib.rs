@@ -44,8 +44,8 @@ pub use chunk::{
 pub use crc32::{crc32, crc32_bytewise};
 pub use error::StoreError;
 pub use extsort::{
-    budget_from_env, classify_out_of_core, group_out_of_core, parse_budget, GroupOutcome,
-    SpillConfig, SpillGrouper, SpillStats, DEFAULT_BUDGET_BYTES, MIN_BUDGET_BYTES,
+    classify_out_of_core, group_out_of_core, GroupOutcome, SpillConfig, SpillGrouper, SpillStats,
+    DEFAULT_BUDGET_BYTES, MIN_BUDGET_BYTES,
 };
 pub use reader::ChunkReader;
 pub use writer::{ChunkInfo, ChunkWriter, StoreMeta, PACKET_BYTES};

@@ -20,7 +20,7 @@ use crate::crc32::crc32;
 use crate::error::StoreError;
 use crate::varint::decode_u64;
 use crate::writer::ChunkInfo;
-use booters_netsim::{SensorPacket, VictimAddr};
+use booters_netsim::SensorPacket;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
@@ -209,37 +209,9 @@ impl ChunkReader {
     /// time and min/max victim key, written by the ingest path and kept
     /// in the footer so a reader can decide — without any chunk I/O —
     /// that a chunk cannot contain a row matching a time or victim
-    /// predicate. The query layer (`booters-query`) plans on exactly
-    /// this surface; [`chunks_overlapping_time`](Self::chunks_overlapping_time)
-    /// and [`chunks_for_victim`](Self::chunks_for_victim) are convenience
-    /// filters over it.
+    /// predicate. The query layer (`booters-query`) plans on them.
     pub fn zone(&self, i: usize) -> Option<&ZoneMap> {
         self.index.get(i).map(|c| &c.zone)
-    }
-
-    /// Store-wide packet-time bounds `(min, max)` folded over every
-    /// chunk's zone map, or `None` for an empty store. Footer metadata
-    /// only — no chunk I/O.
-    pub fn time_bounds(&self) -> Option<(u64, u64)> {
-        self.index.iter().fold(None, |acc, c| match acc {
-            None => Some((c.zone.min_time, c.zone.max_time)),
-            Some((lo, hi)) => Some((lo.min(c.zone.min_time), hi.max(c.zone.max_time))),
-        })
-    }
-
-    /// Store-wide victim-key bounds `(min, max)` folded over every
-    /// chunk's zone map, or `None` for an empty store. Footer metadata
-    /// only — no chunk I/O.
-    pub fn victim_bounds(&self) -> Option<(u32, u32)> {
-        self.index.iter().fold(None, |acc, c| match acc {
-            None => Some((c.zone.min_victim, c.zone.max_victim)),
-            Some((lo, hi)) => Some((lo.min(c.zone.min_victim), hi.max(c.zone.max_victim))),
-        })
-    }
-
-    /// Read and decode one chunk.
-    pub fn read_chunk(&mut self, i: usize) -> Result<Vec<SensorPacket>, StoreError> {
-        decode_chunk(&self.raw_chunk(i)?)
     }
 
     /// Selectively decode the chunks named by `indices` (for example a
@@ -249,7 +221,7 @@ impl ChunkReader {
     /// decoded chunk `indices[j]` — results merge in submission order
     /// and the earliest failing chunk's error wins, so output and errors
     /// are identical at every `BOOTERS_THREADS` setting.
-    pub fn read_chunks(&mut self, indices: &[usize]) -> Result<Vec<Vec<SensorPacket>>, StoreError> {
+    fn read_chunks(&mut self, indices: &[usize]) -> Result<Vec<Vec<SensorPacket>>, StoreError> {
         let raw: Vec<Vec<u8>> = indices
             .iter()
             .map(|&i| self.raw_chunk(i))
@@ -261,8 +233,8 @@ impl ChunkReader {
             .collect()
     }
 
-    /// Decode the whole store: equivalent to [`read_chunks`](Self::read_chunks)
-    /// over every chunk index, flattened in store order.
+    /// Decode the whole store, one chunk per `booters-par` work item,
+    /// flattened in store order.
     pub fn read_all(&mut self) -> Result<Vec<SensorPacket>, StoreError> {
         let all: Vec<usize> = (0..self.chunk_count()).collect();
         let decoded = self.read_chunks(&all)?;
@@ -273,33 +245,13 @@ impl ChunkReader {
         Ok(out)
     }
 
-    /// Indices of chunks whose zone map intersects `[from, to)` — the
-    /// scan-pruning hook (no chunk I/O, footer metadata only).
-    pub fn chunks_overlapping_time(&self, from: u64, to: u64) -> Vec<usize> {
-        self.index
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.zone.overlaps_time(from, to))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Indices of chunks that may contain `victim` per their zone maps.
-    pub fn chunks_for_victim(&self, victim: VictimAddr) -> Vec<usize> {
-        self.index
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.zone.may_contain_victim(victim))
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::writer::ChunkWriter;
-    use booters_netsim::UdpProtocol;
+    use booters_netsim::{UdpProtocol, VictimAddr};
 
     fn pkt(time: u64, victim: u32) -> SensorPacket {
         SensorPacket {
@@ -329,7 +281,7 @@ mod tests {
         assert_eq!(r.total_packets(), 777);
         assert_eq!(r.read_all().unwrap(), packets);
         // Per-chunk access agrees with bulk decode.
-        assert_eq!(r.read_chunk(0).unwrap(), packets[..64]);
+        assert_eq!(decode_chunk(&r.raw_chunk(0).unwrap()).unwrap(), packets[..64]);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -367,7 +319,6 @@ mod tests {
             let (off, len) = r.chunk_extent(i).unwrap();
             let slice = &bytes[(off - base) as usize..][..len as usize];
             assert_eq!(slice, r.raw_chunk(i).unwrap(), "chunk {i}");
-            assert_eq!(decode_chunk(slice).unwrap(), r.read_chunk(i).unwrap());
         }
         // Walking batch-by-batch at a mid-size budget visits every chunk
         // exactly once, in order.
@@ -392,13 +343,16 @@ mod tests {
         packets.extend((0..100u64).map(|i| pkt(1000 + i, 100 + (i % 10) as u32)));
         let path = write_store("reader_prune", &packets, 100);
         let r = ChunkReader::open(&path).unwrap();
-        assert_eq!(r.chunks_overlapping_time(0, 100), vec![0]);
-        assert_eq!(r.chunks_overlapping_time(1050, 1060), vec![1]);
-        assert_eq!(r.chunks_overlapping_time(0, 2000), vec![0, 1]);
-        assert!(r.chunks_overlapping_time(200, 900).is_empty());
-        assert_eq!(r.chunks_for_victim(VictimAddr(5)), vec![0]);
-        assert_eq!(r.chunks_for_victim(VictimAddr(105)), vec![1]);
-        assert!(r.chunks_for_victim(VictimAddr(50)).is_empty());
+        let chunks_where = |keep: &dyn Fn(&ZoneMap) -> bool| -> Vec<usize> {
+            (0..r.chunk_count()).filter(|&i| keep(r.zone(i).unwrap())).collect()
+        };
+        assert_eq!(chunks_where(&|z| z.overlaps_time(0, 100)), vec![0]);
+        assert_eq!(chunks_where(&|z| z.overlaps_time(1050, 1060)), vec![1]);
+        assert_eq!(chunks_where(&|z| z.overlaps_time(0, 2000)), vec![0, 1]);
+        assert!(chunks_where(&|z| z.overlaps_time(200, 900)).is_empty());
+        assert_eq!(chunks_where(&|z| z.may_contain_victim(VictimAddr(5))), vec![0]);
+        assert_eq!(chunks_where(&|z| z.may_contain_victim(VictimAddr(105))), vec![1]);
+        assert!(chunks_where(&|z| z.may_contain_victim(VictimAddr(50))).is_empty());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -414,7 +368,7 @@ mod tests {
         let got = r.read_chunks(&plan).unwrap();
         assert_eq!(got.len(), plan.len());
         for (j, &i) in plan.iter().enumerate() {
-            assert_eq!(got[j], r.read_chunk(i).unwrap(), "chunk {i}");
+            assert_eq!(got[j], decode_chunk(&r.raw_chunk(i).unwrap()).unwrap(), "chunk {i}");
         }
         // The empty plan decodes nothing and is not an error.
         assert!(r.read_chunks(&[]).unwrap().is_empty());
@@ -435,8 +389,6 @@ mod tests {
         let z1 = r.zone(1).unwrap();
         assert_eq!((z1.min_time, z1.max_time), (1000, 1099));
         assert!(r.zone(2).is_none());
-        assert_eq!(r.time_bounds(), Some((0, 1099)));
-        assert_eq!(r.victim_bounds(), Some((0, 109)));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -201,7 +201,7 @@ pub fn zigzag(v: i64) -> u64 {
 }
 
 /// Inverse of [`zigzag`].
-pub fn unzigzag(u: u64) -> i64 {
+fn unzigzag(u: u64) -> i64 {
     ((u >> 1) as i64) ^ -((u & 1) as i64)
 }
 

@@ -118,11 +118,6 @@ impl Date {
         self.add_days(-(dow - 1))
     }
 
-    /// True in leap years.
-    pub fn is_leap_year(&self) -> bool {
-        is_leap(self.year)
-    }
-
     /// Day-of-year, 1-based.
     pub fn ordinal(&self) -> u32 {
         let mut total = 0u32;

@@ -28,7 +28,6 @@ pub mod index;
 pub mod intervention;
 pub mod seasonal;
 pub mod series;
-pub mod smooth;
 
 pub use date::{Date, Weekday};
 pub use intervention::InterventionWindow;

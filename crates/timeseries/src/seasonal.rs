@@ -9,17 +9,6 @@ use crate::date::Date;
 use crate::easter::{easter_sunday, in_easter_window};
 use crate::series::WeeklySeries;
 
-/// Month (2..=12) dummy value for the week starting at `monday`:
-/// 1.0 when the week's Monday falls in `month`, else 0.0.
-pub fn month_dummy(monday: Date, month: u8) -> f64 {
-    debug_assert!((2..=12).contains(&month), "seasonal dummies cover months 2..=12");
-    if monday.month() == month {
-        1.0
-    } else {
-        0.0
-    }
-}
-
 /// The 11 seasonal dummy values (months 2..=12) for one week.
 pub fn seasonal_row(monday: Date) -> [f64; 11] {
     let mut row = [0.0; 11];
@@ -106,13 +95,6 @@ mod tests {
                 .collect();
             assert_eq!(ones, vec![(m - 2) as usize], "month {m}");
         }
-    }
-
-    #[test]
-    fn month_dummy_matches_row() {
-        let d = Date::new(2018, 7, 9);
-        assert_eq!(month_dummy(d, 7), 1.0);
-        assert_eq!(month_dummy(d, 8), 0.0);
     }
 
     #[test]

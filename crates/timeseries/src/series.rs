@@ -128,16 +128,6 @@ impl WeeklySeries {
         })
     }
 
-    /// Elementwise sum with another series; panics unless both series are
-    /// aligned (same start and length).
-    pub fn add_series(&mut self, other: &WeeklySeries) {
-        assert_eq!(self.start, other.start, "add_series: misaligned start");
-        assert_eq!(self.values.len(), other.values.len(), "add_series: length mismatch");
-        for (a, b) in self.values.iter_mut().zip(&other.values) {
-            *a += b;
-        }
-    }
-
     /// Map every value through `f`, returning a new series.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> WeeklySeries {
         WeeklySeries {
@@ -154,23 +144,6 @@ impl WeeklySeries {
             .map(move |(i, &v)| (self.week_date(i), v))
     }
 
-    /// Values rounded to non-negative integer counts (for count models).
-    pub fn to_counts(&self) -> Vec<u64> {
-        self.values.iter().map(|&v| v.max(0.0).round() as u64).collect()
-    }
-}
-
-/// Aggregate dated events into a weekly series covering `[start, end)`.
-pub fn aggregate_events(
-    start: Date,
-    end: Date,
-    events: impl IntoIterator<Item = (Date, f64)>,
-) -> WeeklySeries {
-    let mut s = WeeklySeries::covering(start, end);
-    for (d, v) in events {
-        s.add_event(d, v);
-    }
-    s
 }
 
 #[cfg(test)]
@@ -229,37 +202,9 @@ mod tests {
     }
 
     #[test]
-    fn add_series_elementwise() {
-        let mut a = WeeklySeries::from_values(monday(), vec![1.0, 2.0]);
-        let b = WeeklySeries::from_values(monday(), vec![10.0, 20.0]);
-        a.add_series(&b);
-        assert_eq!(a.values(), &[11.0, 22.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "misaligned")]
-    fn add_series_rejects_misaligned() {
-        let mut a = WeeklySeries::from_values(monday(), vec![1.0, 2.0]);
-        let b = WeeklySeries::from_values(Date::new(2018, 1, 8), vec![1.0, 2.0]);
-        a.add_series(&b);
-    }
-
-    #[test]
     fn map_and_counts() {
         let s = WeeklySeries::from_values(monday(), vec![1.4, 2.6, -0.5]);
         assert_eq!(s.map(|v| v * 2.0).values(), &[2.8, 5.2, -1.0]);
-        assert_eq!(s.to_counts(), vec![1, 3, 0]);
-    }
-
-    #[test]
-    fn aggregate_events_from_iterator() {
-        let events = vec![
-            (Date::new(2018, 1, 2), 1.0),
-            (Date::new(2018, 1, 9), 2.0),
-            (Date::new(2018, 1, 9), 3.0),
-        ];
-        let s = aggregate_events(Date::new(2018, 1, 1), Date::new(2018, 1, 15), events);
-        assert_eq!(s.values(), &[1.0, 5.0]);
     }
 
     #[test]

@@ -10,8 +10,23 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release (offline)"
-cargo build --release --workspace --offline
+# The release build must be warning-free: a helper that lost its last
+# caller shows up as a dead_code warning here, so the public-surface
+# guard (tests/public_surface.rs) cannot be met by making dead code
+# private. Cargo replays a fresh crate's cached warnings, so this holds
+# on a built tree too.
+echo "==> cargo build --release (offline, warnings fail)"
+build_log=$(mktemp)
+status=0
+cargo build --release --workspace --offline 2>"$build_log" || status=$?
+cat "$build_log" >&2
+warnings=$(grep -c '^warning' "$build_log" || true)
+rm -f "$build_log"
+test "$status" -eq 0 || exit "$status"
+if [ "$warnings" -gt 0 ]; then
+    echo "verify: the release build printed compiler warnings" >&2
+    exit 1
+fi
 
 echo "==> cargo test (offline)"
 cargo test -q --workspace --offline
