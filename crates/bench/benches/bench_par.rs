@@ -1,6 +1,5 @@
-//! Parallel-executor benchmarks: the cost of one dispatch, per-country
-//! Table-2 fits (a hot path `booters-par` fans out) and whole-trace
-//! packet-flow grouping (which stays on the calling thread), measured
+//! Parallel-executor benchmarks: the cost of one dispatch, and the
+//! per-country Table-2 fits (a hot path `booters-par` fans out) measured
 //! sequentially and at 2/4/8 worker threads via the thread-local
 //! override, so one run emits the full scaling comparison regardless of
 //! `BOOTERS_THREADS`.
@@ -14,11 +13,6 @@ use booters_core::pipeline::PipelineConfig;
 use booters_core::pipeline::fit_countries;
 use booters_core::scenario::Scenario;
 use booters_market::calibration::Calibration;
-use booters_netsim::{
-    group_flows_par, AttackCommand, Engine, EngineConfig, UdpProtocol, VictimAddr,
-};
-use booters_netsim::flow::VictimKey;
-use booters_netsim::packet::SensorPacket;
 use booters_testkit::bench::Criterion;
 use booters_testkit::{bench_group, bench_main};
 use std::hint::black_box;
@@ -46,47 +40,7 @@ fn bench_country_fits(c: &mut Criterion) {
     group.finish();
 }
 
-/// A week of commands against a spread of victims and protocols.
-fn sample_packets() -> Vec<SensorPacket> {
-    let mut engine = Engine::new(EngineConfig::default());
-    let protocols = [
-        UdpProtocol::Ldap,
-        UdpProtocol::Ntp,
-        UdpProtocol::Dns,
-        UdpProtocol::Ssdp,
-        UdpProtocol::Chargen,
-    ];
-    let cmds: Vec<AttackCommand> = (0..400u32)
-        .map(|i| AttackCommand {
-            time: 600 * i as u64,
-            victim: VictimAddr::from_octets(25, (i % 7) as u8, (i / 7) as u8, 1),
-            protocol: protocols[i as usize % protocols.len()],
-            duration_secs: 300,
-            packets_per_second: 50_000,
-            booter: i % 23,
-            avoids_honeypots: i % 5 == 0,
-        })
-        .collect();
-    engine.simulate_attacks_batch(&cmds)
-}
-
-fn bench_flow_grouping(c: &mut Criterion) {
-    let packets = sample_packets();
-    let mut group = c.benchmark_group("flow_grouping");
-    group.sample_size(10);
-    for threads in THREADS {
-        group.bench_function(&format!("threads_{threads}"), |b| {
-            b.iter(|| {
-                booters_par::with_threads(threads, || {
-                    black_box(group_flows_par(&packets, VictimKey::ByIp).len())
-                })
-            })
-        });
-    }
-    group.finish();
-}
-
-/// The fixed cost of one coarse dispatch at two threads.
+/// The fixed cost of one dispatch at two threads.
 ///
 /// - `dispatch_roundtrip`: two trivial items. The caller may finish both
 ///   before a helper wakes, so this is the cost a dispatch adds to a
@@ -102,7 +56,7 @@ fn bench_dispatch_roundtrip(c: &mut Criterion) {
     group.bench_function("dispatch_roundtrip", |b| {
         b.iter(|| {
             booters_par::with_threads(2, || {
-                black_box(booters_par::par_map_coarse(&items, |&x| black_box(x) + 1))
+                black_box(booters_par::par_map(&items, |&x| black_box(x) + 1))
             })
         })
     });
@@ -111,7 +65,7 @@ fn bench_dispatch_roundtrip(c: &mut Criterion) {
         b.iter(|| {
             started.store(0, Ordering::Relaxed);
             booters_par::with_threads(2, || {
-                black_box(booters_par::par_map_coarse(&items, |&x| {
+                black_box(booters_par::par_map(&items, |&x| {
                     started.fetch_add(1, Ordering::AcqRel);
                     while started.load(Ordering::Acquire) < 2 {
                         std::hint::spin_loop();
@@ -127,6 +81,6 @@ fn bench_dispatch_roundtrip(c: &mut Criterion) {
 bench_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_dispatch_roundtrip, bench_country_fits, bench_flow_grouping
+    targets = bench_dispatch_roundtrip, bench_country_fits
 }
 bench_main!(benches);

@@ -45,12 +45,7 @@ const USAGE: &str =
 
 /// Environment settings that change which code paths a run takes,
 /// surfaced in the report manifest.
-const ENV_KNOBS: [&str; 4] = [
-    "BOOTERS_THREADS",
-    "BOOTERS_STORE_BUDGET",
-    "BOOTERS_PAR_MIN_ITEMS",
-    "BOOTERS_OBS",
-];
+const ENV_KNOBS: [&str; 3] = ["BOOTERS_THREADS", "BOOTERS_STORE_BUDGET", "BOOTERS_OBS"];
 
 /// Workspace crates listed in the report manifest (one shared version).
 const CRATES: [&str; 14] = [

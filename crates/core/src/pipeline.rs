@@ -299,7 +299,7 @@ pub fn fit_countries(
     countries: &[Country],
     cfg: &PipelineConfig,
 ) -> Result<Vec<CountryResult>, PipelineError> {
-    booters_par::par_map_coarse(countries, |&country| fit_country(ds, cal, country, cfg))
+    booters_par::par_map(countries, |&country| fit_country(ds, cal, country, cfg))
         .into_iter()
         .collect()
 }
@@ -373,7 +373,7 @@ pub fn scan_duration(
     if candidates.is_empty() {
         return Err(PipelineError::Argument("no candidate durations to scan".into()));
     }
-    let profile = booters_par::par_map_coarse(candidates, |&d| {
+    let profile = booters_par::par_map(candidates, |&d| {
         let mut ws = windows.to_vec();
         ws[target] = ws[target].with_duration(d);
         fit_series(series, &ws, cfg).map(|r| (d, r.fit.log_likelihood))

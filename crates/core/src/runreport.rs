@@ -7,12 +7,12 @@
 //! fetches, no external assets, so `out/report.html` can be attached to
 //! a ticket or mailed around and still render. Tables built from CSV
 //! artifacts are interactive in the spirit of datavzrd's portable
-//! reports: every column is type-classified ([`ColumnType`]) so clicks
-//! sort numerically or lexicographically as appropriate, numeric
-//! columns carry an inline header sparkline of their values, and long
-//! tables are paged — each row is stamped with its page by a
-//! [`RowAddressFactory`] ([`DEFAULT_PAGE_SIZE`] rows per page) and a
-//! small inline pager walks the pages without reloading.
+//! reports: every column is type-classified (integer, float, string or
+//! empty) so clicks sort numerically or lexicographically as
+//! appropriate, numeric columns carry an inline header sparkline of
+//! their values, and long tables are paged — each row is stamped with
+//! its page (50 rows per page) and a small inline pager walks the pages
+//! without reloading.
 //!
 //! Rendering is pure string → string: `repro report`
 //! (`crates/bench/src/bin/repro.rs`) gathers the inputs, this module
@@ -105,29 +105,29 @@ pub struct ReportInput {
 // ---------------------------------------------------------------------
 
 /// Rows per page in rendered CSV tables.
-pub const DEFAULT_PAGE_SIZE: usize = 50;
+const DEFAULT_PAGE_SIZE: usize = 50;
 
 /// Stable address of one data row in a paged table: which page it lands
 /// on and its offset within that page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RowAddress {
+struct RowAddress {
     /// Zero-based page index.
-    pub page: usize,
+    page: usize,
     /// Zero-based row offset within the page.
-    pub local: usize,
+    local: usize,
 }
 
 /// Maps absolute row indices to [`RowAddress`]es for a fixed page size
 /// — the single source of truth for how a table is cut into pages, so
 /// the server-side row stamps and the page count always agree.
 #[derive(Debug, Clone, Copy)]
-pub struct RowAddressFactory {
+struct RowAddressFactory {
     page_size: usize,
 }
 
 impl RowAddressFactory {
     /// A factory cutting pages of `page_size` rows (clamped to ≥ 1).
-    pub fn new(page_size: usize) -> RowAddressFactory {
+    fn new(page_size: usize) -> RowAddressFactory {
         RowAddressFactory {
             page_size: page_size.max(1),
         }
@@ -139,7 +139,7 @@ impl RowAddressFactory {
     }
 
     /// Address of absolute row `row`.
-    pub fn get(&self, row: usize) -> RowAddress {
+    fn get(&self, row: usize) -> RowAddress {
         RowAddress {
             page: row / self.page_size,
             local: row % self.page_size,
@@ -152,7 +152,7 @@ impl RowAddressFactory {
 /// numeric columns sort numerically and get a header sparkline; string
 /// columns sort lexicographically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ColumnType {
+enum ColumnType {
     /// Every cell is empty.
     None,
     /// Every non-empty cell parses as a (signed) integer.

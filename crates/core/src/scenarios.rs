@@ -141,7 +141,7 @@ fn run_specs(
     let countries = Calibration::table2_countries();
     let observed = {
         booters_obs::span!("simulate");
-        booters_par::par_map_coarse(specs, |spec| {
+        booters_par::par_map(specs, |spec| {
             let honeypot = observe_honeypot(ScenarioConfig {
                 market: MarketConfig {
                     scale: cfg.scale,
@@ -175,7 +175,7 @@ fn run_specs(
                 .flat_map(|o| o.countries.iter().map(move |s| (o, s))),
         )
         .collect();
-    let mut global_fits = booters_par::par_map_coarse(&jobs, |&(o, series)| {
+    let mut global_fits = booters_par::par_map(&jobs, |&(o, series)| {
         let m = fit_series(series, &o.windows, &cfg.pipeline)?;
         Ok(FitSummary {
             trend: m.fit.inference.coef("time").map_or(f64::NAN, |c| c.coef),

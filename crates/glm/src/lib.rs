@@ -9,7 +9,7 @@
 //! (Hardin & Hilbe, *Generalized Linear Models and Extensions*; Cameron &
 //! Trivedi, *Regression Analysis of Count Data*):
 //!
-//! * [`link`] — link functions (identity, log, logit).
+//! * [`link`] — link functions (identity, log).
 //! * [`family`] — exponential-family variance/deviance/likelihood
 //!   definitions (Gaussian, Poisson, NB2 with fixed α).
 //! * [`irls`] — the iteratively reweighted least squares fitter shared by
@@ -40,7 +40,7 @@ pub mod workspace;
 pub use family::{Family, Gaussian, NegBin2, PoissonFamily};
 pub use inference::{joint_wald_test, CoefEstimate, CovarianceKind, FitInference};
 pub use irls::{fit_irls, fit_irls_offset, lr_test, GlmError, GlmFit, IrlsOptions};
-pub use link::{IdentityLink, Link, LogLink, LogitLink};
+pub use link::{IdentityLink, Link, LogLink};
 pub use negbin::{fit_negbin, fit_negbin_with, NegBinFit, NegBinOptions};
 pub use ols::{fit_ols, OlsFit};
 pub use poisson::{fit_poisson, fit_poisson_with};

@@ -59,28 +59,6 @@ impl Link for LogLink {
     }
 }
 
-/// Logit link: μ = 1/(1+e^{−η}). Provided for completeness (binary GLMs in
-/// extensions; not used by the paper's count models).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LogitLink;
-
-impl Link for LogitLink {
-    fn link(&self, mu: f64) -> f64 {
-        let m = mu.clamp(1e-12, 1.0 - 1e-12);
-        (m / (1.0 - m)).ln()
-    }
-    fn inverse(&self, eta: f64) -> f64 {
-        1.0 / (1.0 + (-eta).exp())
-    }
-    fn d_inverse(&self, eta: f64) -> f64 {
-        let p = self.inverse(eta);
-        p * (1.0 - p)
-    }
-    fn name(&self) -> &'static str {
-        "logit"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,21 +91,8 @@ mod tests {
     }
 
     #[test]
-    fn logit_roundtrip_and_bounds() {
-        let l = LogitLink;
-        for &p in &[0.01, 0.3, 0.5, 0.99] {
-            assert!((l.inverse(l.link(p)) - p).abs() < 1e-12);
-        }
-        assert!(l.inverse(100.0) <= 1.0);
-        assert!(l.inverse(-100.0) >= 0.0);
-        // Max derivative at η=0 is 1/4.
-        assert!((l.d_inverse(0.0) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
     fn names_are_stable() {
         assert_eq!(IdentityLink.name(), "identity");
         assert_eq!(LogLink.name(), "log");
-        assert_eq!(LogitLink.name(), "logit");
     }
 }

@@ -353,7 +353,7 @@ impl Engine {
             .collect();
         // Phase 2: parallel, pure, one pool item per command — a command
         // costs several times the wake-up of a parked helper.
-        let done = booters_par::par_map_coarse(&prepared, |p| {
+        let done = booters_par::par_map(&prepared, |p| {
             synthesize(
                 p,
                 &mut StdRng::seed_from_u64(booters_par::stream_seed(batch_seed, p.0 as u64)),
@@ -673,7 +673,7 @@ mod tests {
         let expected = cmds.iter().filter(|c| oracle.would_observe(c)).count();
         let mut e = Engine::new(EngineConfig::default());
         let packets = e.simulate_attacks_batch(&cmds);
-        let attacks = crate::flow::classify_flows_par(&packets)
+        let attacks = classify_flows(&packets)
             .iter()
             .filter(|(_, cl)| *cl == FlowClass::Attack)
             .count();

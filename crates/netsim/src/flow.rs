@@ -453,18 +453,6 @@ pub fn group_flows_par(packets: &[SensorPacket], key: VictimKey) -> Vec<Flow> {
     flows
 }
 
-/// [`classify_flows`] in the canonical flow order (see [`sort_flows`]),
-/// grouped by [`group_flows_par`].
-pub fn classify_flows_par(packets: &[SensorPacket]) -> Vec<(Flow, FlowClass)> {
-    group_flows_par(packets, VictimKey::ByIp)
-        .into_iter()
-        .map(|f| {
-            let class = f.classify();
-            (f, class)
-        })
-        .collect()
-}
-
 /// Group a complete packet trace and classify each flow.
 pub fn classify_flows(packets: &[SensorPacket]) -> Vec<(Flow, FlowClass)> {
     let mut grouper = FlowGrouper::new();
@@ -649,21 +637,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_grouping_matches_sequential_at_every_thread_count() {
+    fn group_flows_par_is_classify_flows_in_canonical_order() {
         let trace = mixed_trace();
-        let baseline = booters_par::with_threads(1, || classify_flows_par(&trace));
-        // The sequential par path equals plain classify_flows up to the
-        // canonical sort.
         let mut plain: Vec<Flow> = classify_flows(&trace).into_iter().map(|(f, _)| f).collect();
         sort_flows(&mut plain);
-        assert_eq!(
-            baseline.iter().map(|(f, _)| f.clone()).collect::<Vec<_>>(),
-            plain
-        );
-        for threads in [2usize, 3, 4, 8] {
-            let par = booters_par::with_threads(threads, || classify_flows_par(&trace));
-            assert_eq!(par, baseline, "threads={threads}");
-        }
+        assert_eq!(group_flows_par(&trace, VictimKey::ByIp), plain);
     }
 
     #[test]

@@ -40,8 +40,7 @@ pub mod scanner;
 pub use addr::{Country, VictimAddr};
 pub use engine::{AttackCommand, Engine, EngineConfig};
 pub use flow::{
-    classify_flows, classify_flows_par, group_flows_par, sort_flows, Flow, FlowClass, FlowGrouper,
-    VictimKey,
+    classify_flows, group_flows_par, sort_flows, Flow, FlowClass, FlowGrouper, VictimKey,
 };
 pub use packet::SensorPacket;
 pub use protocol::UdpProtocol;

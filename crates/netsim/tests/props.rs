@@ -440,8 +440,7 @@ fn batch_from(raw: &[(u64, u8, usize, u32, u32, u32, bool)]) -> Vec<AttackComman
 
 /// Twin engines with the same seed and history must agree: the flows
 /// entry point returns exactly the grouped batch trace, at 1, 2 and 4
-/// threads and with the small-work cutoff off, and leaves the fleet
-/// exactly as the trace path leaves it.
+/// threads, and leaves the fleet exactly as the trace path leaves it.
 fn assert_flows_equal_grouped_trace(history: &[AttackCommand], cmds: &[AttackCommand], key: VictimKey) {
     let twin = || {
         let mut e = Engine::new(EngineConfig::default());
@@ -452,17 +451,12 @@ fn assert_flows_equal_grouped_trace(history: &[AttackCommand], cmds: &[AttackCom
     let expected = group_flows_par(&trace_path.simulate_attacks_batch(cmds), key);
     let expected_fleet = trace_path.fleet();
     for threads in [1usize, 2, 4] {
-        for min_items in [None, Some(1)] {
-            let mut flows_path = twin();
-            let flows = booters_par::with_threads(threads, || match min_items {
-                Some(n) => booters_par::with_min_items(n, || flows_path.simulate_attack_flows(cmds, key)),
-                None => flows_path.simulate_attack_flows(cmds, key),
-            });
-            let case = format!("threads={threads} min_items={min_items:?}");
-            prop_assert_eq!(&flows, &expected, "{}", case);
-            // The whole fleet: counters, rate-limit entries, blocklist times.
-            prop_assert_eq!(flows_path.fleet(), expected_fleet, "{}", case);
-        }
+        let mut flows_path = twin();
+        let flows =
+            booters_par::with_threads(threads, || flows_path.simulate_attack_flows(cmds, key));
+        prop_assert_eq!(&flows, &expected, "threads={}", threads);
+        // The whole fleet: counters, rate-limit entries, blocklist times.
+        prop_assert_eq!(flows_path.fleet(), expected_fleet, "threads={}", threads);
     }
 }
 

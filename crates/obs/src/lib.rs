@@ -31,7 +31,7 @@
 //! folded into the process-wide registry when the thread exits, when it
 //! calls [`flush`] (each parked `booters-par` helper flushes before it
 //! reports its share of a dispatch done, so every helper's metrics are in
-//! the registry by the time a `par_*` call returns) or when it calls
+//! the registry by the time a `par_map` call returns) or when it calls
 //! [`snapshot`]. Counter merging is addition and gauge merging is `max` —
 //! both commutative and associative — so the merged totals are
 //! independent of thread scheduling and arrival order. Workload counters

@@ -2,13 +2,12 @@
 //! # booters-par
 //!
 //! Deterministic data parallelism for the simulate→group→fit pipeline:
-//! a zero-dependency thread pool of parked, process-wide helpers with
-//! chunked [`par_map`] /
-//! [`par_for_each`] / [`par_map_collect`] and a hard determinism
-//! contract. The executor exists so the per-country Table 2 fan-out,
-//! netsim packet generation, flow grouping and the intervention-window
-//! scan can use every core **without perturbing a single byte** of the
-//! seeded artifacts.
+//! a zero-dependency thread pool of parked, process-wide helpers behind
+//! one fan-out, [`par_map`], with a hard determinism contract. The
+//! executor exists so the per-country Table 2 fits, the duration scan,
+//! the scenario suite, netsim packet generation and the store, query and
+//! serve backends can use every core **without perturbing a single
+//! byte** of the seeded artifacts.
 //!
 //! ## The determinism contract
 //!
@@ -20,8 +19,8 @@
 //!    consumed generator. [`stream_seed`] derives an independent seed per
 //!    task index with the testkit's splitmix64, so a seeded simulation
 //!    produces byte-identical output at any thread count.
-//! 3. **Sequential fallback.** With one thread (or one item) every entry
-//!    point degenerates to the plain `iter().map(...)` loop the
+//! 3. **Sequential fallback.** With one thread (or one item) [`par_map`]
+//!    degenerates to the plain `iter().map(...)` loop the
 //!    pre-executor code ran — no pool, no channels, no reordering.
 //!
 //! ## The helpers
@@ -30,7 +29,7 @@
 //! workers are helper threads started lazily and parked between
 //! dispatches for the life of the process; the set grows to the largest
 //! thread count ever requested. A helper that has not joined a dispatch
-//! by the time the caller has finished every chunk does not join it at
+//! by the time the caller has finished every item does not join it at
 //! all, so a dispatch never waits on a helper that is slow to wake.
 //! While one dispatch owns the helpers, a dispatch from another OS thread
 //! runs its batch alone on that thread. `DESIGN.md` §5b has the life
@@ -53,39 +52,13 @@
 //! variable (read once per process) → `std::thread::available_parallelism`.
 //! Inside a pool worker it always reports 1, so nested calls fall back to
 //! the sequential path instead of deadlocking or oversubscribing.
-//!
-//! ## Small-work cutoff and size-aware scheduling
-//!
-//! Waking a parked helper costs about 4–5 µs per dispatch on a 2-core
-//! host (`par/helper_wake_roundtrip` in `BENCH_par.json`), plus the cache
-//! misses of moving the work to another core — more than a batch of a
-//! few cheap items is worth. Every `par_*` entry point except
-//! [`par_map_coarse`] therefore runs sequentially when the batch has
-//! fewer than [`min_items`] items (default 16),
-//! resolved as: a scoped [`with_min_items`] override → the
-//! `BOOTERS_PAR_MIN_ITEMS` environment variable (read once per process)
-//! → 16. Above the cutoff, worker count is *size-aware*: at most one
-//! worker per [`min_items`] items is used, so a batch barely past the
-//! cutoff gets two threads, not eight two-item ones — and the implied
-//! chunk size never drops below `min_items / CHUNKS_PER_WORKER`.
-//! Because the sequential path is already part of the determinism
-//! contract (point 3), neither the cutoff nor the worker cap can ever
-//! change a result — only when and how many helpers are woken. Set
-//! `BOOTERS_PAR_MIN_ITEMS=1` to disable both.
-//!
-//! Batches of *few but individually heavy* items (decoding store chunks,
-//! grouping per-shard packet buckets, the Table 2 country fits and the
-//! duration-scan refits at about 0.7 ms each, one week's packet commands
-//! at about 40 µs each) are the one shape the
-//! item-count cutoff misjudges; [`par_map_coarse`] is the entry point for
-//! them — no item-count cutoff, one item per scheduling unit.
 
 mod pool;
 mod seed;
 mod stage;
 mod workers;
 
-pub use pool::{par_for_each, par_map, par_map_coarse, par_map_collect, par_map_indexed};
+pub use pool::par_map;
 pub use seed::stream_seed;
 pub use stage::pipeline;
 
@@ -95,20 +68,10 @@ use std::sync::OnceLock;
 thread_local! {
     /// Scoped per-thread override installed by [`with_threads`].
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-    /// Scoped per-thread override installed by [`with_min_items`].
-    static MIN_ITEMS_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
     /// Set on pool worker threads so nested parallelism degrades to the
     /// sequential path.
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
 }
-
-/// Default sequential cutoff: batches smaller than this never wake a
-/// helper. Sized for batches of cheap items, whose per-item work the
-/// 4–5 µs wake-up and the cross-core hand-off would dwarf; heavy items
-/// such as NB2 fits and packet commands go through
-/// [`par_map_coarse`], which has no cutoff, so real data-parallel sweeps
-/// and few-but-heavy fan-outs both get the pool.
-const DEFAULT_MIN_ITEMS: usize = 16;
 
 /// Parse a `BOOTERS_THREADS` value; non-numeric input is ignored and 0 is
 /// clamped to 1 (the sequential path).
@@ -132,7 +95,7 @@ fn configured_threads() -> usize {
     })
 }
 
-/// The thread count the next `par_*` call on this thread will use.
+/// The thread count the next [`par_map`] on this thread will use.
 ///
 /// Always 1 inside a pool worker (nested parallelism is sequential).
 pub fn threads() -> usize {
@@ -152,7 +115,7 @@ pub fn in_pool() -> bool {
 }
 
 /// Mark the current thread as a pool worker until the guard drops, so
-/// `par_*` calls made by the tasks it runs take the sequential path.
+/// [`par_map`] calls made by the tasks it runs take the sequential path.
 pub(crate) fn enter_pool() -> PoolGuard {
     PoolGuard(IN_POOL.with(|c| c.replace(true)))
 }
@@ -164,49 +127,6 @@ impl Drop for PoolGuard {
     fn drop(&mut self) {
         IN_POOL.with(|c| c.set(self.0));
     }
-}
-
-/// Parse a `BOOTERS_PAR_MIN_ITEMS` value; non-numeric input is ignored
-/// and 0 is clamped to 1 (cutoff disabled — every batch may go parallel).
-fn parse_min_items(v: &str) -> Option<usize> {
-    v.trim().parse::<usize>().ok().map(|n| n.max(1))
-}
-
-/// Process-wide configured cutoff: `BOOTERS_PAR_MIN_ITEMS` if set (read
-/// once), otherwise [`DEFAULT_MIN_ITEMS`].
-fn configured_min_items() -> usize {
-    static CONFIGURED: OnceLock<usize> = OnceLock::new();
-    *CONFIGURED.get_or_init(|| {
-        std::env::var("BOOTERS_PAR_MIN_ITEMS")
-            .ok()
-            .and_then(|v| parse_min_items(&v))
-            .unwrap_or(DEFAULT_MIN_ITEMS)
-    })
-}
-
-/// Batches with fewer items than this run sequentially on the calling
-/// thread (same results by the determinism contract, no helper woken).
-pub fn min_items() -> usize {
-    MIN_ITEMS_OVERRIDE
-        .with(|c| c.get())
-        .unwrap_or_else(configured_min_items)
-}
-
-/// Run `f` with the small-work cutoff pinned to `n` items on this thread
-/// (clamped to ≥ 1; 1 disables the cutoff), restoring the previous
-/// setting afterwards — also on panic. Tests and benches use this to
-/// force the pool on for small batches without touching the process
-/// environment.
-pub fn with_min_items<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            MIN_ITEMS_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let prev = MIN_ITEMS_OVERRIDE.with(|c| c.replace(Some(n.max(1))));
-    let _restore = Restore(prev);
-    f()
 }
 
 /// Run `f` with the executor pinned to `n` threads on this thread
@@ -251,38 +171,6 @@ mod tests {
             assert_eq!(with_threads(2, threads), 2);
             assert_eq!(threads(), 5);
         });
-    }
-
-    #[test]
-    fn parse_min_items_clamps_and_rejects() {
-        assert_eq!(parse_min_items("16"), Some(16));
-        assert_eq!(parse_min_items(" 1 "), Some(1));
-        assert_eq!(parse_min_items("0"), Some(1));
-        assert_eq!(parse_min_items("lots"), None);
-        assert_eq!(parse_min_items(""), None);
-    }
-
-    #[test]
-    fn with_min_items_overrides_and_restores() {
-        let outer = min_items();
-        assert_eq!(with_min_items(3, min_items), 3);
-        assert_eq!(min_items(), outer);
-        // Clamped to at least one (1 = cutoff disabled).
-        assert_eq!(with_min_items(0, min_items), 1);
-        with_min_items(32, || {
-            assert_eq!(with_min_items(2, min_items), 2);
-            assert_eq!(min_items(), 32);
-        });
-    }
-
-    #[test]
-    fn with_min_items_restores_on_panic() {
-        let before = min_items();
-        let caught = std::panic::catch_unwind(|| {
-            with_min_items(9, || panic!("boom"));
-        });
-        assert!(caught.is_err());
-        assert_eq!(min_items(), before);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! One run owns the stage at a time. A run from another OS thread that
 //! finds it busy, a run on one thread (`threads() < 2`) and a run inside
 //! a pool worker take the interleaved loop on the calling thread, which
-//! is the sequential fallback of every `par_*` entry point.
+//! is the sequential fallback [`crate::par_map`] takes too.
 
 use crate::workers::Crew;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -49,7 +49,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// sees the same items in the same order, so the results cannot depend
 /// on which path ran, provided `produce` and `consume` share no state.
 ///
-/// `produce` runs with the pool flag set, so any `par_*` call it makes
+/// `produce` runs with the pool flag set, so any [`crate::par_map`] it makes
 /// is sequential. Spans it opens are recorded on the stage thread,
 /// outside the caller's span path; its metrics are flushed before the
 /// run returns.

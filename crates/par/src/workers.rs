@@ -117,7 +117,7 @@ impl Crew {
     /// while the job is still published may claim a spare slot again; it
     /// then just finds less work left.
     fn park_loop(&self) {
-        // Everything a crew runs is pool work: nested `par_*` calls made
+        // Everything a crew runs is pool work: nested `par_map` calls made
         // by its jobs take the sequential path.
         let _in_pool = crate::enter_pool();
         loop {

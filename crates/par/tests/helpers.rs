@@ -2,7 +2,7 @@
 //! keep nested calls sequential, tolerate concurrent dispatchers and more
 //! threads than cores.
 
-use booters_par::{in_pool, par_map, par_map_coarse, threads, with_min_items, with_threads};
+use booters_par::{in_pool, par_map, threads, with_threads};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Barrier;
@@ -26,7 +26,7 @@ fn a_panicking_task_reaches_the_caller_and_the_pool_serves_the_next_dispatch() {
         for round in 0..20u32 {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 with_threads(2, || {
-                    par_map_coarse(&items, |&x| {
+                    par_map(&items, |&x| {
                         if x == round % 6 {
                             panic!("task {x} exploded");
                         }
@@ -40,7 +40,7 @@ fn a_panicking_task_reaches_the_caller_and_the_pool_serves_the_next_dispatch() {
                 .cloned()
                 .unwrap_or_default();
             assert_eq!(message, format!("task {} exploded", round % 6));
-            let ok = with_threads(2, || par_map_coarse(&items, |&x| x * 3));
+            let ok = with_threads(2, || par_map(&items, |&x| x * 3));
             assert_eq!(ok, vec![0, 3, 6, 9, 12, 15], "round {round}");
         }
     });
@@ -52,7 +52,7 @@ fn the_lowest_index_panic_wins() {
         let items: Vec<u32> = (0..8).collect();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             with_threads(2, || {
-                par_map_coarse(&items, |&x| {
+                par_map(&items, |&x| {
                     if x == 1 {
                         // Let the later panic land first on the clock.
                         std::thread::sleep(Duration::from_millis(20));
@@ -76,9 +76,9 @@ fn a_nested_call_inside_a_task_stays_sequential() {
     within_30s(|| {
         let outer: Vec<u32> = (0..4).collect();
         let seen = with_threads(2, || {
-            par_map_coarse(&outer, |&x| {
+            par_map(&outer, |&x| {
                 let inner: Vec<u32> = (0..32).collect();
-                let nested = with_min_items(1, || par_map(&inner, |&y| y + x));
+                let nested = par_map(&inner, |&y| y + x);
                 assert_eq!(nested, inner.iter().map(|y| y + x).collect::<Vec<_>>());
                 (in_pool(), threads())
             })
@@ -100,7 +100,7 @@ fn two_threads_dispatching_at_once_both_get_their_results() {
                         start.wait();
                         for round in 0..50u64 {
                             let got = with_threads(2, || {
-                                par_map_coarse(&items, |&x| {
+                                par_map(&items, |&x| {
                                     std::hint::black_box((0..200).sum::<u64>());
                                     x * k + round
                                 })
@@ -123,12 +123,10 @@ fn more_threads_than_cores_still_reduce_in_order() {
     within_30s(|| {
         let items: Vec<u64> = (0..64).collect();
         for _ in 0..10 {
-            let got = with_threads(8, || {
-                with_min_items(1, || par_map(&items, |&x| x * x))
-            });
+            let got = with_threads(8, || par_map(&items, |&x| x * x));
             assert_eq!(got, items.iter().map(|x| x * x).collect::<Vec<_>>());
-            let coarse = with_threads(8, || par_map_coarse(&items[..9], |&x| x + 1));
-            assert_eq!(coarse, (1..10).collect::<Vec<_>>());
+            let few = with_threads(8, || par_map(&items[..9], |&x| x + 1));
+            assert_eq!(few, (1..10).collect::<Vec<_>>());
         }
     });
 }

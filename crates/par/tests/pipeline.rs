@@ -3,7 +3,7 @@
 //! producer's panic to the caller, survives a consumer's panic, and
 //! leaves a second concurrent run to the interleaved loop.
 
-use booters_par::{in_pool, par_map_coarse, pipeline, threads, with_threads};
+use booters_par::{in_pool, par_map, pipeline, threads, with_threads};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 use std::thread::ThreadId;
@@ -85,7 +85,7 @@ fn produce_runs_on_the_stage_only_at_two_threads_outside_the_pool() {
         // Inside a pool worker `threads()` is 1: the interleaved loop on
         // the worker, never the stage.
         let on_workers = with_threads(2, || {
-            par_map_coarse(&[0u8, 1], |_| {
+            par_map(&[0u8, 1], |_| {
                 let worker = std::thread::current().id();
                 let (got, producers, _) = count_to(20);
                 (got.len(), producers.iter().all(|&p| p == worker))

@@ -176,7 +176,7 @@ impl QueryEngine {
     }
 
     /// Decode the planned chunks as columns and fold each through `f`
-    /// (decode + fold fused into one `par_map_coarse` work item per
+    /// (decode + fold fused into one `par_map` work item per
     /// chunk; submission-order reduction keeps results deterministic).
     /// Element `j` of the result is `f` over chunk `chunks[j]`; the
     /// earliest failing chunk's error wins.
@@ -189,7 +189,7 @@ impl QueryEngine {
             .iter()
             .map(|&i| self.read_raw(i))
             .collect::<Result<_, _>>()?;
-        booters_par::par_map_coarse(&raw, |bytes| {
+        booters_par::par_map(&raw, |bytes| {
             decode_chunk_columns(bytes).map(|cols| f(&cols))
         })
         .into_iter()

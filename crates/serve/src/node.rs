@@ -12,7 +12,7 @@
 //!   victim/protocol key, so a flow's packets always meet in one shard;
 //! * each shard re-sorts its ripe packets by time before grouping, so
 //!   the grouper sees the batch path's input shape exactly;
-//! * shards are drained via `par_map_coarse` and their results merged
+//! * shards are drained via `par_map` and their results merged
 //!   in shard-index order, and the final flow stream is canonicalised
 //!   by [`sort_flows`] — the same total order the batch path uses.
 //!
@@ -256,11 +256,10 @@ impl ServeNode {
         &mut self,
         f: impl Fn(&mut Shard) -> ShardProgress + Sync,
     ) -> Result<ShardProgress, ServeError> {
-        let results: Vec<Result<ShardProgress, ()>> =
-            booters_par::par_map_coarse(&self.shards, |m| {
-                let mut shard = m.lock().expect("shard lock");
-                catch_unwind(AssertUnwindSafe(|| f(&mut shard))).map_err(|_| ())
-            });
+        let results: Vec<Result<ShardProgress, ()>> = booters_par::par_map(&self.shards, |m| {
+            let mut shard = m.lock().expect("shard lock");
+            catch_unwind(AssertUnwindSafe(|| f(&mut shard))).map_err(|_| ())
+        });
         let mut total = ShardProgress::default();
         let mut failed: Option<usize> = None;
         for (i, r) in results.into_iter().enumerate() {

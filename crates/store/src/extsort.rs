@@ -420,10 +420,9 @@ fn merge_runs(
         .iter_mut()
         .map(|r| (r.chunk_count() > 0).then(|| r.raw_chunk(0)).transpose())
         .collect::<Result<_, StoreError>>()?;
-    // Coarse fan-out: there are only as many items as runs, each a full
-    // chunk decode — exactly the few-but-heavy shape `par_map`'s
-    // min-items cutoff would serialise.
-    let first_chunks = booters_par::par_map_coarse(&first_raw, |raw| match raw {
+    // One item per run, each a full chunk decode: few but heavy items,
+    // each its own scheduling unit.
+    let first_chunks = booters_par::par_map(&first_raw, |raw| match raw {
         Some(bytes) => crate::chunk::decode_chunk(bytes),
         None => Ok(Vec::new()),
     });

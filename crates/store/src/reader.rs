@@ -226,9 +226,9 @@ impl ChunkReader {
             .iter()
             .map(|&i| self.raw_chunk(i))
             .collect::<Result<_, _>>()?;
-        // Coarse fan-out: items are whole-chunk decodes — heavy enough
-        // that even a handful justify workers.
-        booters_par::par_map_coarse(&raw, |bytes| decode_chunk(bytes))
+        // One item per chunk: whole-chunk decodes are heavy enough that
+        // even a handful justify workers.
+        booters_par::par_map(&raw, |bytes| decode_chunk(bytes))
             .into_iter()
             .collect()
     }

@@ -32,10 +32,10 @@ echo "==> cargo test (offline)"
 cargo test -q --workspace --offline
 
 # Second pass with the parallel executor engaged: BOOTERS_THREADS=4 makes
-# every booters-par fan-out (country fits, packet synthesis, flow
-# grouping, window scans) run on real worker threads, so CI exercises the
-# determinism contract on the parallel code path, not just the
-# threads=1 sequential fallback.
+# every booters-par fan-out (country fits, duration scans, the scenario
+# suite, packet synthesis, store/query chunk decode, serve shard drains)
+# run on real worker threads, so CI exercises the determinism contract on
+# the parallel code path, not just the threads=1 sequential fallback.
 echo "==> cargo test (offline, BOOTERS_THREADS=4)"
 BOOTERS_THREADS=4 cargo test -q --workspace --offline
 
@@ -47,17 +47,6 @@ BOOTERS_THREADS=4 cargo test -q --workspace --offline
 # must not change.
 echo "==> cargo test (offline, BOOTERS_STORE_BUDGET=65536)"
 BOOTERS_STORE_BUDGET=65536 cargo test -q --workspace --offline
-
-# Fourth pass: BOOTERS_PAR_MIN_ITEMS=1 disables the small-work sequential
-# cutoff, so even small batches of cheap items go through the worker
-# pool. (The country fits and window scans always do at more than one
-# thread: as heavy items they use par_map_coarse, which has no cutoff.)
-# Combined with BOOTERS_THREADS=4 this runs the seeded golden suite on the
-# pool branch that the cutoff would normally skip — the goldens must stay
-# byte-identical either way.
-echo "==> seeded goldens (offline, BOOTERS_PAR_MIN_ITEMS=1, BOOTERS_THREADS=4)"
-BOOTERS_PAR_MIN_ITEMS=1 BOOTERS_THREADS=4 \
-    cargo test -q --offline --test smoke_seeded --test par_invariance --test packet_chain_golden
 
 # Artifact-level determinism: every file `repro all` writes (it names
 # each on stderr as "wrote <path>") must be byte-for-byte identical at
@@ -95,7 +84,7 @@ for table in table1 table2; do
     }
 done
 
-# Fifth pass with metrics recording on: the observability contract
+# Fourth pass with metrics recording on: the observability contract
 # (DESIGN.md §5e) says BOOTERS_OBS=1 may never change an output byte, so
 # the full suite — every golden included — must pass with the registry
 # recording spans and counters on all hot paths.
@@ -117,7 +106,7 @@ $REPRO --scale 0.02 report >/dev/null
 test -s out/report.html || { echo "verify: out/report.html missing or empty" >&2; exit 1; }
 test -s out/report.md   || { echo "verify: out/report.md missing or empty" >&2; exit 1; }
 
-# Sixth pass: the query engine at the artifact level. `repro query` runs
+# Fifth pass: the query engine at the artifact level. `repro query` runs
 # canned pushdown queries (zone-map pruning, late materialization) over a
 # many-chunk store and writes the report and the weekly panel.
 # BOOTERS_THREADS=4 puts the per-chunk decode fan-out on real worker
@@ -129,7 +118,7 @@ BOOTERS_THREADS=4 $REPRO query >/dev/null
 test -s out/query.txt || { echo "verify: out/query.txt missing or empty" >&2; exit 1; }
 test -s out/query_panel.csv || { echo "verify: out/query_panel.csv missing or empty" >&2; exit 1; }
 
-# Seventh pass: the scenario-composition contract (DESIGN.md §5j) at the
+# Sixth pass: the scenario-composition contract (DESIGN.md §5j) at the
 # artifact level. `repro scenarios` runs all eight built-in intervention
 # scenarios (scenarios/*.scn) plus the shockless baseline end-to-end —
 # simulate, observe, refit — and writes the cross-scenario comparison
@@ -160,7 +149,7 @@ for combo in "BOOTERS_THREADS=4" "BOOTERS_THREADS=1"; do
 done
 rm -f out/scenario_summary.ref.csv out/scenario_coefficients.ref.csv
 
-# Eighth pass: the end-to-end benchmark's own checks. bench_e2e/ is a
+# Seventh pass: the end-to-end benchmark's own checks. bench_e2e/ is a
 # separate Cargo workspace built from these crates by path; its self-tests
 # cover the metric readers and the layer accounting, and run the binary's
 # `paper` workload at both trace levels, whose warm-up must reproduce the

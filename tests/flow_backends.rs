@@ -34,7 +34,7 @@ use booting_the_booters::netsim::{
     classify_flows, group_flows_par, Engine, EngineConfig, Flow, FlowClass, SensorPacket, VictimKey,
 };
 use booting_the_booters::obs;
-use booting_the_booters::par::{with_min_items, with_threads};
+use booting_the_booters::par::with_threads;
 use booting_the_booters::query::{Predicate, QueryEngine, QueryStats, WEEK_SECS};
 use booting_the_booters::serve::{ServeConfig, ServeNode, ServeStats};
 use booting_the_booters::store::{
@@ -524,9 +524,7 @@ fn query_metrics_on_changes_no_answer() {
 fn workload_at<T>(threads: usize, run: impl Fn() -> T) -> BTreeMap<String, u64> {
     obs::set_enabled(true);
     obs::reset();
-    // min_items 1 sends even small fan-outs through the pool, so
-    // worker-thread flushing is genuinely exercised.
-    with_min_items(1, || with_threads(threads, &run));
+    with_threads(threads, &run);
     let snap = obs::snapshot();
     obs::set_enabled(false);
     obs::reset();

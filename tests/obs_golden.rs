@@ -18,7 +18,7 @@ use booting_the_booters::market::calibration::Calibration;
 use booting_the_booters::market::market::MarketConfig;
 use booting_the_booters::market::scn::builtin_scenarios;
 use booting_the_booters::obs;
-use booting_the_booters::par::{with_min_items, with_threads};
+use booting_the_booters::par::with_threads;
 use booting_the_booters::timeseries::{Date, WeeklySeries};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -77,13 +77,9 @@ fn metrics_on_changes_no_output_bytes() {
 fn workload_at(threads: usize) -> BTreeMap<String, u64> {
     obs::set_enabled(true);
     obs::reset();
-    // min_items 1 forces even the eight-country fan-out through the
-    // pool, so worker-thread flushing is genuinely exercised.
-    with_min_items(1, || {
-        with_threads(threads, || {
-            let (t1, t2) = render_tables();
-            assert!(!t1.is_empty() && !t2.is_empty());
-        })
+    with_threads(threads, || {
+        let (t1, t2) = render_tables();
+        assert!(!t1.is_empty() && !t2.is_empty());
     });
     let snap = obs::snapshot();
     obs::set_enabled(false);

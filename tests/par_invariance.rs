@@ -13,66 +13,9 @@ use booting_the_booters::core::scenario::{observe_honeypot, Fidelity, Scenario, 
 use booting_the_booters::market::calibration::Calibration;
 use booting_the_booters::market::market::MarketConfig;
 use booting_the_booters::market::scn::builtin_scenarios;
-use booting_the_booters::netsim::{
-    classify_flows, classify_flows_par, sort_flows, Flow, FlowClass, SensorPacket, UdpProtocol,
-    VictimAddr,
-};
 use booting_the_booters::par::with_threads;
 use booting_the_booters::timeseries::Date;
-use booters_testkit::strategy::prop;
-use booters_testkit::{forall, prop_assert, prop_assert_eq, Strategy};
-
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// Strategy: an arbitrary time-ordered packet stream over a small
-/// victim/sensor space — same shape as the netsim flow properties.
-fn packet_stream() -> impl Strategy<Value = Vec<SensorPacket>> {
-    prop::collection::vec(
-        (
-            0u64..200_000,  // time
-            0u32..6,        // sensor
-            0u8..4,         // victim last octet
-            0usize..UdpProtocol::ALL.len(),
-        ),
-        0..300,
-    )
-    .prop_map(|mut raw| {
-        raw.sort_by_key(|r| r.0);
-        raw.into_iter()
-            .map(|(time, sensor, v, p)| SensorPacket {
-                time,
-                sensor,
-                victim: VictimAddr::from_octets(25, 0, 0, v),
-                protocol: UdpProtocol::ALL[p],
-                ttl: 50,
-                src_port: 4444,
-            })
-            .collect()
-    })
-}
-
-/// Canonical view of a classification for exact comparison.
-fn canonical(mut flows: Vec<(Flow, FlowClass)>) -> (Vec<Flow>, usize, usize) {
-    let attacks = flows.iter().filter(|(_, c)| *c == FlowClass::Attack).count();
-    let scans = flows.len() - attacks;
-    let mut just_flows: Vec<Flow> = flows.drain(..).map(|(f, _)| f).collect();
-    sort_flows(&mut just_flows);
-    (just_flows, attacks, scans)
-}
-
-forall! {
-    #![cases(32)]
-
-    fn flow_classification_is_thread_count_invariant(packets in packet_stream()) {
-        let reference = canonical(classify_flows(&packets));
-        for threads in THREAD_COUNTS {
-            let parallel = with_threads(threads, || canonical(classify_flows_par(&packets)));
-            prop_assert_eq!(&parallel.0, &reference.0, "flows differ at {} threads", threads);
-            prop_assert_eq!(parallel.1, reference.1, "attack count at {} threads", threads);
-            prop_assert_eq!(parallel.2, reference.2, "scan count at {} threads", threads);
-        }
-    }
-}
+use booters_testkit::{forall, prop_assert, prop_assert_eq};
 
 /// Every output of a scenario run — honeypot and ground-truth series,
 /// the self-report scrape and the raw market weeks — as text. `{:?}`
